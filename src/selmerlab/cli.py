@@ -54,6 +54,10 @@ class RunConfig:
             raise ValueError("xmax must be >= 1")
         if self.zcut < 3:
             raise ValueError("zcut must be >= 3")
+        if self.threads < 0:
+            raise ValueError("threads must be >= 0 (0 = auto)")
+        if self.sample is not None and self.sample < 0:
+            raise ValueError("sample must be >= 0")
         if self.format not in ("csv", "json", "tsv"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -123,11 +127,13 @@ def _column_records(B: int):
     cfg = _worker_cfg
     X, with_descent = cfg["xmax"], cfg["with_descent"]
     keep = cfg.get("keep")
+    if keep is None:
+        curves = _column_curves(B, X, cfg["include_square_disc"])
+    else:  # sampled A's of this column: already window members, ascending
+        curves = (CurvePair(A, B) for A in keep.get(B, ()))
     out = []
     skipped = []
-    for c in _column_curves(B, X, cfg["include_square_disc"]):
-        if keep is not None and (c.B, c.A) not in keep:
-            continue
+    for c in curves:
         try:
             out.append(curve_record(c, with_descent).as_tuple())
         except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
@@ -167,7 +173,9 @@ def stream_records(config: RunConfig):
         keys = [(c.B, c.A) for c in enumerate_window(FamilyWindow(X, config.includeSquareDisc))]
         if config.sample > len(keys):
             raise ValueError("sample larger than the family")
-        keep = set(random.Random(config.seed).sample(keys, config.sample))
+        keep = {}
+        for B, A in sorted(random.Random(config.seed).sample(keys, config.sample)):
+            keep.setdefault(B, []).append(A)
     cfg = {
         "xmax": X,
         "with_descent": config.with_descent,
@@ -187,6 +195,9 @@ def stream_records(config: RunConfig):
     ctx = mp.get_context("fork")
     with ctx.Pool(threads, initializer=_pool_init, initargs=(cfg,)) as pool:
         yield from pool.imap(_column_records, bcols, chunksize=4)
+
+
+_TSV_RECORDS = "tsv is reserved for histograms; use csv or json for records"
 
 
 def _format_cell(v) -> str:
@@ -221,7 +232,7 @@ def write_records(config: RunConfig, out) -> tuple[int, list]:
                 n += 1
         out.write("\n]\n")
     else:
-        raise ValueError("tsv is reserved for histograms; use csv or json for records")
+        raise ValueError(_TSV_RECORDS)
     return n, skipped_all
 
 
@@ -465,6 +476,23 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _family_size(config: RunConfig) -> int:
+    if config.includeSquareDisc:
+        return count_window(config.xmax)[0]
+    return sum(1 for _ in enumerate_window(FamilyWindow(config.xmax, False)))
+
+
+def _check_command(command: str, config: RunConfig) -> None:
+    """Raise ValueError for settings that are invalid for this command only."""
+    if command == "compute":
+        if config.format == "tsv":
+            raise ValueError(_TSV_RECORDS)
+        if config.sample is not None and config.sample > _family_size(config):
+            raise ValueError(f"sample {config.sample} larger than the family at xmax={config.xmax}")
+    if command == "stats" and config.xmax < 16:
+        raise ValueError("stats needs xmax >= 16 so that log log X is positive")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="selmerlab",
@@ -504,6 +532,7 @@ def main(argv=None) -> int:
             outPath=ns.out,
             with_descent=ns.with_descent,
         )
+        _check_command(ns.command, config)
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2

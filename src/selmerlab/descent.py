@@ -14,7 +14,11 @@ Local solvability over Q_p is decided chart by chart: a projective point can
 be scaled so that u or v is a unit, which turns the torsor into
 y^2 = (integral quartic in one variable) with x, y in Z_p.  Small p (and
 always p = 2) use an exhaustive residue search with exact Hensel
-certificates.  Larger odd p use the same recursion driven by the mod-p shape
+certificates.  A residue class x = x0 (mod p^k) fixes f(x) modulo
+p^P with P = min(k + v_p(f'(x0)), 2k), by the Taylor expansion of the integral
+polynomial f about x0, so the search drops a class as soon as the valuation
+and the unit class of f are pinned at that precision, not only at p^k.
+Larger odd p use the same recursion driven by the mod-p shape
 of the quartic: when the reduction is not a constant times a square the
 incomplete character sum already forces a square value (complete for
 p >= 17), so only multiple roots are descended into, and the search runs in
@@ -174,6 +178,14 @@ def _zp_solvable_scan(f, p: int, kmax: int) -> bool:
     is a p-adic square (giving a point with that literal x0), a Hensel
     certificate for a nearby root of f fires (a point with y = 0), or the
     class is provably empty.  Exceeding kmax raises.
+
+    A class is empty once the valuation v and the unit class of f are the
+    same at every point of it.  Since f has integer coefficients, Taylor
+    expansion gives f(x0 + p^k t) = f(x0) + p^k t f'(x0) + sum_{j >= 2}
+    p^{jk} t^j f^(j)(x0)/j! with integral f^(j)(x0)/j!, so f(x) = f(x0)
+    (mod p^P) on the class with P = min(k + v_p(f'(x0)), 2k).  The class is
+    dropped when v < P and either v is odd or the unit part is pinned to a
+    non-square, which takes P - v >= 1 digits at odd p and >= 3 at p = 2.
     """
     while len(f) < 5:
         f = tuple(f) + (0,)
@@ -187,10 +199,12 @@ def _zp_solvable_scan(f, p: int, kmax: int) -> bool:
         c = (((c4 * x0 + c3) * x0 + c2) * x0 + c1) * x0 + c0
         if c == 0:
             return True
+        fp = ((d3 * x0 + d2) * x0 + d1) * x0 + d0
         if two:
             v = (c & -c).bit_length() - 1
             if not v & 1 and (c >> v) & 7 == 1:
                 return True
+            w = (fp & -fp).bit_length() - 1 if fp else 1 << 30
         else:
             v, u = 0, c
             while u % p == 0:
@@ -198,11 +212,11 @@ def _zp_solvable_scan(f, p: int, kmax: int) -> bool:
                 v += 1
             if not v & 1 and jacobi(u % p, p) == 1:
                 return True
-        if v:  # y = 0 certificate can only fire once f(x0) is divisible by p
-            fp = ((d3 * x0 + d2) * x0 + d1) * x0 + d0
-            if v >= 2 * _vp(fp, p) + 1:
-                return True
-        if v < k and (v & 1 or k - v >= need):
+            w = _vp(fp, p)
+        if v >= 2 * w + 1:
+            return True  # Hensel: a root of f within p^(v - w) of x0, so y = 0
+        prec = k + w if w < k else 2 * k  # f(x) = f(x0) mod p^prec on the class
+        if v < prec and (v & 1 or prec - v >= need):
             continue  # valuation and unit class pinned: no solution here
         if k >= kmax:
             raise SolverPrecisionError(

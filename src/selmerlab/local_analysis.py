@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
 from .core_arith import factor, is_prime, jacobi, ord_p
 from .curve_family import CurvePair
-from .descent import INF_PLACE
+from .descent import INF_PLACE, _vp
 
 __all__ = [
     "ReductionType",
@@ -108,16 +108,6 @@ def mult_factor(A: int, B: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # Tate's algorithm at odd p for y^2 = x^3 + a2 x^2 + a4 x + a6
 # ---------------------------------------------------------------------------
-
-
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        return 1 << 30
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _translate(a2: int, a4: int, a6: int, t: int) -> tuple[int, int, int]:

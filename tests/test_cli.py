@@ -34,6 +34,29 @@ def test_bad_config_exit_code(capsys):
     assert main(["stats", "--xmax", "50", "--zcut", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--xmax", "4", "--sample", "35"],  # the family has 34 members
+        ["compute", "--xmax", "4", "--format", "tsv"],
+        ["stats", "--xmax", "10"],
+        ["compute", "--xmax", "4", "--threads", "-5"],
+    ],
+    ids=["sample-above-family", "compute-tsv", "stats-low-xmax", "negative-threads"],
+)
+def test_invalid_inputs_exit_2_before_output(argv, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad configuration:")
+    assert captured.out == "" and not out.exists()
+
+
+def test_sample_of_whole_family_matches_full_window():
+    full = _records_text(RunConfig(xmax=4, threads=1))
+    assert _records_text(RunConfig(xmax=4, sample=34, seed=5, threads=1)) == full
+
+
 def test_compute_csv_roundtrip(tmp_path):
     out = tmp_path / "records.csv"
     code = main(["compute", "--xmax", "30", "--with-descent", "--out", str(out), "--threads", "1"])

@@ -3,15 +3,19 @@ import random
 
 import pytest
 
-from selmerlab.core_arith import is_prime, primes_below, squarefree_part
+from selmerlab.core_arith import is_prime, jacobi, primes_below, squarefree_part
 from selmerlab.descent import (
     INF_PLACE,
     SelmerSet,
+    SolverPrecisionError,
     TorsorQuartic,
     _chart_solvable,
+    _class_reps,
     _side_coefficients,
     _square_class,
     _torsor_solvable_at,
+    _vp,
+    _zp_solvable_scan,
     descent_exponent,
     local_image,
     relevant_places,
@@ -94,6 +98,104 @@ def test_structural_matches_scan_on_random_charts():
             n += 1
             assert _chart_solvable(f, p, force="structural") == _chart_solvable(f, p, force="scan"), (f, p)
     assert n > 300
+
+
+def _reference_scan(f, p, kmax, max_nodes=None):
+    """The residue scan at precision k: a class x0 mod p^k is dropped only when
+    v_p(f(x0)) < k, i.e. f(x0) is trusted mod p^k alone.  Past max_nodes
+    visited classes it gives up like a precision exhaustion."""
+    c0, c1, c2, c3, c4 = f
+    d0, d1, d2, d3 = c1, 2 * c2, 3 * c3, 4 * c4
+    need = 3 if p == 2 else 1
+    stack = [(x0, 1, p) for x0 in range(p - 1, -1, -1)]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise SolverPrecisionError(f"reference scan at p={p} passed {max_nodes} classes")
+        x0, k, q = stack.pop()
+        c = (((c4 * x0 + c3) * x0 + c2) * x0 + c1) * x0 + c0
+        if c == 0:
+            return True
+        v = _vp(c, p)
+        u = c // p**v
+        if not v & 1 and (u % 8 == 1 if p == 2 else jacobi(u % p, p) == 1):
+            return True
+        if v and v >= 2 * _vp(((d3 * x0 + d2) * x0 + d1) * x0 + d0, p) + 1:
+            return True
+        if v < k and (v & 1 or k - v >= need):
+            continue
+        if k >= kmax:
+            raise SolverPrecisionError(f"reference scan at p={p} exhausted p^{kmax}")
+        stack.extend((x0 + j * q, k + 1, q * p) for j in range(p))
+    return False
+
+
+def _scan_input(f, p):
+    # the normalization and precision budget of _chart_solvable
+    e = min(_vp(c, p) for c in f if c)
+    f = tuple(c // p ** (e // 2 * 2) for c in f)
+    c0, _, c2, _, c4 = f
+    return f, _vp(16 * c4 * c0 * (c2 * c2 - 4 * c4 * c0) ** 2, p) + 6
+
+
+def _random_chart(rng, p, high):
+    def unit(bound):
+        while True:
+            n = rng.randint(-bound, bound)
+            if n % p:
+                return n
+
+    if high:
+        A = p ** rng.randint(2, 5) * unit(50)
+        B = p ** rng.randint(3, 7) * unit(50)
+    else:
+        A, B = rng.randint(-3000, 3000), unit(100) * p ** rng.randint(0, 2)
+    if A * A == 4 * B:
+        return None
+    a, b = _side_coefficients(A, B, rng.choice(("phi", "phihat")))
+    d = rng.choice(_class_reps(p)[1:])
+    return rng.choice([(b * d, 0, a * d * d, 0, d**3), (d**3, 0, a * d * d, 0, b * d)])
+
+
+def _assert_scan_matches_reference(f, p, max_nodes=None):
+    f, kmax = _scan_input(f, p)
+    try:
+        want = _reference_scan(f, p, kmax, max_nodes)
+    except SolverPrecisionError:
+        return None  # the pruned scan may answer where the reference cannot
+    assert _zp_solvable_scan(f, p, kmax) == want, (f, p)
+    return want
+
+
+def test_pruned_scan_matches_precision_k_reference():
+    rng = random.Random(2024)
+    answers = {}
+    for p, n in ((2, 400), (3, 200), (5, 100), (7, 60), (11, 40), (13, 40)):
+        for high in (False, True):
+            for _ in range(n):
+                f = _random_chart(rng, p, high)
+                if f is not None:
+                    # the node budget bounds the reference's p^depth trees;
+                    # the deep charts below run it without one
+                    got = _assert_scan_matches_reference(f, p, max_nodes=20000)
+                    answers[p, high, got] = answers.get((p, high, got), 0) + 1
+    for p in (2, 3, 5, 7, 11, 13):
+        for high in (False, True):
+            # both answers occur in every regime, so neither branch is vacuous
+            assert answers.get((p, high, True)) and answers.get((p, high, False)), (p, high, answers)
+
+
+@pytest.mark.parametrize(
+    "f, p",
+    [
+        ((-865471690721, 0, 1816694, 0, -1), 11),
+        ((4141402122, 0, 210270280467, 0, 2197), 13),
+    ],
+)
+def test_pruned_scan_on_deep_charts(f, p):
+    # deep trees: the reference runs here without a node budget
+    assert _assert_scan_matches_reference(f, p) is False
 
 
 def test_spot_curve_selmer_groups():
