@@ -17,7 +17,15 @@ import sys
 from dataclasses import dataclass
 
 from . import statistics as stats
-from .curve_family import CurvePair, FamilyWindow, count_window, enumerate_window
+from .curve_family import (
+    CurvePair,
+    FamilyWindow,
+    column_count,
+    column_unrank,
+    count_window,
+    enumerate_window,
+    window_columns,
+)
 from .descent import INF_PLACE, selmer_phi, selmer_phihat
 from .local_analysis import classify_reduction, tamagawa_exponent
 
@@ -165,24 +173,44 @@ def _resolve_threads(config: RunConfig) -> int:
     return max(1, t)
 
 
+def sample_keys(X: int, include_square_disc: bool, n: int, seed: int) -> dict[int, list[int]]:
+    """A seeded uniform n-subset of the window: {B: [A, ...]}, both ascending.
+
+    `random.sample` draws indices from the population's length and the RNG
+    alone, so sampling ranks from range(family size) selects the same members
+    as sampling the (B, A)-ordered list of every window key.  Each sorted rank
+    is mapped to its column by the cumulative column counts and unranked
+    there: O(sqrt(X) 2^k + n log X) time and O(n) memory.
+    """
+    cols = window_columns(X)
+    sizes = [column_count(B, X, include_square_disc) for B in cols]
+    total = sum(sizes)
+    if n > total:
+        raise ValueError("sample larger than the family")
+    keep: dict[int, list[int]] = {}
+    col = start = 0
+    for r in sorted(random.Random(seed).sample(range(total), n)):
+        while r >= start + sizes[col]:
+            start += sizes[col]
+            col += 1
+        B = cols[col]
+        keep.setdefault(B, []).append(column_unrank(B, X, include_square_disc, r - start))
+    return keep
+
+
 def stream_records(config: RunConfig):
     """Yield (record tuples, skipped) per B column, in (B, A) order."""
     X = config.xmax
     keep = None
     if config.sample is not None:
-        keys = [(c.B, c.A) for c in enumerate_window(FamilyWindow(X, config.includeSquareDisc))]
-        if config.sample > len(keys):
-            raise ValueError("sample larger than the family")
-        keep = {}
-        for B, A in sorted(random.Random(config.seed).sample(keys, config.sample)):
-            keep.setdefault(B, []).append(A)
+        keep = sample_keys(X, config.includeSquareDisc, config.sample, config.seed)
     cfg = {
         "xmax": X,
         "with_descent": config.with_descent,
         "include_square_disc": config.includeSquareDisc,
         "keep": keep,
     }
-    bcols = [B for B in range(-math.isqrt(X), math.isqrt(X) + 1) if B != 0]
+    bcols = window_columns(X)
     threads = _resolve_threads(config)
     if threads == 1:
         _pool_init(cfg)
@@ -348,10 +376,11 @@ def run_verification(
     from . import descent
     from .local_analysis import mult_factor, tamagawa_number, decompose_total, repeated_prime_count
 
-    curves = list(enumerate_window(FamilyWindow(xmax)))
-    if sample is not None and sample < len(curves):
-        curves = random.Random(seed).sample(curves, sample)
-        curves.sort(key=lambda c: (c.B, c.A))
+    if sample is not None and sample < count_window(xmax)[0]:
+        keep = sample_keys(xmax, True, sample, seed)
+        curves = [CurvePair(A, B) for B, As in keep.items() for A in As]
+    else:
+        curves = list(enumerate_window(FamilyWindow(xmax)))
     if not curves:
         report("nothing verified: empty curve selection")
         return False
@@ -477,9 +506,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _family_size(config: RunConfig) -> int:
-    if config.includeSquareDisc:
-        return count_window(config.xmax)[0]
-    return sum(1 for _ in enumerate_window(FamilyWindow(config.xmax, False)))
+    X = config.xmax
+    return sum(column_count(B, X, config.includeSquareDisc) for B in window_columns(X))
 
 
 def _check_command(command: str, config: RunConfig) -> None:
@@ -510,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
         sp.add_argument("--out", dest="out", default=None)
         sp.add_argument("--with-descent", action="store_true")
-        sp.add_argument("--include-square-disc", action="store_true", default=None)
+        sp.add_argument("--include-square-disc", action=argparse.BooleanOptionalAction, default=True)
     return ap
 
 
@@ -519,7 +547,6 @@ def main(argv=None) -> int:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    include_sq = True if ns.include_square_disc is None else ns.include_square_disc
     try:
         config = RunConfig(
             xmax=ns.xmax,
@@ -528,7 +555,7 @@ def main(argv=None) -> int:
             sample=ns.sample,
             seed=ns.seed,
             format=ns.format,
-            includeSquareDisc=include_sq,
+            includeSquareDisc=ns.include_square_disc,
             outPath=ns.out,
             with_descent=ns.with_descent,
         )

@@ -8,6 +8,7 @@ p^2).  Enumeration is lexicographic in (B, A) and deterministic.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,9 @@ __all__ = [
     "is_member",
     "enumerate_window",
     "count_window",
+    "window_columns",
+    "column_count",
+    "column_unrank",
     "dual_coefficients",
     "density_delta",
     "density_rho",
@@ -125,44 +129,94 @@ def enumerate_window(w: FamilyWindow) -> Iterator[CurvePair]:
 def count_window(X: int) -> tuple[int, float]:
     """Exact member count and the asymptotic prediction 4 X^1.5 / zeta(6).
 
-    The count is closed-form per B column (inclusion-exclusion over the
-    reduction moduli), so this is O(sqrt(X)) and exact.
+    The count is closed-form per B column (see `column_count`), so this is
+    O(sqrt(X)) and exact.
     """
-    count = 0
-    bmax = math.isqrt(X)
-    for B in range(-bmax, bmax + 1):
-        if B == 0:
-            continue
-        moduli = [p * p for p in _fourth_power_primes(B)]
-        allowed = _count_allowed(X, moduli)
-        # remove the two singular A values when A^2 = 4B has integer roots
-        if B > 0 and is_square(B):
-            a = 2 * math.isqrt(B)
-            if a <= X:
-                for s in (a, -a):
-                    if not (moduli and (s == 0 or any(s % m == 0 for m in moduli))):
-                        allowed -= 1
-        count += allowed
+    count = sum(column_count(B, X) for B in window_columns(X))
     predicted = 4.0 * X**1.5 / ZETA6
     return count, predicted
 
 
-def _count_allowed(X: int, moduli: list[int]) -> int:
-    # |{A in [-X, X]}| minus those divisible by any modulus (A=0 included
-    # in every modulus class).
-    total = 2 * X + 1
-    k = len(moduli)
-    if k == 0:
-        return total
-    excluded = 0
-    for mask in range(1, 1 << k):
+def window_columns(X: int) -> list[int]:
+    """The B columns of the window, ascending: 0 < |B| <= sqrt(X)."""
+    bmax = math.isqrt(X)
+    return [B for B in range(-bmax, bmax + 1) if B]
+
+
+def column_count(B: int, X: int, include_square_disc: bool = True, upto: int | None = None) -> int:
+    """The number of members (A, B) of column B with A <= upto (default X).
+
+    Inclusion-exclusion over the reduction moduli p^2 (p^4 | B) counts the
+    A in [-X, min(upto, X)] that no modulus divides, less the few of them
+    that are still not members (see `_column_rule`).  The height bound
+    B^2 <= X is the caller's: a B beyond it is counted as a column of
+    A-range [-X, X].  O(2^k) per call for k moduli.
+    """
+    if B == 0:
+        return 0
+    terms, extra = _column_rule(B, X, include_square_disc)
+    return _count_upto(terms, extra, X, X if upto is None else upto)
+
+
+def column_unrank(B: int, X: int, include_square_disc: bool, r: int) -> int:
+    """The A of the r-th member (from 0, ascending A) of column B.
+
+    Bisection on `upto`: the smallest a with column_count(upto=a) > r.
+    """
+    terms, extra = _column_rule(B, X, include_square_disc)
+    if B == 0 or not 0 <= r < _count_upto(terms, extra, X, X):
+        raise IndexError(f"rank {r} outside column B={B} at X={X}")
+    lo, hi = -X, X
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _count_upto(terms, extra, X, mid) > r:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _column_rule(B: int, X: int, include_square_disc: bool) -> tuple[list[tuple[int, int]], list[int]]:
+    """Signed inclusion-exclusion terms (lcm, +-1) over the reduction moduli of
+    column B, and the sorted A in [-X, X] that pass the moduli yet are not
+    members.
+
+    Those A are the singular roots A = +-2 sqrt(B) and, when square
+    discriminants are excluded, the A with A^2 - 4B = s^2, s > 0.  Then
+    (A - s)(A + s) = 4B with both factors even, so A = u + B/u for the
+    divisors u of B with B/u > u.
+    """
+    moduli = [p * p for p in _fourth_power_primes(B)]
+    terms = []
+    for mask in range(1, 1 << len(moduli)):
         l = 1
-        for i in range(k):
+        for i, m in enumerate(moduli):
             if mask >> i & 1:
-                l = l * moduli[i] // math.gcd(l, moduli[i])
-        term = 2 * (X // l) + 1
-        excluded += term if bin(mask).count("1") % 2 else -term
-    return total - excluded
+                l = math.lcm(l, m)
+        terms.append((l, 1 if bin(mask).count("1") % 2 else -1))
+    candidates = set()
+    if B > 0 and is_square(B):
+        candidates |= {2 * math.isqrt(B), -2 * math.isqrt(B)}
+    if not include_square_disc:
+        for d in range(1, math.isqrt(abs(B)) + 1):
+            if B % d == 0:
+                for u in (d, -d, B // d, -(B // d)):
+                    if B // u > u:
+                        candidates.add(u + B // u)
+    extra = sorted(A for A in candidates if abs(A) <= X and not any(A % m == 0 for m in moduli))
+    return terms, extra
+
+
+def _count_upto(terms: list[tuple[int, int]], extra: list[int], X: int, a: int) -> int:
+    # A in [-X, a] that no modulus divides (A = 0 is a multiple of every
+    # modulus), minus the non-members among them
+    a = min(a, X)
+    if a < -X:
+        return 0
+    n = a + X + 1
+    for l, sign in terms:
+        n -= sign * (a // l - (-X - 1) // l)
+    return n - bisect.bisect_right(extra, a)
 
 
 def density_delta(q: int, a: int, b: int) -> Fraction:

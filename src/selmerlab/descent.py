@@ -28,6 +28,7 @@ the test suite.  Precision exhaustion raises; it never silently guesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -94,6 +95,7 @@ class SelmerSet:
     dim: int
 
     def __post_init__(self):
+        # classes are squarefree, so the class of x*y is x*y / gcd(x, y)^2
         cl = self.classes
         if 1 not in cl:
             raise ValueError("identity class missing")
@@ -101,7 +103,7 @@ class SelmerSet:
             raise ValueError("class count is not 2^dim")
         for x in cl:
             for y in cl:
-                if squarefree_part(x * y) not in cl:
+                if x * y // math.gcd(x, y) ** 2 not in cl:
                     raise ValueError("classes not closed under multiplication mod squares")
 
 

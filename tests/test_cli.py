@@ -1,9 +1,12 @@
 import csv
+import functools
 import io
 import json
+import random
 
 import pytest
 
+from selmerlab import cli
 from selmerlab.cli import (
     RECORD_FIELDS,
     OutputRecord,
@@ -12,9 +15,11 @@ from selmerlab.cli import (
     histogram_lines,
     main,
     run_verification,
+    sample_keys,
     stream_records,
     write_records,
 )
+from selmerlab.curve_family import FamilyWindow, enumerate_window
 
 
 def _records_text(config):
@@ -55,6 +60,65 @@ def test_invalid_inputs_exit_2_before_output(argv, tmp_path, capsys):
 def test_sample_of_whole_family_matches_full_window():
     full = _records_text(RunConfig(xmax=4, threads=1))
     assert _records_text(RunConfig(xmax=4, sample=34, seed=5, threads=1)) == full
+
+
+@functools.lru_cache(maxsize=None)
+def _window_keys(X, include_square_disc):
+    return [(c.B, c.A) for c in enumerate_window(FamilyWindow(X, include_square_disc))]
+
+
+def _reference_sample_keys(X, include_square_disc, n, seed):
+    # the former key pass: sample the (B, A)-ordered list of every window key
+    keep = {}
+    for B, A in sorted(random.Random(seed).sample(_window_keys(X, include_square_disc), n)):
+        keep.setdefault(B, []).append(A)
+    return keep
+
+
+@pytest.mark.parametrize("X", [1, 4, 60, 300, 1000])
+@pytest.mark.parametrize("include", [True, False])
+def test_sample_keys_match_key_list_sampling(X, include):
+    size = len(_window_keys(X, include))
+    for n in sorted({0, 1, min(40, size), size}):
+        # the whole family sorts to the same keys under every seed
+        for seed in (0,) if n == size else (0, 3, 20260810):
+            got = sample_keys(X, include, n, seed)
+            assert got == _reference_sample_keys(X, include, n, seed)
+            assert list(got) == sorted(got)
+    with pytest.raises(ValueError):
+        sample_keys(X, include, size + 1, 0)
+
+
+@pytest.mark.parametrize("xmax, sample, seed", [(40, 60, 3), (300, 80, 1)])
+def test_verify_sample_lines_match_key_list_sampling(xmax, sample, seed, monkeypatch):
+    new = []
+    assert run_verification(xmax, sample, seed, report=new.append)
+    old = []
+    monkeypatch.setattr(cli, "sample_keys", _reference_sample_keys)
+    assert run_verification(xmax, sample, seed, report=old.append)
+    assert new == old
+    assert new[0].startswith("suite local_duality: checked=")
+
+
+@pytest.mark.parametrize("extra", [[], ["--sample", "200", "--seed", "4"]], ids=["full", "sample"])
+def test_no_include_square_disc_drops_flagged_rows(extra, tmp_path):
+    flagged = {}
+    for flag in ("--include-square-disc", "--no-include-square-disc"):
+        out = tmp_path / f"{flag}.csv"
+        argv = ["compute", "--xmax", "60", "--threads", "1", flag, "--out", str(out)]
+        assert main(argv + extra) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert rows
+        flagged[flag] = sum(r["square_disc_flag"] == "1" for r in rows)
+    assert flagged["--no-include-square-disc"] == 0
+    assert flagged["--include-square-disc"] > 0
+
+
+def test_no_include_square_disc_shrinks_the_family(capsys):
+    # E(4) has 34 members, 5 of them with a square A^2 - 4B
+    assert main(["compute", "--xmax", "4", "--sample", "30", "--no-include-square-disc"]) == 2
+    assert capsys.readouterr().err.startswith("bad configuration:")
+    assert main(["compute", "--xmax", "4", "--sample", "29", "--no-include-square-disc"]) == 0
 
 
 def test_compute_csv_roundtrip(tmp_path):

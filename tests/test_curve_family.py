@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from selmerlab.core_arith import primes_below
+from selmerlab.core_arith import is_square, primes_below
 from selmerlab.curve_family import (
     CurvePair,
     FamilyWindow,
+    column_count,
+    column_unrank,
     count_window,
     density_delta,
     density_rho,
@@ -52,6 +54,44 @@ def test_count_window_matches_enumeration(X):
     count, predicted = count_window(X)
     assert count == len(list(enumerate_window(FamilyWindow(X))))
     assert predicted == pytest.approx(4 * X**1.5 / (math.pi**6 / 945))
+
+
+def _column_members(B, X, include_square_disc):
+    # brute force: every A of the column in [-X, X]; the B-height bound is
+    # lifted so that columns with several fourth-power moduli fit a small X
+    members = []
+    for A in range(-X, X + 1):
+        if not is_member(A, B, max(X, B * B)):
+            continue
+        d = A * A - 4 * B
+        if not include_square_disc and d > 0 and is_square(d):
+            continue
+        members.append(A)
+    return members
+
+
+@pytest.mark.parametrize("B", [16, -16, 48, -48, 81, -81, 1296, -1296, 4, 9, 36, -1, -4, 3])
+@pytest.mark.parametrize("include", [True, False])
+def test_column_count_and_unrank_match_bruteforce(B, include):
+    for X in (0, 1, 5, 40, 300):
+        members = _column_members(B, X, include)
+        assert column_count(B, X, include) == len(members)
+        for a in range(-X - 2, X + 3):
+            assert column_count(B, X, include, upto=a) == sum(1 for A in members if A <= a)
+        assert [column_unrank(B, X, include, r) for r in range(len(members))] == members
+        for r in (-1, len(members)):
+            with pytest.raises(IndexError):
+                column_unrank(B, X, include, r)
+
+
+def test_column_exclusions_are_exercised():
+    # the brute-force columns above meet every kind of non-member the
+    # closed form subtracts: moduli multiples, singular roots, square discs
+    assert 0 not in _column_members(16, 40, True)  # A = 0 under a modulus
+    assert 8 not in _column_members(16, 40, True)  # A^2 = 4B
+    assert 10 in _column_members(16, 40, True) and 10 not in _column_members(16, 40, False)
+    assert 0 in _column_members(-1, 5, True) and 0 not in _column_members(-1, 5, False)
+    assert column_count(0, 10) == 0
 
 
 def test_curvepair_derived_fields():
