@@ -179,23 +179,23 @@ def sample_keys(X: int, include_square_disc: bool, n: int, seed: int) -> dict[in
     `random.sample` draws indices from the population's length and the RNG
     alone, so sampling ranks from range(family size) selects the same members
     as sampling the (B, A)-ordered list of every window key.  Each sorted rank
-    is mapped to its column by the cumulative column counts and unranked
-    there: O(sqrt(X) 2^k + n log X) time and O(n) memory.
+    is mapped to its column by the cumulative column counts, and each
+    column unranks its ranks in one forward walk of about one column count
+    per rank: O((sqrt(X) + n) 2^k) time and O(n) memory.
     """
     cols = window_columns(X)
     sizes = [column_count(B, X, include_square_disc) for B in cols]
     total = sum(sizes)
     if n > total:
         raise ValueError("sample larger than the family")
-    keep: dict[int, list[int]] = {}
+    ranks: dict[int, list[int]] = {}
     col = start = 0
     for r in sorted(random.Random(seed).sample(range(total), n)):
         while r >= start + sizes[col]:
             start += sizes[col]
             col += 1
-        B = cols[col]
-        keep.setdefault(B, []).append(column_unrank(B, X, include_square_disc, r - start))
-    return keep
+        ranks.setdefault(cols[col], []).append(r - start)
+    return {B: column_unrank(B, X, include_square_disc, rs) for B, rs in ranks.items()}
 
 
 def stream_records(config: RunConfig):

@@ -158,22 +158,25 @@ def column_count(B: int, X: int, include_square_disc: bool = True, upto: int | N
     return _count_upto(terms, extra, X, X if upto is None else upto)
 
 
-def column_unrank(B: int, X: int, include_square_disc: bool, r: int) -> int:
-    """The A of the r-th member (from 0, ascending A) of column B.
+def column_unrank(B: int, X: int, include_square_disc: bool, ranks: list[int]) -> list[int]:
+    """The A's of the members of column B at the given ranks (from 0, by
+    ascending A); `ranks` must be ascending.
 
-    Bisection on `upto`: the smallest a with column_count(upto=a) > r.
+    One column rule serves every rank.  From the previous answer a, with
+    c = column_count(upto=a), the walk steps a += r + 1 - c until c > r:
+    the count rises by at most 1 per A, so no step passes the answer.
     """
     terms, extra = _column_rule(B, X, include_square_disc)
-    if B == 0 or not 0 <= r < _count_upto(terms, extra, X, X):
-        raise IndexError(f"rank {r} outside column B={B} at X={X}")
-    lo, hi = -X, X
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _count_upto(terms, extra, X, mid) > r:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    if ranks and (B == 0 or ranks[0] < 0 or ranks[-1] >= _count_upto(terms, extra, X, X)):
+        raise IndexError(f"rank outside column B={B} at X={X}")
+    out = []
+    a, c = -X - 1, 0
+    for r in ranks:
+        while c <= r:
+            a += r + 1 - c
+            c = _count_upto(terms, extra, X, a)
+        out.append(a)
+    return out
 
 
 def _column_rule(B: int, X: int, include_square_disc: bool) -> tuple[list[tuple[int, int]], list[int]]:

@@ -9,6 +9,11 @@ rho(p) = (p^5-1)/(p^6-1), and they fire jointly with probability
 exact integer power sums so the result does not depend on summation order
 or partitioning.
 
+`family_scan` gets the whole window's power sums without forming any
+A^2-4B: in column B the odd primes p < z dividing A^2-4B are read off the
+root classes A = +-2 sqrt(B) (mod p), one strided update per root, which is
+O(sqrt(X) * X * sum over p < z of 2/p) work in all.
+
 Curves whose A^2-4B is a nonzero perfect square are excluded from all
 empirical statistics (their count is reported); they carry extra rational
 two-torsion and sit outside the generic model.
@@ -22,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core_arith import factor, primes_below
-from .curve_family import _fourth_power_primes, density_rho
+from .curve_family import _column_rule, _fourth_power_primes, density_rho, window_columns
 
 __all__ = [
     "PrimeModel",
@@ -234,50 +239,73 @@ def cdf_distance(values, X: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _root_classes(p: int) -> tuple[tuple[int, ...], ...]:
+    """Indexed by B mod p: the residues r mod p with r^2 = 4B (mod p).
+
+    So the odd prime p divides A^2 - 4B exactly when A is congruent to one
+    of them: at most two roots, just r = 0 when p | B.
+    """
+    inv4 = pow(4, -1, p)
+    table = [[] for _ in range(p)]
+    for r in range(p):
+        table[r * r * inv4 % p].append(r)
+    return tuple(tuple(roots) for roots in table)
+
+
 def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: int = 4) -> dict:
     """Exact divisor statistics of the full window in one vectorized pass.
 
     Returns the member count, the count of square-discriminant members, the
-    density counts {p: (#p|B, #p|A^2-4B, #both)} over all members, and exact
-    integer power sums of (g1, g2) with cut z over the non-square members.
-    Row arithmetic is integer-only, so the results are exact and match the
-    streaming path bit for bit.
+    density counts {p: (#p|B, #p|A^2-4B, #both)} over all members for the
+    odd primes p in `density_primes`, and exact integer power sums of
+    (g1, g2) with cut z over the non-square members.
+
+    No discriminant is formed.  In column B, an odd prime p divides A^2 - 4B
+    exactly when A lies in one of the (at most two) root classes
+    A = +-2 sqrt(B) (mod p), so each g1 row is built by adding 1 along every
+    p-th entry from each root, and each density count sums the member mask
+    over the same slices.  The mask and the square-discriminant A's come
+    from the column rule of `curve_family`.  The cost is
+    O(sqrt(X) * X * sum over p < z of 2/p) strided updates; the power sums
+    are exact Python integers read off a histogram of each row, so they
+    match the streaming path bit for bit.
     """
     import numpy as np
 
     zprimes = _odd_primes_below(z)
-    bmax = math.isqrt(X)
-    A = np.arange(-X, X + 1, dtype=np.int64)
+    width = 2 * X + 1  # entry i holds A = i - X
     sums = {(i, j): 0 for i in range(kmax + 1) for j in range(kmax + 1)}
     density = {p: [0, 0, 0] for p in density_primes}
     n_total = 0
     n_square = 0
-    for B in range(-bmax, bmax + 1):
-        if B == 0:
-            continue
-        mask = np.ones(A.shape, dtype=bool)
+    for B in window_columns(X):
+        mask = np.ones(width, dtype=bool)
         for p in _fourth_power_primes(B):
-            mask &= A % (p * p) != 0
-        D = A * A - 4 * B
-        mask &= D != 0
-        nb = int(mask.sum())
+            mask[X % (p * p) :: p * p] = False
+        singular = _column_rule(B, X, True)[1]
+        square = set(_column_rule(B, X, False)[1]).difference(singular)
+        mask[[A + X for A in singular]] = False
+        nb = int(np.count_nonzero(mask))
         n_total += nb
-        r = np.rint(np.sqrt(D.clip(min=0).astype(np.float64))).astype(np.int64)
-        perfect = (r * r == D) & (D > 0)
-        n_square += int((mask & perfect).sum())
+        n_square += len(square)
         for p in density_primes:
-            cD = int((mask & (D % p == 0)).sum())
+            cD = sum(int(np.count_nonzero(mask[(r + X) % p :: p])) for r in _root_classes(p)[B % p])
             density[p][1] += cD
             if B % p == 0:
                 density[p][0] += nb
                 density[p][2] += cD
-        smask = mask & ~perfect
-        g1row = np.zeros(A.shape, dtype=np.int64)
+        mask[[A + X for A in square]] = False
+        # a member's count is at most omega(|A^2 - 4B|) < 16 while
+        # |A^2 - 4B| < 2^63, so int8 holds it; only the singular entries
+        # (divisible by every p) can wrap, and the mask drops them
+        g1row = np.zeros(width, dtype=np.int8)
         for p in zprimes:
-            g1row += D % p == 0
-        g1row = g1row[smask]
+            for r in _root_classes(p)[B % p]:
+                g1row[(r + X) % p :: p] += 1
+        hist = np.bincount(g1row[mask]).tolist()
         g2val = sum(1 for p in zprimes if B % p == 0)
-        rowpow = [int((g1row**i).sum()) if i else int(smask.sum()) for i in range(kmax + 1)]
+        rowpow = [sum(c * g**i for g, c in enumerate(hist)) for i in range(kmax + 1)]
         for i in range(kmax + 1):
             for j in range(kmax + 1):
                 sums[(i, j)] += rowpow[i] * g2val**j

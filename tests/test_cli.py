@@ -1,6 +1,8 @@
+import bisect
 import csv
 import functools
 import io
+import itertools
 import json
 import random
 
@@ -19,7 +21,7 @@ from selmerlab.cli import (
     stream_records,
     write_records,
 )
-from selmerlab.curve_family import FamilyWindow, enumerate_window
+from selmerlab.curve_family import FamilyWindow, column_count, enumerate_window, window_columns
 
 
 def _records_text(config):
@@ -87,6 +89,40 @@ def test_sample_keys_match_key_list_sampling(X, include):
             assert list(got) == sorted(got)
     with pytest.raises(ValueError):
         sample_keys(X, include, size + 1, 0)
+
+
+def _per_rank_sample_keys(X, include_square_disc, n, seed):
+    # the former unranking: bisect each rank alone on its column's count
+
+    @functools.lru_cache(maxsize=None)
+    def upto(B, a):
+        return column_count(B, X, include_square_disc, upto=a)
+
+    cols = window_columns(X)
+    starts = list(itertools.accumulate((upto(B, X) for B in cols), initial=0))
+    keep = {}
+    for r in sorted(random.Random(seed).sample(range(starts[-1]), n)):
+        col = bisect.bisect_right(starts, r) - 1
+        B, r = cols[col], r - starts[col]
+        lo, hi = -X, X
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if upto(B, mid) > r:
+                hi = mid
+            else:
+                lo = mid + 1
+        keep.setdefault(B, []).append(lo)
+    return keep
+
+
+@pytest.mark.parametrize("X, ns", [(300, (1, 40, 5000, None)), (10**4, (1, 3000))])
+@pytest.mark.parametrize("include", [True, False])
+def test_sample_keys_match_per_rank_unranking(X, ns, include):
+    size = sum(column_count(B, X, include) for B in window_columns(X))
+    for n in ns:
+        n = size if n is None else n
+        for seed in (0,) if n == size else (0, 3, 20260810):
+            assert sample_keys(X, include, n, seed) == _per_rank_sample_keys(X, include, n, seed)
 
 
 @pytest.mark.parametrize("xmax, sample, seed", [(40, 60, 3), (300, 80, 1)])

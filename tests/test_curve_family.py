@@ -78,10 +78,10 @@ def test_column_count_and_unrank_match_bruteforce(B, include):
         assert column_count(B, X, include) == len(members)
         for a in range(-X - 2, X + 3):
             assert column_count(B, X, include, upto=a) == sum(1 for A in members if A <= a)
-        assert [column_unrank(B, X, include, r) for r in range(len(members))] == members
+        assert column_unrank(B, X, include, list(range(len(members)))) == members
         for r in (-1, len(members)):
             with pytest.raises(IndexError):
-                column_unrank(B, X, include, r)
+                column_unrank(B, X, include, [r])
 
 
 def test_column_exclusions_are_exercised():

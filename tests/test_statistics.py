@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from selmerlab.curve_family import FamilyWindow, density_rho, enumerate_window
+from selmerlab.curve_family import FamilyWindow, _fourth_power_primes, density_rho, enumerate_window
 from selmerlab.statistics import (
     MomentReport,
     PrimeModel,
@@ -98,6 +98,71 @@ def test_empirical_matches_scan_exactly():
         grid = moment_report_from_scan(scan, k1, k2)
         assert stream.empirical == grid.empirical
         assert stream.sampleSize == grid.sampleSize == scan["n_stats"]
+
+
+def _reference_family_scan(X, z, density_primes):
+    # the former scan: form D = A^2 - 4B and test D % p for every (A, p);
+    # power sums up to degree 4
+    import numpy as np
+
+    kmax = 4
+    zprimes = [p for p in range(3, z) if all(p % q for q in range(2, p))]
+    bmax = math.isqrt(X)
+    A = np.arange(-X, X + 1, dtype=np.int64)
+    sums = {(i, j): 0 for i in range(kmax + 1) for j in range(kmax + 1)}
+    density = {p: [0, 0, 0] for p in density_primes}
+    n_total = n_square = 0
+    for B in range(-bmax, bmax + 1):
+        if B == 0:
+            continue
+        mask = np.ones(A.shape, dtype=bool)
+        for p in _fourth_power_primes(B):
+            mask &= A % (p * p) != 0
+        D = A * A - 4 * B
+        mask &= D != 0
+        nb = int(mask.sum())
+        n_total += nb
+        r = np.rint(np.sqrt(D.clip(min=0).astype(np.float64))).astype(np.int64)
+        perfect = (r * r == D) & (D > 0)
+        n_square += int((mask & perfect).sum())
+        for p in density_primes:
+            cD = int((mask & (D % p == 0)).sum())
+            density[p][1] += cD
+            if B % p == 0:
+                density[p][0] += nb
+                density[p][2] += cD
+        smask = mask & ~perfect
+        g1row = np.zeros(A.shape, dtype=np.int64)
+        for p in zprimes:
+            g1row += D % p == 0
+        g1row = g1row[smask]
+        g2val = sum(1 for p in zprimes if B % p == 0)
+        rowpow = [int((g1row**i).sum()) if i else int(smask.sum()) for i in range(kmax + 1)]
+        for i in range(kmax + 1):
+            for j in range(kmax + 1):
+                sums[(i, j)] += rowpow[i] * g2val**j
+    return {
+        "X": X,
+        "z": z,
+        "n_total": n_total,
+        "n_square_disc": n_square,
+        "n_stats": n_total - n_square,
+        "density_counts": {p: tuple(v) for p, v in density.items()},
+        "power_sums": sums,
+    }
+
+
+# 256 and 6561 bring in the columns B = +-16 and B = +-81 (a modulus p^2);
+# with z = 10 the density primes 11 and 13 lie above the cut
+@pytest.mark.parametrize("X", [0, 1, 16, 255, 256, 300, 1296, 6561])
+@pytest.mark.parametrize("density_primes", [(3, 5, 7, 11, 13), (3, 11, 13)])
+def test_family_scan_matches_discriminant_scan(X, density_primes):
+    for z in (3, 4, 10, 30, 100):
+        ref = _reference_family_scan(X, z, density_primes)
+        for kmax in (0, 2, 4):
+            # a power sum does not depend on kmax; the reference runs once at 4
+            sums = {(i, j): v for (i, j), v in ref["power_sums"].items() if i <= kmax and j <= kmax}
+            assert family_scan(X, z, density_primes, kmax) == {**ref, "power_sums": sums}
 
 
 def test_empirical_zero_degree_is_one():
