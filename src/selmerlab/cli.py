@@ -96,11 +96,7 @@ class OutputRecord:
 
 def curve_record(c: CurvePair, with_descent: bool = False) -> OutputRecord:
     ledger = tamagawa_exponent(c)
-    n_add = sum(
-        1
-        for e in ledger.entries
-        if e.place not in (2, INF_PLACE) and not classify_reduction(c.A, c.B, e.place).is_multiplicative
-    )
+    n_add = sum(e.additive for e in ledger.entries)
     t_descent = dim_phi = dim_phihat = None
     if with_descent:
         sphi, sphihat = selmer_phi(c.A, c.B), selmer_phihat(c.A, c.B)
@@ -374,7 +370,15 @@ def run_verification(
     Returns True iff everything passed; prints one line per suite.
     """
     from . import descent
-    from .local_analysis import mult_factor, tamagawa_number, decompose_total, repeated_prime_count
+    from .local_analysis import (
+        _ORTH,
+        _class2,
+        decompose_total,
+        factor_at_two,
+        mult_factor,
+        repeated_prime_count,
+        tamagawa_number,
+    )
 
     if sample is not None and sample < count_window(xmax)[0]:
         keep = sample_keys(xmax, True, sample, seed)
@@ -406,12 +410,14 @@ def run_verification(
     # local duality: the two images multiply to the full local square-class group
     fails, checked = [], 0
     full = {INF_PLACE: 2, 2: 8}
+    images_at_two = []  # (curve, phi image, phihat image) at the place 2
     for c in curves:
         for v in descent.relevant_places(c.A, c.B):
-            want = full.get(v, 4)
-            got = len(image(c, v, "phi")) * len(image(c, v, "phihat"))
+            w, what = image(c, v, "phi"), image(c, v, "phihat")
+            if v == 2:
+                images_at_two.append((c, w, what))
             checked += 1
-            if got != want:
+            if len(w) * len(what) != full.get(v, 4):
                 fails.append((c.A, c.B, v))
     suite("local_duality", fails, checked)
 
@@ -491,6 +497,21 @@ def run_verification(
             if abs(got / n - want) > tol:
                 fails.append((p, name, got / n, want))
     suite("densities", fails, checked)
+
+    # the exhaustive images at 2 are each other's annihilators under the
+    # Hilbert symbol (W is a subgroup, so W^perp = W^ gives W^^perp = W),
+    # and the ledger's two-sided factor_at_two matches
+    fails, checked = [], 0
+    reps = descent._class_reps(2)
+
+    def mask(tags):
+        return sum(1 << _class2(r) for r in reps if descent._square_class(r, 2) in tags)
+
+    for c, w, what in images_at_two:
+        checked += 1
+        if _ORTH[mask(w)] != mask(what) or factor_at_two(c.A, c.B) != len(w):
+            fails.append((c.A, c.B))
+    suite("place_two_duality", fails, checked)
 
     return ok
 

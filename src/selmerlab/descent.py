@@ -12,7 +12,9 @@ support in the primes of B.
 
 Local solvability over Q_p is decided chart by chart: a projective point can
 be scaled so that u or v is a unit, which turns the torsor into
-y^2 = (integral quartic in one variable) with x, y in Z_p.  Small p (and
+y^2 = (integral quartic in one variable) with x, y in Z_p; once the chart
+v = 1 has failed, the chart u = 1 is searched only on x in pZ_p, since a
+point with both coordinates units lies on the first chart.  Small p (and
 always p = 2) use an exhaustive residue search with exact Hensel
 certificates.  A residue class x = x0 (mod p^k) fixes f(x) modulo
 p^P with P = min(k + v_p(f'(x0)), 2k), by the Taylor expansion of the integral
@@ -173,13 +175,14 @@ def _shift_scale(f, r: int, p: int):
     return tuple(c * p**k for k, c in enumerate(taylor))
 
 
-def _zp_solvable_scan(f, p: int, kmax: int) -> bool:
+def _zp_solvable_scan(f, p: int, kmax: int, starts=None) -> bool:
     """Exhaustive certified search for a Z_p point of y^2 = f(x).
 
-    Residue classes x = x0 (mod p^k) are refined until an exact value f(x0)
-    is a p-adic square (giving a point with that literal x0), a Hensel
-    certificate for a nearby root of f fires (a point with y = 0), or the
-    class is provably empty.  Exceeding kmax raises.
+    The search covers x = x0 (mod p) for the residues x0 in `starts`
+    (default: all of Z_p).  Residue classes x = x0 (mod p^k) are refined
+    until an exact value f(x0) is a p-adic square (giving a point with that
+    literal x0), a Hensel certificate for a nearby root of f fires (a point
+    with y = 0), or the class is provably empty.  Exceeding kmax raises.
 
     A class is empty once the valuation v and the unit class of f are the
     same at every point of it.  Since f has integer coefficients, Taylor
@@ -195,7 +198,7 @@ def _zp_solvable_scan(f, p: int, kmax: int) -> bool:
     d0, d1, d2, d3 = c1, 2 * c2, 3 * c3, 4 * c4
     two = p == 2
     need = 3 if two else 1
-    stack = [(x0, 1, p) for x0 in range(p - 1, -1, -1)]
+    stack = [(x0, 1, p) for x0 in reversed(range(p) if starts is None else starts)]
     while stack:
         x0, k, q = stack.pop()  # q = p**k
         c = (((c4 * x0 + c3) * x0 + c2) * x0 + c1) * x0 + c0
@@ -289,8 +292,12 @@ def _zp_solvable_structural(f, p: int, budget: int) -> bool:
     return any(_zp_solvable_structural(_shift_scale(f, r, p), p, budget - 1) for r in roots)
 
 
-def _chart_solvable(f, p: int, force: str | None = None) -> bool:
-    """Z_p solvability of y^2 = f(x) for one (biquadratic) torsor chart."""
+def _chart_solvable(f, p: int, force: str | None = None, starts=None) -> bool:
+    """Z_p solvability of y^2 = f(x) for one (biquadratic) torsor chart.
+
+    Only x = x0 (mod p) for x0 in `starts` is searched (default: all of Z_p);
+    the structural decider gets the class as the chart f(x0 + p t).
+    """
     e = min(_vp(c, p) for c in f if c)
     if e >= 2:
         f = tuple(c // p ** (e // 2 * 2) for c in f)  # y-rescaling
@@ -301,17 +308,21 @@ def _chart_solvable(f, p: int, force: str | None = None) -> bool:
     vd = _vp(disc, p)
     method = force or ("scan" if (p == 2 or p <= _SCAN_MAX_P) else "structural")
     if method == "scan":
-        return _zp_solvable_scan(f, p, vd + 6)
+        return _zp_solvable_scan(f, p, vd + 6, starts)
+    if starts is not None:
+        return any(_zp_solvable_structural(_shift_scale(f, r, p), p, vd + 10) for r in starts)
     return _zp_solvable_structural(f, p, vd + 10)
 
 
 def _torsor_solvable_at(d: int, a: int, b: int, p: int, force: str | None = None) -> bool:
     if d == 1:
         return True  # (u, v, w) = (1, 0, 1)
-    # chart v = 1 (u a unit), then chart u = 1; y = d*w absorbs the class.
+    # chart v = 1 (v a unit, u = x), then chart u = 1 (v = x); y = d*w absorbs
+    # the class.  A point with u and v both units is (u/v, 1) in the first
+    # chart, so once that chart has failed the second needs only x in pZ_p.
     if _chart_solvable((b * d, 0, a * d * d, 0, d**3), p, force):
         return True
-    return _chart_solvable((d**3, 0, a * d * d, 0, b * d), p, force)
+    return _chart_solvable((d**3, 0, a * d * d, 0, b * d), p, force, starts=(0,))
 
 
 def solvable_padic(t: TorsorQuartic, p: int) -> bool:
@@ -356,51 +367,22 @@ def _group_mul(x: tuple, y: tuple, v) -> tuple:
     return ((x[0] + y[0]) & 1, x[1] * y[1])
 
 
-def _span(tags: set[tuple], v) -> set[tuple]:
-    out = set(tags)
-    frontier = list(tags)
-    while frontier:
-        t = frontier.pop()
-        for u in list(out):
-            w = _group_mul(t, u, v)
-            if w not in out:
-                out.add(w)
-                frontier.append(w)
-    return out
-
-
-def _local_image_tags(a: int, b: int, v, closure_shortcut: bool = False) -> set[tuple]:
+def _local_image_tags(a: int, b: int, v) -> set[tuple]:
     """Square-class tags whose torsor (with coefficients a, b) is Q_v-solvable.
 
-    With closure_shortcut the image is only probed on classes not already
-    generated by confirmed members (the image of a homomorphism is a
-    subgroup); without it every class is tested and closure is asserted.
+    Every class is tested, and the result is asserted to be a subgroup (the
+    image of a homomorphism).
     """
     if v == INF_PLACE:
         tags = {(1,)}
         if _real_solvable(-1, a, b):
             tags.add((-1,))
         return tags
-    nclasses = 8 if v == 2 else 4
-    tags = {_square_class(1, v)}
-    for r in _class_reps(v):
-        if r == 1:
-            continue
-        t = _square_class(r, v)
-        if closure_shortcut and (t in tags or len(tags) == nclasses):
-            continue
-        if _torsor_solvable_at(r, a, b, v):
-            if closure_shortcut:
-                tags = _span(tags | {t}, v)
-            else:
-                tags.add(t)
-    if not closure_shortcut:
-        for x in tags:
-            for y in tags:
-                if _group_mul(x, y, v) not in tags:
-                    raise AssertionError(
-                        f"local image at v={v} for (a, b)=({a}, {b}) is not a subgroup"
-                    )
+    tags = {_square_class(r, v) for r in _class_reps(v) if _torsor_solvable_at(r, a, b, v)}
+    for x in tags:
+        for y in tags:
+            if _group_mul(x, y, v) not in tags:
+                raise AssertionError(f"local image at v={v} for (a, b)=({a}, {b}) is not a subgroup")
     return tags
 
 

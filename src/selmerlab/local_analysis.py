@@ -12,6 +12,14 @@ it ever meets a non-minimal model).  The place 2 is handled by 2-adic local
 images from the descent machinery, never by Tate at 2, and the real place
 has a closed form.
 
+At 2 the two images are found together.  By local Tate duality the phi image
+W and the dual image W^ in Q_2*/Q_2*^2 = F_2^3 are exact orthogonal
+complements under the Hilbert symbol (Schaefer, Class groups and Selmer
+groups, J. Number Theory 56, 1996), so |W| |W^| = 8 and a class confirmed on
+one side bounds the other: only classes orthogonal to it remain candidates
+there.  Torsors are still probed by certified scans; duality only chooses
+which probes are needed.
+
 Every local size is |H^1| of the local condition group at that place, a
 power of 2 between 1 and 8; the ledger stores exponent = log2(size) - 1 so
 that good places contribute 0 and the total is the Tamagawa-ratio exponent.
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
 from .core_arith import factor, is_prime, jacobi, ord_p
 from .curve_family import CurvePair
-from .descent import INF_PLACE, _vp
+from .descent import INF_PLACE, _class_reps, _torsor_solvable_at, _vp
 
 __all__ = [
     "ReductionType",
@@ -223,19 +231,81 @@ def factor_at_infinity(A: int, B: int) -> int:
     return 2 if (B > 0 and (A < 0 or A * A < 4 * B)) else 1
 
 
-def factor_at_two(A: int, B: int) -> int:
-    """2-adic local condition size in {1, 2, 4, 8}, by torsor solvability.
+# Q_2*/Q_2*^2 as F_2^3: bit 0 is the class of -1, bit 1 of 5 and bit 2 of 2,
+# so class i has the representative _TWO_REPS[i] = 1, -1, 5, -5, 2, -2, 10,
+# -10.  A set of classes is an 8-bit mask.
+_TWO_REPS = tuple(_class_reps(2))
+_UNIT_BITS = {1: 0, 7: 1, 5: 2, 3: 3}  # unit u mod 8 -> bits of its class
 
-    Uses the subgroup-closure shortcut; the full per-class computation is
-    local_image(A, B, 2, "phi"), which the verification suites compare
-    against the dual side.
+
+def _class2(n: int) -> int:
+    """Index in F_2^3 of the square class of a nonzero integer in Q_2*."""
+    v = (n & -n).bit_length() - 1
+    return _UNIT_BITS[(n >> v) & 7] | (v & 1) << 2
+
+
+def _hilbert2(x: int, y: int) -> int:
+    """0 if the Hilbert symbol (x, y)_2 of two class indices is 1, else 1.
+
+    For x = 2^a u and y = 2^b w, (x, y)_2 = (-1)^(e(u)e(w) + a o(w) + b o(u))
+    with e(u) = (u-1)/2 and o(u) = (u^2-1)/8 mod 2, i.e. the bits of -1 and 5.
     """
-    if B * (A * A - 4 * B) == 0:
-        raise ValueError("singular curve")
-    from .descent import _local_image_tags, _side_coefficients
+    return ((x & y) ^ (x >> 2 & y >> 1) ^ (x >> 1 & y >> 2)) & 1
 
-    a, b = _side_coefficients(A, B, "phi")
-    return len(_local_image_tags(a, b, 2, closure_shortcut=True))
+
+# _TIMES[x][m]: the mask x*m; _ORTH[m]: classes pairing trivially with all of m
+_TIMES = tuple(
+    tuple(sum(1 << (x ^ y) for y in range(8) if m >> y & 1) for m in range(256)) for x in range(8)
+)
+_ORTH = tuple(
+    sum(1 << y for y in range(8) if not any(m >> x & 1 and _hilbert2(x, y) for x in range(8)))
+    for m in range(256)
+)
+
+
+def _mul_sets(s: int, m: int) -> int:
+    """The mask {x*y : x in s, y in m}."""
+    out = 0
+    for x in range(8):
+        if s >> x & 1:
+            out |= _TIMES[x][m]
+    return out
+
+
+def factor_at_two(A: int, B: int) -> int:
+    """2-adic local condition size in {1, 2, 4, 8}: the size of the phi image.
+
+    The phi image W (torsor coefficients (-2A, A^2-4B)) and the dual image
+    W^ (coefficients (A, B)) in Q_2*/Q_2*^2 are exact orthogonal complements
+    under the Hilbert symbol (local Tate duality), so |W| |W^| = 8.  Both are
+    found together: each starts as the span of 1 and its free class
+    ([A^2-4B] in W, [B] in W^, the points with u = 0), and a side only probes
+    classes orthogonal to everything the other side has confirmed.  A failed
+    probe of t rules out the coset t W.  Probing stops once the confirmed
+    subgroups multiply to 8; if the candidates run out first, AssertionError
+    is raised.  Every probe is a certified descent._torsor_solvable_at scan.
+    The exhaustive image is local_image(A, B, 2, "phi").
+    """
+    D = A * A - 4 * B
+    if B * D == 0:
+        raise ValueError("singular curve")
+    sides = ((-2 * A, D), (A, B))
+    got = [1 | 1 << _class2(D), 1 | 1 << _class2(B)]  # confirmed subgroups
+    out = [0, 0]  # classes confirmed outside each image
+    if got[0] & ~_ORTH[got[1]]:
+        raise AssertionError(f"free classes at 2 are not orthogonal at ({A}, {B})")
+    while got[0].bit_count() * got[1].bit_count() < 8:
+        open_ = [_ORTH[got[1 - i]] & ~got[i] & ~_mul_sets(out[i], got[i]) for i in (0, 1)]
+        if not (open_[0] or open_[1]):
+            raise AssertionError(f"2-adic images at ({A}, {B}) ran out of candidates before |W| |W^| = 8")
+        i = 1 if open_[1] else 0  # the dual side first: smaller coefficients
+        t = (open_[i] & -open_[i]).bit_length() - 1
+        a, b = sides[i]
+        if _torsor_solvable_at(_TWO_REPS[t], a, b, 2):
+            got[i] = _mul_sets(got[i] | 1 << t, got[i])
+        else:
+            out[i] |= 1 << t
+    return got[0].bit_count()
 
 
 @dataclass(frozen=True)
@@ -243,6 +313,7 @@ class LedgerEntry:
     place: object  # an odd prime, 2, or "inf"
     size: int
     exponent: int
+    additive: bool = False  # additive reduction at an odd prime
 
 
 @dataclass(frozen=True)
@@ -275,8 +346,8 @@ class LocalFactorLedger:
         return 0
 
 
-def _entry(place, size: int) -> LedgerEntry:
-    return LedgerEntry(place, size, size.bit_length() - 2)
+def _entry(place, size: int, additive: bool = False) -> LedgerEntry:
+    return LedgerEntry(place, size, size.bit_length() - 2, additive)
 
 
 def odd_bad_primes(A: int, B: int) -> list[int]:
@@ -307,22 +378,25 @@ def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
             size = num // cp
             if size not in (1, 2, 4):
                 raise AssertionError(f"additive local size {size} at p={p} out of range")
-        entries.append(_entry(p, size))
+        entries.append(_entry(p, size, not kind.is_multiplicative))
     entries.append(_entry(2, factor_at_two(A, B)))
     entries.append(_entry(INF_PLACE, factor_at_infinity(A, B)))
     return LocalFactorLedger(tuple(entries), sum(e.exponent for e in entries))
 
 
 def decompose_total(c: CurvePair, ledger: LocalFactorLedger) -> dict:
-    """Split the ledger total into multiplicative, additive, 2-adic and real parts."""
+    """Split the ledger total into multiplicative, additive, 2-adic and real parts.
+
+    The reduction kinds are the ones the ledger recorded for c.
+    """
     t_mult = t_add = 0
     for e in ledger.entries:
         if e.place in (2, INF_PLACE):
             continue
-        if classify_reduction(c.A, c.B, e.place).is_multiplicative:
-            t_mult += e.exponent
-        else:
+        if e.additive:
             t_add += e.exponent
+        else:
+            t_mult += e.exponent
     return {
         "t_mult": t_mult,
         "t_add": t_add,

@@ -124,7 +124,11 @@ class MomentReport:
 
 @lru_cache(maxsize=None)
 def _model_centered_table(z: int, kmax: int) -> dict:
-    """Exact centered mixed moments of the model pair up to total degree kmax."""
+    """Exact centered mixed moments of the model pair up to total degree kmax.
+
+    Each entry is convolved from entries of lower degree only, so it does not
+    depend on kmax; callers ask for degree 4 or 6 and read lower entries.
+    """
     table = {(0, 0): Fraction(1)}
     for i in range(kmax + 1):
         for j in range(kmax + 1 - i):
@@ -158,7 +162,7 @@ def model_mixed_moment_exact(k1: int, k2: int, z: int) -> Fraction:
         raise ValueError("supported degrees: k1 + k2 <= 6")
     if z < 3:
         raise ValueError("z must be at least 3")
-    return _model_centered_table(z, k1 + k2)[(k1, k2)]
+    return _model_centered_table(z, 4 if k1 + k2 <= 4 else 6)[(k1, k2)]
 
 
 def model_mixed_moment(k1: int, k2: int, z: int) -> float:

@@ -249,6 +249,7 @@ def test_verify_command_small_window(capsys):
         "factor_table_vs_tate",
         "decomposition_bound",
         "densities",
+        "place_two_duality",
     ):
         assert f"suite {name}:" in out
 

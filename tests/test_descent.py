@@ -139,7 +139,10 @@ def _scan_input(f, p):
     return f, _vp(16 * c4 * c0 * (c2 * c2 - 4 * c4 * c0) ** 2, p) + 6
 
 
-def _random_chart(rng, p, high):
+def _random_torsor(rng, p, high):
+    """(d, a, b) of a seeded torsor over a curve with ordinary or high
+    valuations at p, or None for a singular curve."""
+
     def unit(bound):
         while True:
             n = rng.randint(-bound, bound)
@@ -154,8 +157,17 @@ def _random_chart(rng, p, high):
     if A * A == 4 * B:
         return None
     a, b = _side_coefficients(A, B, rng.choice(("phi", "phihat")))
-    d = rng.choice(_class_reps(p)[1:])
-    return rng.choice([(b * d, 0, a * d * d, 0, d**3), (d**3, 0, a * d * d, 0, b * d)])
+    return rng.choice(_class_reps(p)[1:]), a, b
+
+
+def _charts(d, a, b):
+    """The torsor's charts v = 1 and u = 1."""
+    return (b * d, 0, a * d * d, 0, d**3), (d**3, 0, a * d * d, 0, b * d)
+
+
+def _random_chart(rng, p, high):
+    torsor = _random_torsor(rng, p, high)
+    return None if torsor is None else rng.choice(_charts(*torsor))
 
 
 def _assert_scan_matches_reference(f, p, max_nodes=None):
@@ -184,6 +196,35 @@ def test_pruned_scan_matches_precision_k_reference():
         for high in (False, True):
             # both answers occur in every regime, so neither branch is vacuous
             assert answers.get((p, high, True)) and answers.get((p, high, False)), (p, high, answers)
+
+
+def test_second_chart_needs_only_pzp_after_first_fails():
+    # a point of chart u = 1 with x a unit is (1/x, 1) in chart v = 1, so once
+    # that chart fails, searching x = 0 (mod p) decides the second chart
+    rng = random.Random(1018)
+    answers = {}
+    for p, n in ((2, 400), (3, 200), (5, 100), (7, 60), (11, 40), (13, 40), (17, 40), (23, 40)):
+        for high in (False, True):
+            for _ in range(n):
+                torsor = _random_torsor(rng, p, high)
+                if torsor is None:
+                    continue
+                fv, fu = _charts(*torsor)
+                try:
+                    first = _chart_solvable(fv, p)
+                    want = first or _chart_solvable(fu, p)
+                except SolverPrecisionError:
+                    continue  # the full search gave no answer to compare with
+                assert _torsor_solvable_at(*torsor, p) == want, (torsor, p)
+                if first:
+                    continue
+                assert _chart_solvable(fu, p, starts=(0,)) == want, (fu, p)
+                answers[p, want] = answers.get((p, want), 0) + 1
+    # At odd p that pZ_p search is always empty for d != 1: a unit d would
+    # need d w^2 = d^2 u^4 (mod p), so d is a square, and p | d gives f(x)
+    # valuation 3.  At 2 both answers occur, so neither branch is vacuous.
+    assert answers.get((2, True)) and answers.get((2, False)), answers
+    assert all(answers.get((p, False)) and not answers.get((p, True)) for p in (3, 5, 7, 11, 13, 17, 23))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from selmerlab import descent, local_analysis
+from selmerlab.cli import _column_curves, curve_record
 from selmerlab.core_arith import ord_p
-from selmerlab.curve_family import CurvePair
+from selmerlab.curve_family import CurvePair, FamilyWindow, enumerate_window
 from selmerlab.descent import INF_PLACE, descent_exponent, local_image, relevant_places
 from selmerlab.local_analysis import (
     LedgerEntry,
@@ -125,11 +131,96 @@ def test_factor_at_infinity_matches_real_image(e60_sample):
         assert factor_at_infinity(c.A, c.B) == len(local_image(c.A, c.B, INF_PLACE, "phi"))
 
 
-def test_factor_at_two_matches_full_image(e60_sample):
-    # the closure-shortcut size must agree with the exhaustively tested image
+def _assert_factor_at_two_exact(pairs):
+    n = 0
+    for A, B in pairs:
+        assert factor_at_two(A, B) == len(local_image(A, B, 2, "phi")), (A, B)
+        n += 1
+    return n
+
+
+def test_factor_at_two_matches_full_image():
+    # the two-sided size must agree with the exhaustively tested image on
+    # every curve of E(300)
     assert factor_at_two(0, 1) == 8
-    for c in e60_sample[:30]:
-        assert factor_at_two(c.A, c.B) == len(local_image(c.A, c.B, 2, "phi"))
+    assert _assert_factor_at_two_exact((c.A, c.B) for c in enumerate_window(FamilyWindow(300))) == 20126
+
+
+def test_factor_at_two_exact_at_high_valuations():
+    # seeded curves with v2(A) up to 12, v2(B) up to 16 and |A| up to 10^6
+    rng = random.Random(20261018)
+    pairs = []
+    while len(pairs) < 1500:
+        k = rng.randint(0, 12)
+        A = rng.randint(-(10**6 >> k), 10**6 >> k) << k
+        B = rng.choice((1, -1)) * (rng.randint(1, 10**4) | 1) << rng.randint(0, 16)
+        if A * A != 4 * B:
+            pairs.append((A, B))
+    assert max(ord_p(A, 2) for A, _ in pairs if A) >= 12
+    _assert_factor_at_two_exact(pairs)
+
+
+@pytest.mark.parametrize("B", [16, -16, 48, -48, 64, -64, 96, -96])
+def test_factor_at_two_exact_on_deep_columns(B):
+    # whole columns at X = 10^4: every 2-adic class of A to 2^14
+    assert _assert_factor_at_two_exact((c.A, c.B) for c in _column_curves(B, 10**4, True)) == 15000
+
+
+def test_hilbert_symbol_table():
+    # the bit form of (x, y)_2 against the classical formula on representatives
+    def classical(x, y):
+        a, u = ord_p(x, 2), x >> ord_p(x, 2)
+        b, w = ord_p(y, 2), y >> ord_p(y, 2)
+        e = (u - 1) // 2 * ((w - 1) // 2) + a * (w * w - 1) // 8 + b * (u * u - 1) // 8
+        return e % 2
+
+    reps = local_analysis._TWO_REPS
+    assert [local_analysis._class2(r) for r in reps] == list(range(8))
+    assert [local_analysis._class2(r * 4 * 9) for r in reps] == list(range(8))
+    for x in range(8):
+        for y in range(8):
+            assert local_analysis._hilbert2(x, y) == classical(reps[x], reps[y])
+    # nondegenerate: every subgroup's complement has the complementary size
+    subgroups = [m for m in range(256) if m & 1 and local_analysis._mul_sets(m, m) == m]
+    assert len(subgroups) == 16
+    for m in subgroups:
+        orth = local_analysis._ORTH[m]
+        assert orth.bit_count() * m.bit_count() == 8 and local_analysis._ORTH[orth] == m
+
+
+def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch):
+    # a probe that denies one solvable class leaves the confirmed images short
+    # of |W| |W^| = 8, so the candidates run out: never a wrong size
+    honest = descent._torsor_solvable_at
+    for c in [CurvePair(0, 1)] + e60_sample[:20]:
+        lied = []
+
+        def probe(d, a, b, p, force=None):
+            ok = honest(d, a, b, p, force)
+            if ok and d != 1 and not lied:
+                lied.append(d)
+                return False
+            return ok
+
+        monkeypatch.setattr(local_analysis, "_torsor_solvable_at", probe)
+        with pytest.raises(AssertionError):
+            factor_at_two(c.A, c.B)
+        assert lied
+    monkeypatch.setattr(local_analysis, "_torsor_solvable_at", lambda d, a, b, p, force=None: d == 1)
+    with pytest.raises(AssertionError):
+        factor_at_two(3, 2)
+
+
+def test_perfbench_tracer_hooks_resolve():
+    # the benchmark's tracer wraps module-level functions by name
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, 'perfbench'); import tracer; "
+        "t = tracer.Tracer(); tracer.install(t); assert t.missing == [], t.missing"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_ledger_structure():
@@ -164,6 +255,18 @@ def test_spot_total_examples():
     assert tamagawa_exponent(CurvePair(0, 1)).total == 2
     led = tamagawa_exponent(CurvePair(1, 3))
     assert led.total == descent_exponent(1, 3)
+
+
+def test_ledger_records_reduction_kind(e60_sample):
+    for c in e60_sample:
+        led = tamagawa_exponent(c)
+        kinds = [
+            not classify_reduction(c.A, c.B, e.place).is_multiplicative
+            for e in led.entries
+            if e.place not in (2, INF_PLACE)
+        ]
+        assert [e.additive for e in led.entries] == kinds + [False, False]
+        assert curve_record(c).n_additive == sum(kinds)
 
 
 def test_decompose_total_and_bound(e60_sample):

@@ -54,6 +54,18 @@ def test_model_single_prime_values():
     assert model_mixed_moment(1, 1, 4) == pytest.approx(-0.00061, abs=2e-5)
 
 
+def test_model_table_entries_do_not_depend_on_degree():
+    # every entry is convolved from lower-degree entries, so a moment read
+    # off the shared degree-4 or degree-6 table equals its own-degree table
+    from selmerlab.statistics import _model_centered_table
+
+    for z in (4, 30, 100):
+        for k in range(7):
+            own = _model_centered_table(z, k)
+            for k1 in range(k + 1):
+                assert model_mixed_moment_exact(k1, k - k1, z) == own[(k1, k - k1)]
+
+
 def test_model_exchangeable():
     for (k1, k2) in [(2, 1), (3, 0), (2, 2), (4, 1)]:
         for z in (10, 30):
