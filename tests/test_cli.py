@@ -1,6 +1,7 @@
 import bisect
 import csv
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -291,3 +292,39 @@ def test_threads_env_fallback(monkeypatch):
 def test_io_failure_exit_code(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert main(["compute", "--xmax", "5", "--out", str(missing)]) == 3
+
+
+# SHA-256 of outputs that every refactor must reproduce byte for byte; the
+# window-ledger value is the one in perfbench/expected.json
+_GOLDEN = {
+    "compute-100": "c5c0dc2f8046ab4839b2c87052160cd36b3c55f1908be119226630c863148fde",
+    "compute-100-no-square-disc": "5d93eed9b5a4f15dcb13ded4c953ab58e89f09e9a29178c967ed19895b171b6e",
+    "stats-300": "5b9ca4c9c226aafe7a29faae7fa590a3048e7f21032eb350908f9e79b7ba3a03",
+    "verify-60": "63b4fc0bef0e62a3f4698af65e74bafcf25c74651d1625a8bdc6d4b6253d284e",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [([], "compute-100"), (["--no-include-square-disc"], "compute-100-no-square-disc")],
+    ids=["full", "no-square-disc"],
+)
+def test_golden_compute_csv(flags, key, tmp_path):
+    out = tmp_path / "records.csv"
+    assert main(["compute", "--xmax", "100", "--threads", "1", "--out", str(out)] + flags) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN[key]
+
+
+def test_golden_stats_stdout(capsys):
+    assert main(["stats", "--xmax", "300", "--threads", "1"]) == 0
+    assert _sha256(capsys.readouterr().out) == _GOLDEN["stats-300"]
+
+
+def test_golden_verify_lines():
+    lines = []
+    assert run_verification(60, report=lines.append)
+    assert _sha256("\n".join(lines) + "\n") == _GOLDEN["verify-60"]
