@@ -1,9 +1,13 @@
 """Command-line orchestration: enumerate, compute, stats, verify.
 
-Work is partitioned by B columns and mapped over a process pool; results are
+Work is partitioned by B columns and mapped over a process pool; each column
+walks `curve_family.column_members` (or its sampled A's), and results are
 merged back in (B, A) order before writing, so output files are byte
-identical for any thread count.  Exit codes: 0 success, 1 verification or
-assertion failure, 2 bad configuration, 3 I/O failure.
+identical for any thread count.  `verify` visits each curve once: its ledger
+and both local images at every relevant place are computed once and read by
+every per-curve suite.  Exit codes: 0 success; 1 verification or assertion
+failure, or `compute` skipped curves (the records of the others are written
+and the skipped ones listed on stderr); 2 bad configuration; 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ from .curve_family import (
     CurvePair,
     FamilyWindow,
     column_count,
+    column_members,
     column_unrank,
     count_window,
     enumerate_window,
     window_columns,
 )
 from .descent import INF_PLACE, selmer_phi, selmer_phihat
-from .local_analysis import classify_reduction, tamagawa_exponent
+from .local_analysis import tamagawa_exponent
 
 __all__ = ["RunConfig", "OutputRecord", "main", "entrypoint", "run_verification", "curve_record"]
 
@@ -132,33 +137,18 @@ def _column_records(B: int):
     X, with_descent = cfg["xmax"], cfg["with_descent"]
     keep = cfg.get("keep")
     if keep is None:
-        curves = _column_curves(B, X, cfg["include_square_disc"])
+        As = column_members(B, X, cfg["include_square_disc"])
     else:  # sampled A's of this column: already window members, ascending
-        curves = (CurvePair(A, B) for A in keep.get(B, ()))
+        As = keep.get(B, ())
     out = []
     skipped = []
-    for c in curves:
+    for A in As:
+        c = CurvePair(A, B)
         try:
             out.append(curve_record(c, with_descent).as_tuple())
         except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
-            skipped.append((c.A, c.B, str(exc)))
+            skipped.append((A, B, str(exc)))
     return B, out, skipped
-
-
-def _column_curves(B, X, include_square_disc):
-    # column-restricted enumeration, same order and filters as enumerate_window
-    from .curve_family import _fourth_power_primes
-
-    moduli = [p * p for p in _fourth_power_primes(B)]
-    for A in range(-X, X + 1):
-        if moduli and (A == 0 or any(A % m == 0 for m in moduli)):
-            continue
-        if A * A == 4 * B:
-            continue
-        c = CurvePair(A, B)
-        if not include_square_disc and c.twoTorsionFull:
-            continue
-        yield c
 
 
 def _resolve_threads(config: RunConfig) -> int:
@@ -287,7 +277,7 @@ def cmd_compute(config: RunConfig) -> int:
         for A, B, msg in skipped[:20]:
             print(f"  ({A}, {B}): {msg}", file=sys.stderr)
     print(f"wrote {n} records", file=sys.stderr)
-    return 0
+    return 1 if skipped else 0
 
 
 def histogram_lines(values, X: int) -> list[str]:
@@ -367,124 +357,121 @@ def run_verification(
 ) -> bool:
     """Run the invariant suites over the window (or a seeded sample of it).
 
-    Returns True iff everything passed; prints one line per suite.
+    Each curve is visited once: its ledger (which also names its odd bad
+    places) and both local images at every relevant place are computed once,
+    and every per-curve suite reads them.  Returns True iff everything
+    passed; prints one line per suite.
     """
     from . import descent
-    from .local_analysis import (
-        _ORTH,
-        _class2,
-        decompose_total,
-        factor_at_two,
-        mult_factor,
-        repeated_prime_count,
-        tamagawa_number,
-    )
+    from .curve_family import density_rho
+    from .local_analysis import _ORTH, _class2, decompose_total, repeated_prime_count, tamagawa_number
 
     if sample is not None and sample < count_window(xmax)[0]:
         keep = sample_keys(xmax, True, sample, seed)
-        curves = [CurvePair(A, B) for B, As in keep.items() for A in As]
+        curves = (CurvePair(A, B) for B, As in keep.items() for A in As)
     else:
-        curves = list(enumerate_window(FamilyWindow(xmax)))
-    if not curves:
-        report("nothing verified: empty curve selection")
-        return False
+        curves = enumerate_window(FamilyWindow(xmax))
 
-    sides = ("phi", "phihat")
-    ok = True
-
-    def suite(name, failures, checked):
-        nonlocal ok
-        status = "ok" if not failures else "FAIL"
-        report(f"suite {name}: checked={checked} failures={len(failures)} {status}")
-        for f in failures[:10]:
-            report(f"  offending {f}")
-        if failures:
-            ok = False
-
-    def image(c, v, side):
-        a, b = descent._side_coefficients(c.A, c.B, side)
-        if swap_orientation:
-            a, b = descent._side_coefficients(c.A, c.B, "phihat" if side == "phi" else "phi")
-        return descent._local_image_tags(a, b, v)
-
-    # local duality: the two images multiply to the full local square-class group
-    fails, checked = [], 0
+    names = (  # in report order
+        "local_duality",
+        "orientation_anchor",
+        "product_formula",
+        "membership_closure",
+        "factor_table_vs_tate",
+        "decomposition_bound",
+        "densities",
+        "place_two_duality",
+    )
+    fails = {name: [] for name in names}
+    checked = dict.fromkeys(names, 0)
     full = {INF_PLACE: 2, 2: 8}
-    images_at_two = []  # (curve, phi image, phihat image) at the place 2
+    # the fault injection reads each side's image off the other side
+    phi = int(swap_orientation)
+    reps = descent._class_reps(2)
+
+    def mask(tags):
+        return sum(1 << _class2(r) for r in reps if descent._square_class(r, 2) in tags)
+
+    ncurves = 0
     for c in curves:
-        for v in descent.relevant_places(c.A, c.B):
-            w, what = image(c, v, "phi"), image(c, v, "phihat")
-            if v == 2:
-                images_at_two.append((c, w, what))
-            checked += 1
+        ncurves += 1
+        A, B = c.A, c.B
+        ledger = tamagawa_exponent(c)
+        odd = ledger.entries[:-2]  # the odd bad places, ascending, then 2 and inf
+        sides = [descent._side_coefficients(A, B, side) for side in ("phi", "phihat")]
+        images = {
+            v: [descent._local_image_tags(a, b, v) for a, b in sides]
+            for v in [INF_PLACE, 2] + [e.place for e in odd]
+        }
+
+        # local duality: the two images multiply to the full local square-class group
+        for v, (w, what) in images.items():
+            checked["local_duality"] += 1
             if len(w) * len(what) != full.get(v, 4):
-                fails.append((c.A, c.B, v))
-    suite("local_duality", fails, checked)
+                fails["local_duality"].append((A, B, v))
 
-    # orientation anchor: at an odd prime exactly dividing A^2-4B the forward
-    # image must be everything (size 4)
-    fails, checked = [], 0
-    for c in curves:
-        for p in descent.relevant_places(c.A, c.B)[2:]:
-            if c.dualB % p == 0 and c.dualB % (p * p) != 0 and c.B % p != 0:
-                checked += 1
-                if len(image(c, p, "phi")) != 4:
-                    fails.append((c.A, c.B, p))
+        # orientation anchor: at an odd prime exactly dividing A^2-4B the
+        # forward image must be everything (size 4)
+        for e in odd:
+            p = e.place
+            if c.dualB % p == 0 and c.dualB % (p * p) != 0 and B % p != 0:
+                checked["orientation_anchor"] += 1
+                if len(images[p][phi]) != 4:
+                    fails["orientation_anchor"].append((A, B, p))
                 break
-    suite("orientation_anchor", fails, checked)
 
-    # product formula against the descent ranks, membership and closure
-    fails, mfails, checked = [], [], 0
-    for c in curves:
-        ledger = tamagawa_exponent(c)
+        # product formula against the descent ranks, membership and closure
         try:
-            sphi, sphihat = selmer_phi(c.A, c.B), selmer_phihat(c.A, c.B)
+            sphi, sphihat = (
+                descent._selmer(A, B, side, {v: t[i] for v, t in images.items() if v != INF_PLACE})
+                for i, side in enumerate(("phi", "phihat"))
+            )
         except AssertionError:
-            mfails.append((c.A, c.B, "membership"))
-            continue
-        checked += 1
-        if ledger.total != sphi.dim - sphihat.dim:
-            fails.append((c.A, c.B, ledger.total, sphi.dim - sphihat.dim))
-    suite("product_formula", fails, checked)
-    suite("membership_closure", mfails, checked)
+            fails["membership_closure"].append((A, B, "membership"))
+        else:
+            checked["product_formula"] += 1
+            if ledger.total != sphi.dim - sphihat.dim:
+                fails["product_formula"].append((A, B, ledger.total, sphi.dim - sphihat.dim))
 
-    # closed-form multiplicative factors against the Tate oracle
-    fails, checked = [], 0
-    for c in curves:
-        for p in descent.relevant_places(c.A, c.B)[2:]:
-            if classify_reduction(c.A, c.B, p).is_multiplicative:
-                checked += 1
-                cp = tamagawa_number(c.A, c.B, p)
-                cpd = tamagawa_number(c.dualA, c.dualB, p)
-                if mult_factor(c.A, c.B, p) * cp != 2 * cpd:
-                    fails.append((c.A, c.B, p))
-    suite("factor_table_vs_tate", fails, checked)
+        # the ledger's closed-form multiplicative factors against the Tate oracle
+        for e in odd:
+            if not e.additive:
+                checked["factor_table_vs_tate"] += 1
+                cp = tamagawa_number(A, B, e.place)
+                cpd = tamagawa_number(c.dualA, c.dualB, e.place)
+                if e.size * cp != 2 * cpd:
+                    fails["factor_table_vs_tate"].append((A, B, e.place))
 
-    # decomposition bound
-    fails, checked = [], 0
-    for c in curves:
-        ledger = tamagawa_exponent(c)
+        # decomposition bound
         parts = decompose_total(c, ledger)
         lhs = abs(
             ledger.total
-            - (stats.g1(c.A, c.B) - stats.g2(c.A, c.B))
+            - (stats.g1(A, B) - stats.g2(A, B))
             - parts["t_add"]
             - parts["e2"]
             - parts["einf"]
         )
-        checked += 1
-        if lhs > repeated_prime_count(c.A, c.B):
-            fails.append((c.A, c.B, lhs))
-    suite("decomposition_bound", fails, checked)
+        checked["decomposition_bound"] += 1
+        if lhs > repeated_prime_count(A, B):
+            fails["decomposition_bound"].append((A, B, lhs))
+
+        # the exhaustive images at 2 are each other's annihilators under the
+        # Hilbert symbol (W is a subgroup, so W^perp = W^ gives W^^perp = W),
+        # and the ledger's size at 2 (factor_at_two) matches
+        w, what = images[2][phi], images[2][1 - phi]
+        checked["place_two_duality"] += 1
+        if _ORTH[mask(w)] != mask(what) or 2 ** (ledger.exponent_at(2) + 1) != len(w):
+            fails["place_two_duality"].append((A, B))
+
+    if not ncurves:
+        report("nothing verified: empty curve selection")
+        return False
 
     # residue-class densities against the exact local model; tolerances carry
     # a B-granularity term since the window only holds ~2 sqrt(X)/p multiples
-    fails, checked = [], 0
     scan = stats.family_scan(xmax, zcut)
     n = scan["n_total"]
     bmax = math.isqrt(xmax)
-    from .curve_family import density_rho
-
     for p, (nB, nD, nBoth) in scan["density_counts"].items():
         rho = float(density_rho(p))
         both = (p**4 - 1) / (p**6 - 1)
@@ -493,27 +480,17 @@ def run_verification(
             ("D", nD, rho, 0.02 + p / (2.0 * xmax)),
             ("both", nBoth, both, 0.01 + 0.5 / bmax),
         ):
-            checked += 1
+            checked["densities"] += 1
             if abs(got / n - want) > tol:
-                fails.append((p, name, got / n, want))
-    suite("densities", fails, checked)
+                fails["densities"].append((p, name, got / n, want))
 
-    # the exhaustive images at 2 are each other's annihilators under the
-    # Hilbert symbol (W is a subgroup, so W^perp = W^ gives W^^perp = W),
-    # and the ledger's two-sided factor_at_two matches
-    fails, checked = [], 0
-    reps = descent._class_reps(2)
-
-    def mask(tags):
-        return sum(1 << _class2(r) for r in reps if descent._square_class(r, 2) in tags)
-
-    for c, w, what in images_at_two:
-        checked += 1
-        if _ORTH[mask(w)] != mask(what) or factor_at_two(c.A, c.B) != len(w):
-            fails.append((c.A, c.B))
-    suite("place_two_duality", fails, checked)
-
-    return ok
+    # membership failures are the curves product_formula could not check
+    checked["membership_closure"] = checked["product_formula"]
+    for name, failures in fails.items():
+        report(f"suite {name}: checked={checked[name]} failures={len(failures)} {'FAIL' if failures else 'ok'}")
+        for f in failures[:10]:
+            report(f"  offending {f}")
+    return not any(fails.values())
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -538,8 +515,11 @@ def _check_command(command: str, config: RunConfig) -> None:
             raise ValueError(_TSV_RECORDS)
         if config.sample is not None and config.sample > _family_size(config):
             raise ValueError(f"sample {config.sample} larger than the family at xmax={config.xmax}")
-    if command == "stats" and config.xmax < 16:
-        raise ValueError("stats needs xmax >= 16 so that log log X is positive")
+    if command == "stats":
+        if config.xmax < 16:
+            raise ValueError("stats needs xmax >= 16 so that log log X is positive")
+        if not config.includeSquareDisc:
+            raise ValueError("stats always leaves out square-discriminant curves; drop --no-include-square-disc")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -182,18 +182,27 @@ def factor(n: int) -> FactoredInteger:
     return FactoredInteger(sign, tuple(sorted(out.items())))
 
 
+def _vp(n: int, p: int) -> int:
+    """Largest k with p**k dividing n (p >= 2, unchecked); 0 gets a huge
+    sentinel, since Tate's algorithm compares v(a6) with bounds at a6 = 0."""
+    if n == 0:
+        return 1 << 30
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def ord_p(n: int, p: int) -> int:
     """Largest k with p**k dividing n (n nonzero, p prime)."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     if p < 2 or not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    k = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
+    return _vp(n, p)
 
 
 def jacobi(a: int, n: int) -> int:

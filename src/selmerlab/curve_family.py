@@ -4,6 +4,10 @@ Membership in the window of height X means |A| <= X, B^2 <= X, the cubic is
 nonsingular (B and A^2-4B both nonzero), and the model is reduced: no prime
 p has p^2 | A and p^4 | B simultaneously (A = 0 counts as divisible by every
 p^2).  Enumeration is lexicographic in (B, A) and deterministic.
+
+The column filter is written once, in `_column_rule`; `column_members`
+iterates it, `column_count` and `column_unrank` count it in closed form, and
+`statistics.family_scan` masks it.  `is_member` tests a single pair.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "enumerate_window",
     "count_window",
     "window_columns",
+    "column_members",
     "column_count",
     "column_unrank",
     "dual_coefficients",
@@ -109,21 +114,9 @@ def dual_coefficients(A: int, B: int) -> tuple[int, int]:
 
 def enumerate_window(w: FamilyWindow) -> Iterator[CurvePair]:
     """Yield each member exactly once, ordered lexicographically by (B, A)."""
-    X = w.X
-    bmax = math.isqrt(X)
-    for B in range(-bmax, bmax + 1):
-        if B == 0:
-            continue
-        moduli = [p * p for p in _fourth_power_primes(B)]
-        for A in range(-X, X + 1):
-            if moduli and ((A == 0) or any(A % m == 0 for m in moduli)):
-                continue
-            if A * A == 4 * B:
-                continue
-            c = CurvePair(A, B)
-            if not w.includeSquareDisc and c.twoTorsionFull:
-                continue
-            yield c
+    for B in window_columns(w.X):
+        for A in column_members(B, w.X, w.includeSquareDisc):
+            yield CurvePair(A, B)
 
 
 def count_window(X: int) -> tuple[int, float]:
@@ -143,6 +136,20 @@ def window_columns(X: int) -> list[int]:
     return [B for B in range(-bmax, bmax + 1) if B]
 
 
+def column_members(B: int, X: int, include_square_disc: bool = True) -> Iterator[int]:
+    """Yield the A of the members (A, B) of column B, ascending.
+
+    The A in [-X, X] that no reduction modulus divides, less the non-members
+    among them (see `_column_rule`).  The height bound B^2 <= X is the
+    caller's, as in `column_count`.
+    """
+    moduli, singular, square = _column_rule(B, X)
+    skip = set(singular if include_square_disc else singular + square)
+    for A in range(-X, X + 1):
+        if A not in skip and not (moduli and any(A % m == 0 for m in moduli)):
+            yield A
+
+
 def column_count(B: int, X: int, include_square_disc: bool = True, upto: int | None = None) -> int:
     """The number of members (A, B) of column B with A <= upto (default X).
 
@@ -154,8 +161,7 @@ def column_count(B: int, X: int, include_square_disc: bool = True, upto: int | N
     """
     if B == 0:
         return 0
-    terms, extra = _column_rule(B, X, include_square_disc)
-    return _count_upto(terms, extra, X, X if upto is None else upto)
+    return _count_upto(*_column_counter(B, X, include_square_disc), X, X if upto is None else upto)
 
 
 def column_unrank(B: int, X: int, include_square_disc: bool, ranks: list[int]) -> list[int]:
@@ -166,7 +172,7 @@ def column_unrank(B: int, X: int, include_square_disc: bool, ranks: list[int]) -
     c = column_count(upto=a), the walk steps a += r + 1 - c until c > r:
     the count rises by at most 1 per A, so no step passes the answer.
     """
-    terms, extra = _column_rule(B, X, include_square_disc)
+    terms, extra = _column_counter(B, X, include_square_disc)
     if ranks and (B == 0 or ranks[0] < 0 or ranks[-1] >= _count_upto(terms, extra, X, X)):
         raise IndexError(f"rank outside column B={B} at X={X}")
     out = []
@@ -179,46 +185,49 @@ def column_unrank(B: int, X: int, include_square_disc: bool, ranks: list[int]) -
     return out
 
 
-def _column_rule(B: int, X: int, include_square_disc: bool) -> tuple[list[tuple[int, int]], list[int]]:
-    """Signed inclusion-exclusion terms (lcm, +-1) over the reduction moduli of
-    column B, and the sorted A in [-X, X] that pass the moduli yet are not
-    members.
+def _column_rule(B: int, X: int) -> tuple[list[int], list[int], list[int]]:
+    """The membership rule of column B: its reduction moduli p^2 (p^4 | B),
+    and the sorted A in [-X, X] that no modulus divides yet are singular or
+    have a square discriminant.
 
-    Those A are the singular roots A = +-2 sqrt(B) and, when square
-    discriminants are excluded, the A with A^2 - 4B = s^2, s > 0.  Then
-    (A - s)(A + s) = 4B with both factors even, so A = u + B/u for the
-    divisors u of B with B/u > u.
+    The singular A are the roots A = +-2 sqrt(B).  A^2 - 4B = s^2 with s > 0
+    means (A - s)(A + s) = 4B with both factors even, so A = u + B/u for the
+    divisors u of B with B/u > u.  Every other A in [-X, X] that no modulus
+    divides is a member (A = 0 is a multiple of every modulus).
     """
     moduli = [p * p for p in _fourth_power_primes(B)]
-    terms = []
-    for mask in range(1, 1 << len(moduli)):
-        l = 1
-        for i, m in enumerate(moduli):
-            if mask >> i & 1:
-                l = math.lcm(l, m)
-        terms.append((l, 1 if bin(mask).count("1") % 2 else -1))
-    candidates = set()
-    if B > 0 and is_square(B):
-        candidates |= {2 * math.isqrt(B), -2 * math.isqrt(B)}
-    if not include_square_disc:
-        for d in range(1, math.isqrt(abs(B)) + 1):
-            if B % d == 0:
-                for u in (d, -d, B // d, -(B // d)):
-                    if B // u > u:
-                        candidates.add(u + B // u)
-    extra = sorted(A for A in candidates if abs(A) <= X and not any(A % m == 0 for m in moduli))
-    return terms, extra
+
+    def kept(A):
+        return abs(A) <= X and not any(A % m == 0 for m in moduli)
+
+    r = math.isqrt(B) if B > 0 else 0
+    singular = [A for A in (-2 * r, 2 * r) if r * r == B and kept(A)]
+    square = set()
+    for d in range(1, math.isqrt(abs(B)) + 1):
+        if B % d == 0:
+            for u in (d, -d, B // d, -(B // d)):
+                if B // u > u and kept(u + B // u):
+                    square.add(u + B // u)
+    return moduli, singular, sorted(square)
+
+
+def _column_counter(B: int, X: int, include_square_disc: bool) -> tuple[list[tuple[int, int]], list[int]]:
+    # signed inclusion-exclusion terms (product, +-1) over every subset of the
+    # moduli (distinct prime squares, so lcm = product; the empty subset is
+    # (1, +1)), and the sorted non-members to subtract
+    moduli, singular, square = _column_rule(B, X)
+    terms = [(1, 1)]
+    for m in moduli:
+        terms += [(l * m, -sign) for l, sign in terms]
+    return terms, (singular if include_square_disc else sorted(singular + square))
 
 
 def _count_upto(terms: list[tuple[int, int]], extra: list[int], X: int, a: int) -> int:
-    # A in [-X, a] that no modulus divides (A = 0 is a multiple of every
-    # modulus), minus the non-members among them
+    # the A in [-X, a] that no modulus divides, minus the non-members among them
     a = min(a, X)
     if a < -X:
         return 0
-    n = a + X + 1
-    for l, sign in terms:
-        n -= sign * (a // l - (-X - 1) // l)
+    n = sum(sign * (a // l - (-X - 1) // l) for l, sign in terms)
     return n - bisect.bisect_right(extra, a)
 
 

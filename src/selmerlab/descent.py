@@ -12,20 +12,23 @@ support in the primes of B.
 
 Local solvability over Q_p is decided chart by chart: a projective point can
 be scaled so that u or v is a unit, which turns the torsor into
-y^2 = (integral quartic in one variable) with x, y in Z_p; once the chart
-v = 1 has failed, the chart u = 1 is searched only on x in pZ_p, since a
-point with both coordinates units lies on the first chart.  Small p (and
-always p = 2) use an exhaustive residue search with exact Hensel
-certificates.  A residue class x = x0 (mod p^k) fixes f(x) modulo
-p^P with P = min(k + v_p(f'(x0)), 2k), by the Taylor expansion of the integral
-polynomial f about x0, so the search drops a class as soon as the valuation
-and the unit class of f are pinned at that precision, not only at p^k.
-Larger odd p use the same recursion driven by the mod-p shape
-of the quartic: when the reduction is not a constant times a square the
-incomplete character sum already forces a square value (complete for
-p >= 17), so only multiple roots are descended into, and the search runs in
-polylog(p).  The two deciders agree by construction and are cross-checked in
-the test suite.  Precision exhaustion raises; it never silently guesses.
+y^2 = (integral quartic in one variable) with x, y in Z_p.  Once the chart
+v = 1 has failed, the chart u = 1 is needed only on x in pZ_p, since a point
+with both coordinates units lies on the first chart.  At odd p that part has
+a closed form: f(x) = d^3 (mod p^2) there for a unit d, and v_p(f) = 3 when
+p | d, so it has a point iff d is a nonzero square mod p.  At p = 2 it is
+searched.  Small p (and always p = 2) use an exhaustive residue search with
+exact Hensel certificates.  A residue class x = x0 (mod p^k) fixes f(x)
+modulo p^P with P = min(k + v_p(f'(x0)), 2k), by the Taylor expansion of the
+integral polynomial f about x0, so the search drops a class as soon as the
+valuation and the unit class of f are pinned at that precision, not only at
+p^k.  Larger odd p use the same recursion driven by the mod-p shape of the
+quartic: when the reduction is not a constant times a square the incomplete
+character sum already forces a square value (complete for p >= 17), so only
+multiple roots are descended into, and the search runs in polylog(p).  The
+two deciders agree by construction and are cross-checked in the test suite.
+Precision exhaustion raises; it never silently guesses.  Valuations come
+from core_arith._vp, the one valuation loop outside the scan's inline one.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import Literal
 
 from ._polymod import pmod_trim, quadratic_roots, roots_mod_p
 from .core_arith import (
+    _vp,
     factor,
     is_prime,
     jacobi,
@@ -146,18 +150,6 @@ def _poly_eval(f, x):
 
 def _poly_deriv(f):
     return tuple(i * c for i, c in enumerate(f) if i)
-
-
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        return 1 << 30
-    if p == 2:
-        return (n & -n).bit_length() - 1
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _shift_scale(f, r: int, p: int):
@@ -322,6 +314,9 @@ def _torsor_solvable_at(d: int, a: int, b: int, p: int, force: str | None = None
     # chart, so once that chart has failed the second needs only x in pZ_p.
     if _chart_solvable((b * d, 0, a * d * d, 0, d**3), p, force):
         return True
+    if p != 2:
+        # on pZ_p, f = d^3 (mod p^2) for a unit d and v_p(f) = 3 when p | d
+        return jacobi(d % p, p) == 1
     return _chart_solvable((d**3, 0, a * d * d, 0, b * d), p, force, starts=(0,))
 
 
@@ -415,10 +410,13 @@ def relevant_places(A: int, B: int, d: int = 1) -> list:
     return [INF_PLACE, 2] + odd
 
 
-def _selmer(A: int, B: int, side: Side) -> SelmerSet:
+def _selmer(A: int, B: int, side: Side, images: dict | None = None) -> SelmerSet:
+    """The side's group from its local images {v: tags} at the finite places
+    of relevant_places(A, B); they are computed here unless given."""
     a, b = _side_coefficients(A, B, side)
     kernel = (A * A - 4 * B) if side == "phi" else B
-    images = {v: _local_image_tags(a, b, v) for v in relevant_places(A, B) if v != INF_PLACE}
+    if images is None:
+        images = {v: _local_image_tags(a, b, v) for v in relevant_places(A, B)[1:]}
     classes = set()
     for d in signed_squarefree_divisors(kernel):
         if not _real_solvable(d, a, b):

@@ -31,9 +31,9 @@ import enum
 from dataclasses import dataclass
 
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
-from .core_arith import factor, is_prime, jacobi, ord_p
+from .core_arith import _vp, factor, is_prime, jacobi, ord_p
 from .curve_family import CurvePair
-from .descent import INF_PLACE, _class_reps, _torsor_solvable_at, _vp
+from .descent import INF_PLACE, _class_reps, _torsor_solvable_at, relevant_places
 
 __all__ = [
     "ReductionType",
@@ -320,8 +320,8 @@ class LedgerEntry:
 class LocalFactorLedger:
     """Per-place local condition sizes and their base-2 exponents.
 
-    Entries cover every odd prime of bad reduction plus the places 2 and
-    infinity; exponent = log2(size) - 1 and total is their sum.
+    Entries cover every odd prime of bad reduction (ascending), then the
+    places 2 and infinity; exponent = log2(size) - 1 and total is their sum.
     """
 
     entries: tuple[LedgerEntry, ...]
@@ -350,35 +350,32 @@ def _entry(place, size: int, additive: bool = False) -> LedgerEntry:
     return LedgerEntry(place, size, size.bit_length() - 2, additive)
 
 
-def odd_bad_primes(A: int, B: int) -> list[int]:
-    n = B * (A * A - 4 * B)
-    return sorted(p for p in factor(n).primes if p != 2)
-
-
 def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
     """Ledger of local factors whose exponents sum to the ratio exponent t(A, B).
 
-    Odd multiplicative primes use the closed-form table; odd additive primes
-    use 2 c'_p / c_p with both Tamagawa numbers computed independently (the
-    ratio is asserted, not assumed, to give a power of 2); place 2 uses the
-    2-adic local image and the real place its closed form.
+    The odd places are those of descent.relevant_places.  One that divides
+    both B and A^2-4B is additive and uses 2 c'_p / c_p with both Tamagawa
+    numbers computed independently (the ratio is asserted, not assumed, to
+    give a power of 2); the others are multiplicative and use the closed-form
+    table.  Place 2 uses the 2-adic local images and the real place its
+    closed form.
     """
-    A, B = c.A, c.B
+    A, B, D = c.A, c.B, c.dualB
     entries = []
-    for p in odd_bad_primes(A, B):
-        kind = classify_reduction(A, B, p)
-        if kind.is_multiplicative:
-            size = mult_factor(A, B, p)
-        else:
+    for p in relevant_places(A, B)[2:]:  # the odd primes of B (A^2 - 4B), ascending
+        additive = B % p == 0 and D % p == 0
+        if additive:
             cp = tamagawa_number(A, B, p)
-            cpd = tamagawa_number(c.dualA, c.dualB, p)
+            cpd = tamagawa_number(c.dualA, D, p)
             num = 2 * cpd
             if num % cp:
                 raise AssertionError(f"additive ratio 2*{cpd}/{cp} at p={p} is not integral")
             size = num // cp
             if size not in (1, 2, 4):
                 raise AssertionError(f"additive local size {size} at p={p} out of range")
-        entries.append(_entry(p, size, not kind.is_multiplicative))
+        else:
+            size = mult_factor(A, B, p)
+        entries.append(_entry(p, size, additive))
     entries.append(_entry(2, factor_at_two(A, B)))
     entries.append(_entry(INF_PLACE, factor_at_infinity(A, B)))
     return LocalFactorLedger(tuple(entries), sum(e.exponent for e in entries))

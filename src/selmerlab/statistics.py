@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core_arith import factor, primes_below
-from .curve_family import _column_rule, _fourth_power_primes, density_rho, window_columns
+from .curve_family import _column_rule, density_rho, window_columns
 
 __all__ = [
     "PrimeModel",
@@ -284,11 +284,10 @@ def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: in
     n_total = 0
     n_square = 0
     for B in window_columns(X):
+        moduli, singular, square = _column_rule(B, X)
         mask = np.ones(width, dtype=bool)
-        for p in _fourth_power_primes(B):
-            mask[X % (p * p) :: p * p] = False
-        singular = _column_rule(B, X, True)[1]
-        square = set(_column_rule(B, X, False)[1]).difference(singular)
+        for m in moduli:
+            mask[X % m :: m] = False
         mask[[A + X for A in singular]] = False
         nb = int(np.count_nonzero(mask))
         n_total += nb

@@ -43,7 +43,7 @@ def _gate(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _mid_column_stats(B: int):
-    from selmerlab.cli import _column_curves
+    from selmerlab.curve_family import CurvePair, column_members
     from selmerlab.descent import relevant_places as places
     from selmerlab.local_analysis import (
         classify_reduction,
@@ -55,7 +55,7 @@ def _mid_column_stats(B: int):
     from selmerlab.statistics import g1, g2
 
     tvals, fac_fail, dec_fail = [], [], []
-    for c in _column_curves(B, X_MID, True):
+    for c in (CurvePair(A, B) for A in column_members(B, X_MID)):
         led = tamagawa_exponent(c)
         parts = decompose_total(c, led)
         for p in places(c.A, c.B)[2:]:

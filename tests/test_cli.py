@@ -23,6 +23,7 @@ from selmerlab.cli import (
     write_records,
 )
 from selmerlab.curve_family import FamilyWindow, column_count, enumerate_window, window_columns
+from selmerlab.descent import SolverPrecisionError
 
 
 def _records_text(config):
@@ -49,8 +50,9 @@ def test_bad_config_exit_code(capsys):
         ["compute", "--xmax", "4", "--format", "tsv"],
         ["stats", "--xmax", "10"],
         ["compute", "--xmax", "4", "--threads", "-5"],
+        ["stats", "--xmax", "50", "--no-include-square-disc"],  # stats always drops them
     ],
-    ids=["sample-above-family", "compute-tsv", "stats-low-xmax", "negative-threads"],
+    ids=["sample-above-family", "compute-tsv", "stats-low-xmax", "negative-threads", "stats-no-square-disc"],
 )
 def test_invalid_inputs_exit_2_before_output(argv, tmp_path, capsys):
     out = tmp_path / "out.txt"
@@ -156,6 +158,22 @@ def test_no_include_square_disc_shrinks_the_family(capsys):
     assert main(["compute", "--xmax", "4", "--sample", "30", "--no-include-square-disc"]) == 2
     assert capsys.readouterr().err.startswith("bad configuration:")
     assert main(["compute", "--xmax", "4", "--sample", "29", "--no-include-square-disc"]) == 0
+
+
+def test_compute_exits_1_after_skipping_curves(tmp_path, capsys, monkeypatch):
+    ledger = cli.tamagawa_exponent
+
+    def flaky(c):
+        if (c.A, c.B) == (1, 2):
+            raise SolverPrecisionError("injected precision exhaustion")
+        return ledger(c)
+
+    monkeypatch.setattr(cli, "tamagawa_exponent", flaky)
+    out = tmp_path / "records.csv"
+    assert main(["compute", "--xmax", "4", "--threads", "1", "--out", str(out)]) == 1
+    assert len(out.read_text().splitlines()) == 1 + 33  # header and every other member of E(4)
+    err = capsys.readouterr().err
+    assert "skipped 1 curves:" in err and "(1, 2): injected precision exhaustion" in err
 
 
 def test_compute_csv_roundtrip(tmp_path):

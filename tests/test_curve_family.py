@@ -8,6 +8,7 @@ from selmerlab.curve_family import (
     CurvePair,
     FamilyWindow,
     column_count,
+    column_members,
     column_unrank,
     count_window,
     density_delta,
@@ -75,6 +76,7 @@ def _column_members(B, X, include_square_disc):
 def test_column_count_and_unrank_match_bruteforce(B, include):
     for X in (0, 1, 5, 40, 300):
         members = _column_members(B, X, include)
+        assert list(column_members(B, X, include)) == members
         assert column_count(B, X, include) == len(members)
         for a in range(-X - 2, X + 3):
             assert column_count(B, X, include, upto=a) == sum(1 for A in members if A <= a)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from selmerlab.core_arith import is_prime, jacobi, primes_below, squarefree_part
+from selmerlab.core_arith import _vp, is_prime, jacobi, primes_below, squarefree_part
 from selmerlab.descent import (
     INF_PLACE,
     SelmerSet,
@@ -14,7 +14,6 @@ from selmerlab.descent import (
     _side_coefficients,
     _square_class,
     _torsor_solvable_at,
-    _vp,
     _zp_solvable_scan,
     descent_exponent,
     local_image,
@@ -216,6 +215,14 @@ def test_second_chart_needs_only_pzp_after_first_fails():
                 except SolverPrecisionError:
                     continue  # the full search gave no answer to compare with
                 assert _torsor_solvable_at(*torsor, p) == want, (torsor, p)
+                if p != 2:
+                    # the closed form _torsor_solvable_at uses at odd p: on pZ_p,
+                    # f(x) = d^3 (mod p^2) for a unit d, and v(f) = 3 when p | d.
+                    # Checked for every class rep d at p with the torsor's a, b;
+                    # d = 1 is among them, so both answers occur.
+                    for d in _class_reps(p):
+                        fd = _charts(d, *torsor[1:])[1]
+                        assert _chart_solvable(fd, p, starts=(0,)) == (jacobi(d % p, p) == 1), (d, torsor, p)
                 if first:
                     continue
                 assert _chart_solvable(fu, p, starts=(0,)) == want, (fu, p)

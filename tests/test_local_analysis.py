@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from selmerlab import descent, local_analysis
-from selmerlab.cli import _column_curves, curve_record
+from selmerlab.cli import curve_record
 from selmerlab.core_arith import ord_p
-from selmerlab.curve_family import CurvePair, FamilyWindow, enumerate_window
+from selmerlab.curve_family import CurvePair, FamilyWindow, column_members, enumerate_window
 from selmerlab.descent import INF_PLACE, descent_exponent, local_image, relevant_places
 from selmerlab.local_analysis import (
     LedgerEntry,
@@ -163,7 +163,7 @@ def test_factor_at_two_exact_at_high_valuations():
 @pytest.mark.parametrize("B", [16, -16, 48, -48, 64, -64, 96, -96])
 def test_factor_at_two_exact_on_deep_columns(B):
     # whole columns at X = 10^4: every 2-adic class of A to 2^14
-    assert _assert_factor_at_two_exact((c.A, c.B) for c in _column_curves(B, 10**4, True)) == 15000
+    assert _assert_factor_at_two_exact((A, B) for A in column_members(B, 10**4)) == 15000
 
 
 def test_hilbert_symbol_table():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from selmerlab.curve_family import FamilyWindow, _fourth_power_primes, density_rho, enumerate_window
+from selmerlab.curve_family import FamilyWindow, density_rho, enumerate_window
 from selmerlab.statistics import (
     MomentReport,
     PrimeModel,
@@ -128,8 +128,9 @@ def _reference_family_scan(X, z, density_primes):
         if B == 0:
             continue
         mask = np.ones(A.shape, dtype=bool)
-        for p in _fourth_power_primes(B):
-            mask &= A % (p * p) != 0
+        for q in range(2, abs(B) + 1):  # composite q with q^4 | B exclude nothing new
+            if B % q**4 == 0:
+                mask &= A % (q * q) != 0
         D = A * A - 4 * B
         mask &= D != 0
         nb = int(mask.sum())
