@@ -3,9 +3,14 @@
 Work is partitioned by B columns and mapped over a process pool; each column
 walks `curve_family.column_members` (or its sampled A's), and results are
 merged back in (B, A) order before writing, so output files are byte
-identical for any thread count.  `verify` visits each curve once: its ledger
-and both local images at every relevant place are computed once and read by
-every per-curve suite.  Exit codes: 0 success; 1 verification or assertion
+identical for any thread count.  A full-window column (`compute` without
+`--sample`, and so the t-values of `stats`) gets its ledger columns from
+`local_analysis.column_ledger`, one sieve over the whole column; a sampled
+column builds each record with `curve_record` from the per-curve ledger.
+`--with-descent` runs the descent per curve on both paths, and
+`OutputRecord` asserts it equals the ledger total.  `verify` visits each
+curve once: its ledger and both local images at every relevant place are
+computed once and read by every per-curve suite.  Exit codes: 0 success; 1 verification or assertion
 failure, or `compute` skipped curves (the records of the others are written
 and the skipped ones listed on stderr); 2 bad configuration; 3 I/O failure.
 """
@@ -21,6 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from . import statistics as stats
+from .core_arith import is_square
 from .curve_family import (
     CurvePair,
     FamilyWindow,
@@ -32,7 +38,7 @@ from .curve_family import (
     window_columns,
 )
 from .descent import INF_PLACE, selmer_phi, selmer_phihat
-from .local_analysis import tamagawa_exponent
+from .local_analysis import column_ledger, tamagawa_exponent
 
 __all__ = ["RunConfig", "OutputRecord", "main", "entrypoint", "run_verification", "curve_record"]
 
@@ -100,24 +106,33 @@ class OutputRecord:
 
 
 def curve_record(c: CurvePair, with_descent: bool = False) -> OutputRecord:
+    """The record of one curve from its ledger, whose odd places are the odd
+    primes of B (A^2-4B): g1 and g2 count those dividing A^2-4B and B."""
     ledger = tamagawa_exponent(c)
-    n_add = sum(e.additive for e in ledger.entries)
+    odd = ledger.entries[:-2]  # then 2 and inf
+    g1 = sum(c.dualB % e.place == 0 for e in odd)
+    g2 = sum(c.B % e.place == 0 for e in odd)
+    return _record(c.A, c.B, (ledger.total, g1, g2, sum(e.additive for e in odd)), with_descent)
+
+
+def _record(A: int, B: int, row: tuple, with_descent: bool) -> OutputRecord:
+    # row = (t_total, g1, g2, n_additive); the descent, if asked for, runs here
+    t_total, g1, g2, n_add = row
     t_descent = dim_phi = dim_phihat = None
     if with_descent:
-        sphi, sphihat = selmer_phi(c.A, c.B), selmer_phihat(c.A, c.B)
-        dim_phi, dim_phihat = sphi.dim, sphihat.dim
+        dim_phi, dim_phihat = selmer_phi(A, B).dim, selmer_phihat(A, B).dim
         t_descent = dim_phi - dim_phihat
     return OutputRecord(
-        A=c.A,
-        B=c.B,
-        t_total=ledger.total,
+        A=A,
+        B=B,
+        t_total=t_total,
         t_descent=t_descent,
         dim_sel_phi=dim_phi,
         dim_sel_phihat=dim_phihat,
-        g1=stats.g1(c.A, c.B),
-        g2=stats.g2(c.A, c.B),
+        g1=g1,
+        g2=g2,
         n_additive=n_add,
-        square_disc_flag=c.twoTorsionFull,
+        square_disc_flag=is_square(A * A - 4 * B),
     )
 
 
@@ -136,16 +151,20 @@ def _column_records(B: int):
     cfg = _worker_cfg
     X, with_descent = cfg["xmax"], cfg["with_descent"]
     keep = cfg.get("keep")
-    if keep is None:
-        As = column_members(B, X, cfg["include_square_disc"])
+    if keep is None:  # the whole column: one sieve for its odd places
+        As = list(column_members(B, X, cfg["include_square_disc"]))
+        rows = column_ledger(B, As)
     else:  # sampled A's of this column: already window members, ascending
         As = keep.get(B, ())
+        rows = [None] * len(As)  # one curve_record each
     out = []
     skipped = []
-    for A in As:
-        c = CurvePair(A, B)
+    for A, row in zip(As, rows):
         try:
-            out.append(curve_record(c, with_descent).as_tuple())
+            if isinstance(row, Exception):
+                raise row
+            rec = curve_record(CurvePair(A, B), with_descent) if row is None else _record(A, B, row, with_descent)
+            out.append(rec.as_tuple())
         except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
             skipped.append((A, B, str(exc)))
     return B, out, skipped

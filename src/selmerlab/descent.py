@@ -287,8 +287,9 @@ def _zp_solvable_structural(f, p: int, budget: int) -> bool:
 def _chart_solvable(f, p: int, force: str | None = None, starts=None) -> bool:
     """Z_p solvability of y^2 = f(x) for one (biquadratic) torsor chart.
 
-    Only x = x0 (mod p) for x0 in `starts` is searched (default: all of Z_p);
-    the structural decider gets the class as the chart f(x0 + p t).
+    Only x = x0 (mod p) for x0 in `starts` is searched (default: all of Z_p).
+    A restricted chart needs the scan: the structural decider, used above
+    _SCAN_MAX_P, always covers all of Z_p.
     """
     e = min(_vp(c, p) for c in f if c)
     if e >= 2:
@@ -302,7 +303,7 @@ def _chart_solvable(f, p: int, force: str | None = None, starts=None) -> bool:
     if method == "scan":
         return _zp_solvable_scan(f, p, vd + 6, starts)
     if starts is not None:
-        return any(_zp_solvable_structural(_shift_scale(f, r, p), p, vd + 10) for r in starts)
+        raise ValueError(f"a chart restricted to x0 in {starts} at p={p} needs the scan")
     return _zp_solvable_structural(f, p, vd + 10)
 
 

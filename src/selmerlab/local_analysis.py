@@ -23,17 +23,27 @@ which probes are needed.
 Every local size is |H^1| of the local condition group at that place, a
 power of 2 between 1 and 8; the ledger stores exponent = log2(size) - 1 so
 that good places contribute 0 and the total is the Tamagawa-ratio exponent.
+
+`tamagawa_exponent` builds one curve's ledger from the factorization of
+B (A^2-4B).  `column_ledger` gives the same totals for a whole B column by
+sieving its odd places over the residue classes of A (Pomerance, The
+quadratic sieve factoring algorithm, 1984: values of a polynomial are
+sieved by its roots mod p); place 2 and the additive places keep their
+per-curve calls.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import isqrt
 
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
 from .core_arith import _vp, factor, is_prime, jacobi, ord_p
 from .curve_family import CurvePair
 from .descent import INF_PLACE, _class_reps, _torsor_solvable_at, relevant_places
+from .statistics import _odd_primes_below, _root_classes
 
 __all__ = [
     "ReductionType",
@@ -47,6 +57,7 @@ __all__ = [
     "factor_at_infinity",
     "factor_at_two",
     "tamagawa_exponent",
+    "column_ledger",
     "decompose_total",
     "repeated_prime_count",
 ]
@@ -350,6 +361,21 @@ def _entry(place, size: int, additive: bool = False) -> LedgerEntry:
     return LedgerEntry(place, size, size.bit_length() - 2, additive)
 
 
+def _additive_size(A: int, B: int, p: int) -> int:
+    """Local condition size 2 c'_p / c_p at an odd additive prime p, from the
+    Tamagawa numbers of the curve and of its isogenous companion; the ratio
+    is asserted, not assumed, to be 1, 2 or 4."""
+    cp = tamagawa_number(A, B, p)
+    cpd = tamagawa_number(-2 * A, A * A - 4 * B, p)
+    num = 2 * cpd
+    if num % cp:
+        raise AssertionError(f"additive ratio 2*{cpd}/{cp} at p={p} is not integral")
+    size = num // cp
+    if size not in (1, 2, 4):
+        raise AssertionError(f"additive local size {size} at p={p} out of range")
+    return size
+
+
 def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
     """Ledger of local factors whose exponents sum to the ratio exponent t(A, B).
 
@@ -364,21 +390,93 @@ def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
     entries = []
     for p in relevant_places(A, B)[2:]:  # the odd primes of B (A^2 - 4B), ascending
         additive = B % p == 0 and D % p == 0
-        if additive:
-            cp = tamagawa_number(A, B, p)
-            cpd = tamagawa_number(c.dualA, D, p)
-            num = 2 * cpd
-            if num % cp:
-                raise AssertionError(f"additive ratio 2*{cpd}/{cp} at p={p} is not integral")
-            size = num // cp
-            if size not in (1, 2, 4):
-                raise AssertionError(f"additive local size {size} at p={p} out of range")
-        else:
-            size = mult_factor(A, B, p)
+        size = _additive_size(A, B, p) if additive else mult_factor(A, B, p)
         entries.append(_entry(p, size, additive))
     entries.append(_entry(2, factor_at_two(A, B)))
     entries.append(_entry(INF_PLACE, factor_at_infinity(A, B)))
     return LocalFactorLedger(tuple(entries), sum(e.exponent for e in entries))
+
+
+def column_ledger(B: int, As) -> list:
+    """(t_total, g1, g2, n_additive) of each curve (A, B) of one column, for
+    ascending A's, with the odd places found by one sieve instead of by
+    factoring each curve.
+
+    Entry i belongs to As[i]: that tuple, or the ValueError or RuntimeError
+    its ledger raised (the one tamagawa_exponent raises there).  g1 and g2
+    count the odd primes of A^2-4B and of B, n_additive those of both.  With
+    D = A^2 - 4B, over the span of the A's:
+    - odd p | B (read off the sieve's prime list): p divides D exactly when
+      p | A.  Those A are additive at p and get the Tate pair 2 c'_p / c_p;
+      every other A gets -1 if v_p(B) is odd or (A/p) = 1, from one
+      Legendre symbol per residue class of A mod p.
+    - odd p not dividing B, up to isqrt(max |D|): p divides D exactly on the
+      root classes A = r with r^2 = 4B (mod p) (statistics._root_classes).
+      Each hit divides p out of its running |D|; it gets +1 if v_p(D) is odd
+      or the reduction is split, where (-2AB/p) = (-2r/p) since 4B = r^2.
+    - the cofactor: what is left of |D| once its 2s are gone has no prime
+      factor up to isqrt(max |D|), so it is 1 or one prime q with q || D
+      (q does not divide B), which adds +1 to t and to g1.
+    - place 2 is factor_at_two per curve; the real place has its closed form.
+    """
+    As = list(As)
+    if not As:
+        return []
+    lo = As[0]
+    width = As[-1] - lo + 1
+    rem = [abs(A * A - 4 * B) or 1 for A in range(lo, lo + width)]  # 1 at a singular A
+    top = isqrt(max(rem))
+    ps = _odd_primes_below(1 << max(top, abs(B)).bit_length())  # one cached list per power of 2
+    t = [0] * width  # exponents of the odd places found by the sieve
+    g1 = [0] * width
+    additive = {}  # index -> the odd primes of gcd(A, B), ascending
+    bprimes = [p for p in ps if B % p == 0]
+    for p in bprimes:
+        odd_vb = _vp(B, p) & 1
+        for a in range(1, p):
+            if odd_vb or jacobi(a, p) == 1:
+                for i in range((a - lo) % p, width, p):
+                    t[i] -= 1
+        for i in range(-lo % p, width, p):
+            g1[i] += 1
+            additive.setdefault(i, []).append(p)
+            n = rem[i]
+            while n % p == 0:
+                n //= p
+            rem[i] = n
+    for p in ps[: bisect_right(ps, top)]:
+        b = B % p
+        if b == 0:
+            continue
+        for r in _root_classes(p, b):
+            split = jacobi(-2 * r % p, p) == 1
+            for i in range((r - lo) % p, width, p):
+                n, v = rem[i], 0
+                while n % p == 0:
+                    n //= p
+                    v += 1
+                rem[i] = n
+                g1[i] += 1
+                if v & 1 or split:
+                    t[i] += 1
+    g2 = len(bprimes)
+    b_positive = B > 0  # the real place gives 0 if B > 0 and (A < 0 or A^2 < 4B), else -1
+    out = []
+    for A in As:
+        i = A - lo
+        n = rem[i]
+        cofactor = (n >> (n & -n).bit_length() - 1) > 1  # odd part of the rest
+        adds = additive.get(i, ())
+        try:
+            total = t[i] + cofactor + sum(_additive_size(A, B, p).bit_length() - 2 for p in adds)
+            total += factor_at_two(A, B).bit_length() - 2
+        except (ValueError, RuntimeError) as exc:
+            out.append(exc)
+            continue
+        if not (b_positive and (A < 0 or A * A < 4 * B)):
+            total -= 1
+        out.append((total, g1[i] + cofactor, g2, len(adds)))
+    return out
 
 
 def decompose_total(c: CurvePair, ledger: LocalFactorLedger) -> dict:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core_arith import factor, primes_below
+from .core_arith import factor, primes_below, sqrt_mod_p
 from .curve_family import _column_rule, density_rho, window_columns
 
 __all__ = [
@@ -243,18 +243,21 @@ def cdf_distance(values, X: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _root_classes(p: int) -> tuple[tuple[int, ...], ...]:
-    """Indexed by B mod p: the residues r mod p with r^2 = 4B (mod p).
+@lru_cache(maxsize=4096)
+def _root_classes(p: int, b: int) -> tuple[int, ...]:
+    """The residues r mod p, ascending, with r^2 = 4b (mod p), for an odd
+    prime p and b = B mod p.
 
-    So the odd prime p divides A^2 - 4B exactly when A is congruent to one
-    of them: at most two roots, just r = 0 when p | B.
+    So p divides A^2 - 4B exactly when A is congruent to one of them: at
+    most two roots, just r = 0 when p | B.  They are r = +-2 sqrt(b), one
+    modular square root each, so no table of size p is built (over every
+    prime below 10^4 such tables would hold about 360 MB).
     """
-    inv4 = pow(4, -1, p)
-    table = [[] for _ in range(p)]
-    for r in range(p):
-        table[r * r * inv4 % p].append(r)
-    return tuple(tuple(roots) for roots in table)
+    s = sqrt_mod_p(b, p)
+    if s is None:
+        return ()
+    r = 2 * s % p
+    return (r,) if r == 0 else tuple(sorted((r, p - r)))
 
 
 def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: int = 4) -> dict:
@@ -293,7 +296,7 @@ def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: in
         n_total += nb
         n_square += len(square)
         for p in density_primes:
-            cD = sum(int(np.count_nonzero(mask[(r + X) % p :: p])) for r in _root_classes(p)[B % p])
+            cD = sum(int(np.count_nonzero(mask[(r + X) % p :: p])) for r in _root_classes(p, B % p))
             density[p][1] += cD
             if B % p == 0:
                 density[p][0] += nb
@@ -304,7 +307,7 @@ def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: in
         # (divisible by every p) can wrap, and the mask drops them
         g1row = np.zeros(width, dtype=np.int8)
         for p in zprimes:
-            for r in _root_classes(p)[B % p]:
+            for r in _root_classes(p, B % p):
                 g1row[(r + X) % p :: p] += 1
         hist = np.bincount(g1row[mask]).tolist()
         g2val = sum(1 for p in zprimes if B % p == 0)

@@ -252,6 +252,16 @@ def test_criterion_07_decomposition_bound(mid_family):
     _gate("7", not fails, f"|t - (g1-g2) - t_add - e2 - einf| bound over E(10^3); failures {fails[:5]}")
 
 
+def test_full_window_records_match_per_curve_ledgers(mid_family):
+    # the full-window compute path (the column ledger) against the per-curve
+    # ledgers of the fixture, curve by curve over all of E(10^3)
+    got = []
+    for _, recs, skipped in stream_records(RunConfig(xmax=X_MID, threads=2)):
+        assert not skipped, skipped[:3]
+        got += [(r[0], r[1], r[2], r[9]) for r in recs]  # A, B, t_total, square_disc_flag
+    assert got == mid_family["t"]
+
+
 # --- criterion 8: moments ----------------------------------------------------
 
 

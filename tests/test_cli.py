@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from selmerlab import cli
+from selmerlab import cli, local_analysis
 from selmerlab.cli import (
     RECORD_FIELDS,
     OutputRecord,
@@ -160,17 +160,20 @@ def test_no_include_square_disc_shrinks_the_family(capsys):
     assert main(["compute", "--xmax", "4", "--sample", "29", "--no-include-square-disc"]) == 0
 
 
-def test_compute_exits_1_after_skipping_curves(tmp_path, capsys, monkeypatch):
-    ledger = cli.tamagawa_exponent
+@pytest.mark.parametrize("extra", [[], ["--sample", "34"]], ids=["full", "sample"])
+def test_compute_exits_1_after_skipping_curves(extra, tmp_path, capsys, monkeypatch):
+    # the place-2 factor is called by the column ledger (full window) and by
+    # the per-curve ledger (sampled runs; 34 is all of E(4)) alike
+    honest = local_analysis.factor_at_two
 
-    def flaky(c):
-        if (c.A, c.B) == (1, 2):
+    def flaky(A, B):
+        if (A, B) == (1, 2):
             raise SolverPrecisionError("injected precision exhaustion")
-        return ledger(c)
+        return honest(A, B)
 
-    monkeypatch.setattr(cli, "tamagawa_exponent", flaky)
+    monkeypatch.setattr(local_analysis, "factor_at_two", flaky)
     out = tmp_path / "records.csv"
-    assert main(["compute", "--xmax", "4", "--threads", "1", "--out", str(out)]) == 1
+    assert main(["compute", "--xmax", "4", "--threads", "1", "--out", str(out)] + extra) == 1
     assert len(out.read_text().splitlines()) == 1 + 33  # header and every other member of E(4)
     err = capsys.readouterr().err
     assert "skipped 1 curves:" in err and "(1, 2): injected precision exhaustion" in err
@@ -319,6 +322,8 @@ _GOLDEN = {
     "compute-100-no-square-disc": "5d93eed9b5a4f15dcb13ded4c953ab58e89f09e9a29178c967ed19895b171b6e",
     "stats-300": "5b9ca4c9c226aafe7a29faae7fa590a3048e7f21032eb350908f9e79b7ba3a03",
     "verify-60": "63b4fc0bef0e62a3f4698af65e74bafcf25c74651d1625a8bdc6d4b6253d284e",
+    "compute-100-json": "4ce5cf21c1b62b8e4e87e2813feaf9f7b9d85a4fe37ab6e0d2e7248dd8a4ae32",
+    "compute-30-descent": "37a730efea27ecaa49ea6c43329659ee7fba9f8fe3efef4c8f9e6b1f0d65ebe7",
 }
 
 
@@ -328,12 +333,17 @@ def _sha256(text):
 
 @pytest.mark.parametrize(
     "flags, key",
-    [([], "compute-100"), (["--no-include-square-disc"], "compute-100-no-square-disc")],
-    ids=["full", "no-square-disc"],
+    [
+        (["--xmax", "100"], "compute-100"),
+        (["--xmax", "100", "--no-include-square-disc"], "compute-100-no-square-disc"),
+        (["--xmax", "100", "--format", "json"], "compute-100-json"),
+        (["--xmax", "30", "--with-descent"], "compute-30-descent"),
+    ],
+    ids=["full", "no-square-disc", "json", "descent"],
 )
 def test_golden_compute_csv(flags, key, tmp_path):
     out = tmp_path / "records.csv"
-    assert main(["compute", "--xmax", "100", "--threads", "1", "--out", str(out)] + flags) == 0
+    assert main(["compute", "--threads", "1", "--out", str(out)] + flags) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN[key]
 
 

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -8,8 +9,8 @@ import pytest
 
 from selmerlab import descent, local_analysis
 from selmerlab.cli import curve_record
-from selmerlab.core_arith import ord_p
-from selmerlab.curve_family import CurvePair, FamilyWindow, column_members, enumerate_window
+from selmerlab.core_arith import is_square, ord_p
+from selmerlab.curve_family import CurvePair, FamilyWindow, column_members, enumerate_window, window_columns
 from selmerlab.descent import INF_PLACE, descent_exponent, local_image, relevant_places
 from selmerlab.local_analysis import (
     LedgerEntry,
@@ -290,3 +291,70 @@ def test_additive_ratio_is_power_of_two(e60_sample):
                 seen += 1
                 assert e.size in (1, 2, 4)
     assert seen > 3
+
+
+def test_curve_record_reads_g1_g2_off_the_ledger(e60_sample):
+    from selmerlab.statistics import g1, g2
+
+    for c in e60_sample:
+        rec = curve_record(c)
+        assert (rec.g1, rec.g2) == (g1(c.A, c.B), g2(c.A, c.B)), (c.A, c.B)
+
+
+def _ledger_rows(B, As):
+    # the per-curve oracle: (t_total, g1, g2, n_additive) of curve_record
+    recs = (curve_record(CurvePair(A, B)) for A in As)
+    return [(r.t_total, r.g1, r.g2, r.n_additive) for r in recs]
+
+
+@functools.lru_cache(maxsize=None)
+def _window_rows(X):
+    return {(c.A, c.B): _ledger_rows(c.B, [c.A])[0] for c in enumerate_window(FamilyWindow(X))}
+
+
+@pytest.mark.parametrize("X", [1, 2, 3, 4, 5, 16, 100, 300])
+@pytest.mark.parametrize("include", [True, False])
+def test_column_ledger_matches_curve_record(X, include):
+    # every curve of E(X); at tiny X the sieve bound isqrt(max |A^2-4B|) is
+    # below the primes of A^2-4B, so the cofactor carries them
+    want = _window_rows(X)
+    n = 0
+    for B in window_columns(X):
+        As = list(column_members(B, X, include))
+        got = local_analysis.column_ledger(B, As)
+        assert got == [want[A, B] for A in As], B
+        n += len(As)
+    assert n == sum(1 for A, B in want if include or not is_square(A * A - 4 * B))
+
+
+@pytest.mark.parametrize("B", [16, -16, 48, -48, 64, -64, 81, -81, 96, -96])
+def test_column_ledger_on_deep_columns(B):
+    # X = 10^4: a seeded subset of the column and every A with p^2 | A for a
+    # p | B (the deepest additive places the column has)
+    members = list(column_members(B, 10**4))
+    ps = [p for p in (2, 3) if B % p == 0]  # every B here is +-2^a 3^b
+    deep = {A for A in members if any(A % (p * p) == 0 for p in ps)}
+    As = sorted(deep | set(random.Random(B).sample(members, 300)))
+    assert local_analysis.column_ledger(B, As) == _ledger_rows(B, As)
+
+
+def test_column_ledger_errors_stay_with_their_curve(monkeypatch):
+    # a singular A gets the ValueError its ledger raises, and an exception in
+    # one curve's place 2 leaves every other curve of the column as it was
+    As = [-3, -2, 0, 1, 2, 5]  # A = +-2 is singular in column B = 1
+    rows = local_analysis.column_ledger(1, As)
+    assert [type(r) for r in rows].count(ValueError) == 2 and isinstance(rows[1], ValueError)
+    assert [r for r in rows if not isinstance(r, Exception)] == _ledger_rows(1, [-3, 0, 1, 5])
+    honest = local_analysis.factor_at_two
+
+    def flaky(A, B):
+        if A == 0:
+            raise descent.SolverPrecisionError("injected")
+        return honest(A, B)
+
+    def shown(rows):
+        return [str(r) if isinstance(r, Exception) else r for r in rows]
+
+    monkeypatch.setattr(local_analysis, "factor_at_two", flaky)
+    again = shown(local_analysis.column_ledger(1, As))
+    assert again[2] == "injected" and again[:2] + again[3:] == shown(rows[:2] + rows[3:])

@@ -219,3 +219,13 @@ def test_normal_cdf_reference_values():
     assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-12)
     assert normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-9)
     assert normal_cdf(-2.0) == pytest.approx(0.02275013194817921, abs=1e-9)
+
+
+def test_root_classes_are_the_roots_of_r2_minus_4b():
+    # every residue b mod every odd prime below 200, against a full sweep of r
+    from selmerlab.core_arith import primes_below
+    from selmerlab.statistics import _root_classes
+
+    for p in primes_below(200)[1:]:
+        for b in range(p):
+            assert _root_classes(p, b) == tuple(r for r in range(p) if (r * r - 4 * b) % p == 0), (p, b)
