@@ -11,8 +11,8 @@ column builds each record with `curve_record` from the per-curve ledger.
 `OutputRecord` asserts it equals the ledger total.  `verify` visits each
 curve once: its ledger and both local images at every relevant place are
 computed once and read by every per-curve suite.  Exit codes: 0 success; 1 verification or assertion
-failure, or `compute` skipped curves (the records of the others are written
-and the skipped ones listed on stderr); 2 bad configuration; 3 I/O failure.
+failure, or a curve's solver failed (`compute`, `stats` and `verify` go on
+without it and list it on stderr); 2 bad configuration; 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -291,12 +291,19 @@ def cmd_compute(config: RunConfig) -> int:
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return 3
+    _report_skipped(skipped)
+    print(f"wrote {n} records", file=sys.stderr)
+    return 1 if skipped else 0
+
+
+def _report_skipped(skipped: list) -> bool:
+    """List on stderr the (A, B, reason) of the curves whose solver failed;
+    True iff there are any."""
     if skipped:
         print(f"skipped {len(skipped)} curves:", file=sys.stderr)
         for A, B, msg in skipped[:20]:
             print(f"  ({A}, {B}): {msg}", file=sys.stderr)
-    print(f"wrote {n} records", file=sys.stderr)
-    return 1 if skipped else 0
+    return bool(skipped)
 
 
 def histogram_lines(values, X: int) -> list[str]:
@@ -315,19 +322,18 @@ def histogram_lines(values, X: int) -> list[str]:
     return lines
 
 
-def _t_values(config: RunConfig) -> tuple[list[int], int]:
+def _t_values(config: RunConfig) -> tuple[list[int], list]:
+    """The t_total of every curve without a square discriminant, and the
+    (A, B, reason) of the skipped curves."""
     vals = []
-    nsq = 0
+    skipped_all = []
     for _, recs, skipped in stream_records(config):
-        if skipped:
-            raise RuntimeError(f"solver failures on {len(skipped)} curves")
+        skipped_all += skipped
         for r in recs:
             rec = dict(zip(RECORD_FIELDS, r))
-            if rec["square_disc_flag"]:
-                nsq += 1
-                continue
-            vals.append(rec["t_total"])
-    return vals, nsq
+            if not rec["square_disc_flag"]:
+                vals.append(rec["t_total"])
+    return vals, skipped_all
 
 
 def cmd_stats(config: RunConfig) -> int:
@@ -347,7 +353,9 @@ def cmd_stats(config: RunConfig) -> int:
     sums = scan["power_sums"]
     mean_diff = (sums[(1, 0)] - sums[(0, 1)]) / scan["n_stats"]
     print(f"mean g1-g2 = {mean_diff:.6f}")
-    tvals, _ = _t_values(config)
+    tvals, skipped = _t_values(config)
+    if _report_skipped(skipped):
+        return 1
     dist = stats.cdf_distance(tvals, X)
     print(f"cdf_distance={dist:.6f} n={len(tvals)}")
     if config.outPath:
@@ -383,7 +391,7 @@ def run_verification(
     """
     from . import descent
     from .curve_family import density_rho
-    from .local_analysis import _ORTH, _class2, decompose_total, repeated_prime_count, tamagawa_number
+    from .local_analysis import _ORTH, decompose_total, repeated_prime_count, tamagawa_number
 
     if sample is not None and sample < count_window(xmax)[0]:
         keep = sample_keys(xmax, True, sample, seed)
@@ -406,27 +414,27 @@ def run_verification(
     full = {INF_PLACE: 2, 2: 8}
     # the fault injection reads each side's image off the other side
     phi = int(swap_orientation)
-    reps = descent._class_reps(2)
-
-    def mask(tags):
-        return sum(1 << _class2(r) for r in reps if descent._square_class(r, 2) in tags)
-
     ncurves = 0
+    skipped = []
     for c in curves:
         ncurves += 1
         A, B = c.A, c.B
-        ledger = tamagawa_exponent(c)
-        odd = ledger.entries[:-2]  # the odd bad places, ascending, then 2 and inf
-        sides = [descent._side_coefficients(A, B, side) for side in ("phi", "phihat")]
-        images = {
-            v: [descent._local_image_tags(a, b, v) for a, b in sides]
-            for v in [INF_PLACE, 2] + [e.place for e in odd]
-        }
+        try:  # the images are class masks (descent's square-class encoding)
+            ledger = tamagawa_exponent(c)
+            odd = ledger.entries[:-2]  # the odd bad places, ascending, then 2 and inf
+            sides = [descent._side_coefficients(A, B, side) for side in ("phi", "phihat")]
+            images = {
+                v: [descent._local_image_tags(a, b, v) for a, b in sides]
+                for v in [INF_PLACE, 2] + [e.place for e in odd]
+            }
+        except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
+            skipped.append((A, B, str(exc)))
+            continue
 
         # local duality: the two images multiply to the full local square-class group
         for v, (w, what) in images.items():
             checked["local_duality"] += 1
-            if len(w) * len(what) != full.get(v, 4):
+            if w.bit_count() * what.bit_count() != full.get(v, 4):
                 fails["local_duality"].append((A, B, v))
 
         # orientation anchor: at an odd prime exactly dividing A^2-4B the
@@ -435,7 +443,7 @@ def run_verification(
             p = e.place
             if c.dualB % p == 0 and c.dualB % (p * p) != 0 and B % p != 0:
                 checked["orientation_anchor"] += 1
-                if len(images[p][phi]) != 4:
+                if images[p][phi].bit_count() != 4:
                     fails["orientation_anchor"].append((A, B, p))
                 break
 
@@ -479,7 +487,7 @@ def run_verification(
         # and the ledger's size at 2 (factor_at_two) matches
         w, what = images[2][phi], images[2][1 - phi]
         checked["place_two_duality"] += 1
-        if _ORTH[mask(w)] != mask(what) or 2 ** (ledger.exponent_at(2) + 1) != len(w):
+        if _ORTH[w] != what or 2 ** (ledger.exponent_at(2) + 1) != w.bit_count():
             fails["place_two_duality"].append((A, B))
 
     if not ncurves:
@@ -509,7 +517,7 @@ def run_verification(
         report(f"suite {name}: checked={checked[name]} failures={len(failures)} {'FAIL' if failures else 'ok'}")
         for f in failures[:10]:
             report(f"  offending {f}")
-    return not any(fails.values())
+    return not (_report_skipped(skipped) or any(fails.values()))
 
 
 def cmd_verify(config: RunConfig) -> int:

@@ -29,6 +29,13 @@ multiple roots are descended into, and the search runs in polylog(p).  The
 two deciders agree by construction and are cross-checked in the test suite.
 Precision exhaustion raises; it never silently guesses.  Valuations come
 from core_arith._vp, the one valuation loop outside the scan's inline one.
+
+Square classes have one encoding, used by every module.  Q_v*/(Q_v*)^2 is
+F_2^n and a class is an int index (`_class_index`): at the real place bit 0
+is the sign; at odd p bit 0 is a non-residue unit and bit 1 is p; at 2 the
+bits are the classes of -1, 5 and 2.  `_class_reps(v)[i]` represents index
+i, the product of two classes is the XOR of their indices, and a set of
+classes, such as a local image, is a mask with bit i for class i.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .core_arith import (
     _vp,
     factor,
     is_prime,
+    is_square,
     jacobi,
     signed_squarefree_divisors,
     squarefree_part,
@@ -307,18 +315,18 @@ def _chart_solvable(f, p: int, force: str | None = None, starts=None) -> bool:
     return _zp_solvable_structural(f, p, vd + 10)
 
 
-def _torsor_solvable_at(d: int, a: int, b: int, p: int, force: str | None = None) -> bool:
+def _torsor_solvable_at(d: int, a: int, b: int, p: int) -> bool:
     if d == 1:
         return True  # (u, v, w) = (1, 0, 1)
     # chart v = 1 (v a unit, u = x), then chart u = 1 (v = x); y = d*w absorbs
     # the class.  A point with u and v both units is (u/v, 1) in the first
     # chart, so once that chart has failed the second needs only x in pZ_p.
-    if _chart_solvable((b * d, 0, a * d * d, 0, d**3), p, force):
+    if _chart_solvable((b * d, 0, a * d * d, 0, d**3), p):
         return True
     if p != 2:
         # on pZ_p, f = d^3 (mod p^2) for a unit d and v_p(f) = 3 when p | d
         return jacobi(d % p, p) == 1
-    return _chart_solvable((d**3, 0, a * d * d, 0, b * d), p, force, starts=(0,))
+    return _chart_solvable((d**3, 0, a * d * d, 0, b * d), p, starts=(0,))
 
 
 def solvable_padic(t: TorsorQuartic, p: int) -> bool:
@@ -333,15 +341,17 @@ def solvable_padic(t: TorsorQuartic, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _square_class(d: int, v) -> tuple:
-    """Tag identifying the class of a nonzero integer in Q_v*/(Q_v*)^2."""
+_UNIT_BITS = {1: 0, 7: 1, 5: 2, 3: 3}  # unit u mod 8 -> the bits of -1 and 5 in its class at 2
+
+
+def _class_index(d: int, v) -> int:
+    """Index of the class of a nonzero integer in Q_v*/(Q_v*)^2 (see the module docstring)."""
     if v == INF_PLACE:
-        return (1 if d > 0 else -1,)
-    if v == 2:
-        e = _vp(d, 2)
-        return (e & 1, (d >> e) % 8)
+        return int(d < 0)
     e = _vp(d, v)
-    return (e & 1, jacobi((d // v**e) % v, v))
+    if v == 2:
+        return _UNIT_BITS[(d >> e) & 7] | (e & 1) << 2
+    return (jacobi((d // v**e) % v, v) == -1) | (e & 1) << 1
 
 
 def _class_reps(v) -> list[int]:
@@ -355,31 +365,33 @@ def _class_reps(v) -> list[int]:
     return [1, n, v, n * v]
 
 
-def _group_mul(x: tuple, y: tuple, v) -> tuple:
-    if v == INF_PLACE:
-        return (x[0] * y[0],)
-    if v == 2:
-        return ((x[0] + y[0]) & 1, x[1] * y[1] % 8)
-    return ((x[0] + y[0]) & 1, x[1] * y[1])
+# _TIMES[x][m]: the mask x*m (products are XORs; no place has over 8 classes)
+_TIMES = tuple(
+    tuple(sum(1 << (x ^ y) for y in range(8) if m >> y & 1) for m in range(256)) for x in range(8)
+)
 
 
-def _local_image_tags(a: int, b: int, v) -> set[tuple]:
-    """Square-class tags whose torsor (with coefficients a, b) is Q_v-solvable.
+def _mul_sets(s: int, m: int) -> int:
+    """The mask {x*y : x in s, y in m}."""
+    out = 0
+    for x in range(8):
+        if s >> x & 1:
+            out |= _TIMES[x][m]
+    return out
+
+
+def _local_image_tags(a: int, b: int, v) -> int:
+    """Mask of the classes whose torsor (with coefficients a, b) is Q_v-solvable.
 
     Every class is tested, and the result is asserted to be a subgroup (the
     image of a homomorphism).
     """
     if v == INF_PLACE:
-        tags = {(1,)}
-        if _real_solvable(-1, a, b):
-            tags.add((-1,))
-        return tags
-    tags = {_square_class(r, v) for r in _class_reps(v) if _torsor_solvable_at(r, a, b, v)}
-    for x in tags:
-        for y in tags:
-            if _group_mul(x, y, v) not in tags:
-                raise AssertionError(f"local image at v={v} for (a, b)=({a}, {b}) is not a subgroup")
-    return tags
+        return 1 | _real_solvable(-1, a, b) << 1
+    m = sum(1 << i for i, r in enumerate(_class_reps(v)) if _torsor_solvable_at(r, a, b, v))
+    if _mul_sets(m, m) != m:
+        raise AssertionError(f"local image at v={v} for (a, b)=({a}, {b}) is not a subgroup")
+    return m
 
 
 def local_image(A: int, B: int, v, side: Side) -> set[int]:
@@ -391,9 +403,8 @@ def local_image(A: int, B: int, v, side: Side) -> set[int]:
     """
     if B * (A * A - 4 * B) == 0:
         raise ValueError("singular curve")
-    a, b = _side_coefficients(A, B, side)
-    tags = _local_image_tags(a, b, v)
-    return {r for r in _class_reps(v) if _square_class(r, v) in tags}
+    m = _local_image_tags(*_side_coefficients(A, B, side), v)
+    return {r for i, r in enumerate(_class_reps(v)) if m >> i & 1}
 
 
 def _side_coefficients(A: int, B: int, side: Side) -> tuple[int, int]:
@@ -412,19 +423,22 @@ def relevant_places(A: int, B: int, d: int = 1) -> list:
 
 
 def _selmer(A: int, B: int, side: Side, images: dict | None = None) -> SelmerSet:
-    """The side's group from its local images {v: tags} at the finite places
-    of relevant_places(A, B); they are computed here unless given."""
+    """The side's group from its local image masks {v: mask} at the finite
+    places of relevant_places(A, B); they are computed here unless given.
+
+    The forced class (the image of the kernel point) is the divisor d with
+    kernel / d a square, found among the divisors the loop visits anyway."""
     a, b = _side_coefficients(A, B, side)
     kernel = (A * A - 4 * B) if side == "phi" else B
     if images is None:
         images = {v: _local_image_tags(a, b, v) for v in relevant_places(A, B)[1:]}
     classes = set()
+    forced = None
     for d in signed_squarefree_divisors(kernel):
-        if not _real_solvable(d, a, b):
-            continue
-        if all(_square_class(d, v) in tags for v, tags in images.items()):
+        if forced is None and is_square(kernel // d):
+            forced = d
+        if _real_solvable(d, a, b) and all(m >> _class_index(d, v) & 1 for v, m in images.items()):
             classes.add(d)
-    forced = squarefree_part(kernel)
     if forced not in classes:
         raise AssertionError(f"forced class {forced} missing from side {side} at ({A}, {B})")
     n = len(classes)

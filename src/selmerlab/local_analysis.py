@@ -42,7 +42,7 @@ from math import isqrt
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
 from .core_arith import _vp, factor, is_prime, jacobi, ord_p
 from .curve_family import CurvePair
-from .descent import INF_PLACE, _class_reps, _torsor_solvable_at, relevant_places
+from .descent import INF_PLACE, _class_index, _class_reps, _mul_sets, _torsor_solvable_at, relevant_places
 from .statistics import _odd_primes_below, _root_classes
 
 __all__ = [
@@ -242,19 +242,6 @@ def factor_at_infinity(A: int, B: int) -> int:
     return 2 if (B > 0 and (A < 0 or A * A < 4 * B)) else 1
 
 
-# Q_2*/Q_2*^2 as F_2^3: bit 0 is the class of -1, bit 1 of 5 and bit 2 of 2,
-# so class i has the representative _TWO_REPS[i] = 1, -1, 5, -5, 2, -2, 10,
-# -10.  A set of classes is an 8-bit mask.
-_TWO_REPS = tuple(_class_reps(2))
-_UNIT_BITS = {1: 0, 7: 1, 5: 2, 3: 3}  # unit u mod 8 -> bits of its class
-
-
-def _class2(n: int) -> int:
-    """Index in F_2^3 of the square class of a nonzero integer in Q_2*."""
-    v = (n & -n).bit_length() - 1
-    return _UNIT_BITS[(n >> v) & 7] | (v & 1) << 2
-
-
 def _hilbert2(x: int, y: int) -> int:
     """0 if the Hilbert symbol (x, y)_2 of two class indices is 1, else 1.
 
@@ -264,23 +251,12 @@ def _hilbert2(x: int, y: int) -> int:
     return ((x & y) ^ (x >> 2 & y >> 1) ^ (x >> 1 & y >> 2)) & 1
 
 
-# _TIMES[x][m]: the mask x*m; _ORTH[m]: classes pairing trivially with all of m
-_TIMES = tuple(
-    tuple(sum(1 << (x ^ y) for y in range(8) if m >> y & 1) for m in range(256)) for x in range(8)
-)
+# _ORTH[m]: the classes pairing trivially with all of m.  Indices and masks at
+# 2 are descent's square-class encoding (see its module docstring).
 _ORTH = tuple(
     sum(1 << y for y in range(8) if not any(m >> x & 1 and _hilbert2(x, y) for x in range(8)))
     for m in range(256)
 )
-
-
-def _mul_sets(s: int, m: int) -> int:
-    """The mask {x*y : x in s, y in m}."""
-    out = 0
-    for x in range(8):
-        if s >> x & 1:
-            out |= _TIMES[x][m]
-    return out
 
 
 def factor_at_two(A: int, B: int) -> int:
@@ -301,7 +277,7 @@ def factor_at_two(A: int, B: int) -> int:
     if B * D == 0:
         raise ValueError("singular curve")
     sides = ((-2 * A, D), (A, B))
-    got = [1 | 1 << _class2(D), 1 | 1 << _class2(B)]  # confirmed subgroups
+    got = [1 | 1 << _class_index(D, 2), 1 | 1 << _class_index(B, 2)]  # confirmed subgroups
     out = [0, 0]  # classes confirmed outside each image
     if got[0] & ~_ORTH[got[1]]:
         raise AssertionError(f"free classes at 2 are not orthogonal at ({A}, {B})")
@@ -312,7 +288,7 @@ def factor_at_two(A: int, B: int) -> int:
         i = 1 if open_[1] else 0  # the dual side first: smaller coefficients
         t = (open_[i] & -open_[i]).bit_length() - 1
         a, b = sides[i]
-        if _torsor_solvable_at(_TWO_REPS[t], a, b, 2):
+        if _torsor_solvable_at(_class_reps(2)[t], a, b, 2):
             got[i] = _mul_sets(got[i] | 1 << t, got[i])
         else:
             out[i] |= 1 << t

@@ -179,6 +179,36 @@ def test_compute_exits_1_after_skipping_curves(extra, tmp_path, capsys, monkeypa
     assert "skipped 1 curves:" in err and "(1, 2): injected precision exhaustion" in err
 
 
+def _fail_place_two_at_3_2(monkeypatch):
+    honest = local_analysis.factor_at_two
+
+    def flaky(A, B):
+        if (A, B) == (3, 2):
+            raise SolverPrecisionError("injected precision exhaustion")
+        return honest(A, B)
+
+    monkeypatch.setattr(local_analysis, "factor_at_two", flaky)
+
+
+def test_stats_exits_1_after_skipping_curves(capsys, monkeypatch):
+    _fail_place_two_at_3_2(monkeypatch)
+    assert main(["stats", "--xmax", "20", "--threads", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "moment k1=0 k2=0" in out and "cdf_distance" not in out  # no t-distribution from a partial window
+    assert "skipped 1 curves:" in err and "(3, 2): injected precision exhaustion" in err
+
+
+def test_verify_exits_1_after_skipping_curves(capsys, monkeypatch):
+    assert main(["verify", "--xmax", "20", "--threads", "1"]) == 0
+    clean = capsys.readouterr().out
+    _fail_place_two_at_3_2(monkeypatch)
+    assert main(["verify", "--xmax", "20", "--threads", "1"]) == 1
+    out, err = capsys.readouterr()
+    # the other curves are still verified, and every suite passes on them
+    assert "FAIL" not in out and out != clean and len(out.splitlines()) == len(clean.splitlines())
+    assert "skipped 1 curves:" in err and "(3, 2): injected precision exhaustion" in err
+
+
 def test_compute_csv_roundtrip(tmp_path):
     out = tmp_path / "records.csv"
     code = main(["compute", "--xmax", "30", "--with-descent", "--out", str(out), "--threads", "1"])

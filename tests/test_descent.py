@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from selmerlab.core_arith import _vp, is_prime, jacobi, primes_below, squarefree_part
 from selmerlab.descent import (
@@ -10,10 +11,10 @@ from selmerlab.descent import (
     SolverPrecisionError,
     TorsorQuartic,
     _chart_solvable,
+    _class_index,
     _class_reps,
     _shift_scale,
     _side_coefficients,
-    _square_class,
     _torsor_solvable_at,
     _zp_solvable_scan,
     _zp_solvable_structural,
@@ -365,8 +366,23 @@ def test_good_primes_are_automatically_solvable(e60_sample):
 
 
 def test_square_class_tags():
-    assert _square_class(-4, 2) == (0, 7)
-    assert _square_class(36, 3) == (0, 1)
-    assert _square_class(12, 3) == (1, 1)
-    assert _square_class(3, 3) == (1, 1)
-    assert _square_class(-1, INF_PLACE) == (-1,)
+    # indices: bit 0 the sign at inf; at odd p bit 0 a non-residue unit and
+    # bit 1 p; at 2 the bits of -1, 5 and 2
+    assert _class_index(-4, 2) == 1
+    assert _class_index(-90, 2) == 7
+    assert _class_index(36, 3) == 0
+    assert _class_index(12, 3) == 2
+    assert _class_index(6, 3) == 3
+    assert _class_index(-1, INF_PLACE) == 1
+
+
+_NONZERO = st.integers(-(10**12), 10**12).filter(bool)
+
+
+@given(_NONZERO, _NONZERO, _NONZERO, st.sampled_from([INF_PLACE, 2, 3, 5, 13, 17, 101]))
+def test_class_index_is_a_homomorphism(d, e, k, v):
+    # one encoding for every place: products are XORs, squares are trivial,
+    # and _class_reps(v)[i] has index i
+    assert _class_index(d * e, v) == _class_index(d, v) ^ _class_index(e, v)
+    assert _class_index(d * k * k, v) == _class_index(d, v)
+    assert [_class_index(r, v) for r in _class_reps(v)] == list(range(len(_class_reps(v))))

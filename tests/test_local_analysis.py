@@ -175,14 +175,14 @@ def test_hilbert_symbol_table():
         e = (u - 1) // 2 * ((w - 1) // 2) + a * (w * w - 1) // 8 + b * (u * u - 1) // 8
         return e % 2
 
-    reps = local_analysis._TWO_REPS
-    assert [local_analysis._class2(r) for r in reps] == list(range(8))
-    assert [local_analysis._class2(r * 4 * 9) for r in reps] == list(range(8))
+    reps = descent._class_reps(2)
+    assert [descent._class_index(r, 2) for r in reps] == list(range(8))
+    assert [descent._class_index(r * 4 * 9, 2) for r in reps] == list(range(8))
     for x in range(8):
         for y in range(8):
             assert local_analysis._hilbert2(x, y) == classical(reps[x], reps[y])
     # nondegenerate: every subgroup's complement has the complementary size
-    subgroups = [m for m in range(256) if m & 1 and local_analysis._mul_sets(m, m) == m]
+    subgroups = [m for m in range(256) if m & 1 and descent._mul_sets(m, m) == m]
     assert len(subgroups) == 16
     for m in subgroups:
         orth = local_analysis._ORTH[m]
@@ -196,8 +196,8 @@ def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch):
     for c in [CurvePair(0, 1)] + e60_sample[:20]:
         lied = []
 
-        def probe(d, a, b, p, force=None):
-            ok = honest(d, a, b, p, force)
+        def probe(d, a, b, p):
+            ok = honest(d, a, b, p)
             if ok and d != 1 and not lied:
                 lied.append(d)
                 return False
@@ -207,7 +207,7 @@ def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch):
         with pytest.raises(AssertionError):
             factor_at_two(c.A, c.B)
         assert lied
-    monkeypatch.setattr(local_analysis, "_torsor_solvable_at", lambda d, a, b, p, force=None: d == 1)
+    monkeypatch.setattr(local_analysis, "_torsor_solvable_at", lambda d, a, b, p: d == 1)
     with pytest.raises(AssertionError):
         factor_at_two(3, 2)
 
