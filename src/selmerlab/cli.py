@@ -6,13 +6,15 @@ merged back in (B, A) order before writing, so output files are byte
 identical for any thread count.  A full-window column (`compute` without
 `--sample`, and so the t-values of `stats`) gets its ledger columns from
 `local_analysis.column_ledger`, one sieve over the whole column; a sampled
-column builds each record with `curve_record` from the per-curve ledger.
-`--with-descent` runs the descent per curve on both paths, and
-`OutputRecord` asserts it equals the ledger total.  `verify` visits each
-curve once: its ledger and both local images at every relevant place are
-computed once and read by every per-curve suite.  Exit codes: 0 success; 1 verification or assertion
-failure, or a curve's solver failed (`compute`, `stats` and `verify` go on
-without it and list it on stderr); 2 bad configuration; 3 I/O failure.
+column builds each record with `curve_record` from the per-curve ledger,
+whose odd places also give g1, g2 and the descent's place list.
+`--with-descent` runs the descent per curve (`descent.local_masks` once for
+both sides), and `OutputRecord` asserts it equals the ledger total.  `verify`
+visits each curve once and every per-curve suite reads its ledger and masks.
+Exit codes: 0 success; 1 verification or assertion failure, or a curve's
+solver failed (`compute`, `stats` and `verify` go on without it and list it
+on stderr); 2 bad configuration, such as `--out` for `enumerate` or `verify`,
+which write no file; 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .curve_family import (
     enumerate_window,
     window_columns,
 )
-from .descent import INF_PLACE, selmer_phi, selmer_phihat
+from .descent import INF_PLACE, local_masks, relevant_places, selmer_phi, selmer_phihat
 from .local_analysis import column_ledger, tamagawa_exponent
 
 __all__ = ["RunConfig", "OutputRecord", "main", "entrypoint", "run_verification", "curve_record"]
@@ -105,22 +107,34 @@ class OutputRecord:
         return tuple(getattr(self, f) for f in RECORD_FIELDS)
 
 
+def _odd_place_counts(c: CurvePair, odd) -> tuple[int, int, int]:
+    """(g1, g2, repeated): how many of a ledger's odd places, the odd primes
+    of B (A^2-4B), divide A^2-4B, divide B, and divide either one twice."""
+    g1 = g2 = repeated = 0
+    for e in odd:
+        p = e.place
+        g1 += c.dualB % p == 0
+        g2 += c.B % p == 0
+        repeated += c.dualB % (p * p) == 0 or c.B % (p * p) == 0
+    return g1, g2, repeated
+
+
 def curve_record(c: CurvePair, with_descent: bool = False) -> OutputRecord:
-    """The record of one curve from its ledger, whose odd places are the odd
-    primes of B (A^2-4B): g1 and g2 count those dividing A^2-4B and B."""
+    """The record of one curve from its ledger, whose places the descent reads."""
     ledger = tamagawa_exponent(c)
     odd = ledger.entries[:-2]  # then 2 and inf
-    g1 = sum(c.dualB % e.place == 0 for e in odd)
-    g2 = sum(c.B % e.place == 0 for e in odd)
-    return _record(c.A, c.B, (ledger.total, g1, g2, sum(e.additive for e in odd)), with_descent)
+    g1, g2, _ = _odd_place_counts(c, odd)
+    places = [INF_PLACE, 2] + [e.place for e in odd] if with_descent else None
+    return _record(c.A, c.B, (ledger.total, g1, g2, sum(e.additive for e in odd)), with_descent, places)
 
 
-def _record(A: int, B: int, row: tuple, with_descent: bool) -> OutputRecord:
+def _record(A: int, B: int, row: tuple, with_descent: bool, places: list | None = None) -> OutputRecord:
     # row = (t_total, g1, g2, n_additive); the descent, if asked for, runs here
     t_total, g1, g2, n_add = row
     t_descent = dim_phi = dim_phihat = None
-    if with_descent:
-        dim_phi, dim_phihat = selmer_phi(A, B).dim, selmer_phihat(A, B).dim
+    if with_descent:  # relevant_places(A, B) unless the ledger gave them
+        masks = local_masks(A, B, places or relevant_places(A, B))
+        dim_phi, dim_phihat = selmer_phi(A, B, masks).dim, selmer_phihat(A, B, masks).dim
         t_descent = dim_phi - dim_phihat
     return OutputRecord(
         A=A,
@@ -282,15 +296,11 @@ def cmd_enumerate(config: RunConfig) -> int:
 
 
 def cmd_compute(config: RunConfig) -> int:
-    try:
-        if config.outPath:
-            with open(config.outPath, "w", newline="\n") as fh:
-                n, skipped = write_records(config, fh)
-        else:
-            n, skipped = write_records(config, sys.stdout)
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return 3
+    if config.outPath:
+        with open(config.outPath, "w", newline="\n") as fh:
+            n, skipped = write_records(config, fh)
+    else:
+        n, skipped = write_records(config, sys.stdout)
     _report_skipped(skipped)
     print(f"wrote {n} records", file=sys.stderr)
     return 1 if skipped else 0
@@ -359,13 +369,9 @@ def cmd_stats(config: RunConfig) -> int:
     dist = stats.cdf_distance(tvals, X)
     print(f"cdf_distance={dist:.6f} n={len(tvals)}")
     if config.outPath:
-        try:
-            with open(config.outPath, "w", newline="\n") as fh:
-                for line in histogram_lines(tvals, X):
-                    fh.write(line + "\n")
-        except OSError as exc:
-            print(f"I/O failure: {exc}", file=sys.stderr)
-            return 3
+        with open(config.outPath, "w", newline="\n") as fh:
+            for line in histogram_lines(tvals, X):
+                fh.write(line + "\n")
     return 0
 
 
@@ -385,13 +391,12 @@ def run_verification(
     """Run the invariant suites over the window (or a seeded sample of it).
 
     Each curve is visited once: its ledger (which also names its odd bad
-    places) and both local images at every relevant place are computed once,
-    and every per-curve suite reads them.  Returns True iff everything
-    passed; prints one line per suite.
+    places) and both local images at every one of its places are computed
+    once, and every per-curve suite, the descent groups too, reads them.
+    Returns True iff everything passed; prints one line per suite.
     """
-    from . import descent
     from .curve_family import density_rho
-    from .local_analysis import _ORTH, decompose_total, repeated_prime_count, tamagawa_number
+    from .local_analysis import _ORTH, decompose_total, tamagawa_number
 
     if sample is not None and sample < count_window(xmax)[0]:
         keep = sample_keys(xmax, True, sample, seed)
@@ -422,11 +427,7 @@ def run_verification(
         try:  # the images are class masks (descent's square-class encoding)
             ledger = tamagawa_exponent(c)
             odd = ledger.entries[:-2]  # the odd bad places, ascending, then 2 and inf
-            sides = [descent._side_coefficients(A, B, side) for side in ("phi", "phihat")]
-            images = {
-                v: [descent._local_image_tags(a, b, v) for a, b in sides]
-                for v in [INF_PLACE, 2] + [e.place for e in odd]
-            }
+            images = local_masks(A, B, [INF_PLACE, 2] + [e.place for e in odd])
         except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
             skipped.append((A, B, str(exc)))
             continue
@@ -449,10 +450,7 @@ def run_verification(
 
         # product formula against the descent ranks, membership and closure
         try:
-            sphi, sphihat = (
-                descent._selmer(A, B, side, {v: t[i] for v, t in images.items() if v != INF_PLACE})
-                for i, side in enumerate(("phi", "phihat"))
-            )
+            sphi, sphihat = selmer_phi(A, B, images), selmer_phihat(A, B, images)
         except AssertionError:
             fails["membership_closure"].append((A, B, "membership"))
         else:
@@ -471,15 +469,10 @@ def run_verification(
 
         # decomposition bound
         parts = decompose_total(c, ledger)
-        lhs = abs(
-            ledger.total
-            - (stats.g1(A, B) - stats.g2(A, B))
-            - parts["t_add"]
-            - parts["e2"]
-            - parts["einf"]
-        )
+        g1, g2, repeated = _odd_place_counts(c, odd)
+        lhs = abs(ledger.total - (g1 - g2) - parts["t_add"] - parts["e2"] - parts["einf"])
         checked["decomposition_bound"] += 1
-        if lhs > repeated_prime_count(A, B):
+        if lhs > repeated:
             fails["decomposition_bound"].append((A, B, lhs))
 
         # the exhaustive images at 2 are each other's annihilators under the
@@ -521,8 +514,7 @@ def run_verification(
 
 
 def cmd_verify(config: RunConfig) -> int:
-    ok = run_verification(config.xmax, config.sample, config.seed, config.zcut)
-    return 0 if ok else 1
+    return 0 if run_verification(config.xmax, config.sample, config.seed, config.zcut) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +522,16 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _family_size(config: RunConfig) -> int:
-    X = config.xmax
-    return sum(column_count(B, X, config.includeSquareDisc) for B in window_columns(X))
-
-
 def _check_command(command: str, config: RunConfig) -> None:
     """Raise ValueError for settings that are invalid for this command only."""
+    if command in ("enumerate", "verify") and config.outPath:
+        raise ValueError(f"{command} writes no file; drop --out")
     if command == "compute":
         if config.format == "tsv":
             raise ValueError(_TSV_RECORDS)
-        if config.sample is not None and config.sample > _family_size(config):
-            raise ValueError(f"sample {config.sample} larger than the family at xmax={config.xmax}")
+        X, n = config.xmax, config.sample
+        if n is not None and n > sum(column_count(B, X, config.includeSquareDisc) for B in window_columns(X)):
+            raise ValueError(f"sample {n} larger than the family at xmax={X}")
     if command == "stats":
         if config.xmax < 16:
             raise ValueError("stats needs xmax >= 16 so that log log X is positive")

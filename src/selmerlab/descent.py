@@ -35,7 +35,10 @@ F_2^n and a class is an int index (`_class_index`): at the real place bit 0
 is the sign; at odd p bit 0 is a non-residue unit and bit 1 is p; at 2 the
 bits are the classes of -1, 5 and 2.  `_class_reps(v)[i]` represents index
 i, the product of two classes is the XOR of their indices, and a set of
-classes, such as a local image, is a mask with bit i for class i.
+classes, such as a local image, is a mask with bit i for class i.  A
+curve's local conditions are one dict {v: (phi mask, phihat mask)} at inf, 2
+and the odd primes of B (A^2-4B) (`local_masks`), read by both sides; inf is
+an ordinary place, since real solvability of a class depends only on its sign.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ __all__ = [
     "descent_exponent",
     "sel2_lower_bound",
     "relevant_places",
+    "local_masks",
     "INF_PLACE",
 ]
 
@@ -415,29 +419,34 @@ def _side_coefficients(A: int, B: int, side: Side) -> tuple[int, int]:
     raise ValueError(f"unknown side {side!r}")
 
 
-def relevant_places(A: int, B: int, d: int = 1) -> list:
-    """Places where a torsor over this curve can fail: inf, 2, odd p | d*B*(A^2-4B)."""
-    n = B * (A * A - 4 * B) * d
-    odd = sorted(p for p in factor(n).primes if p != 2)
+def relevant_places(A: int, B: int) -> list:
+    """Places where a torsor over this curve can fail: inf, 2, odd p | B (A^2-4B)."""
+    odd = sorted(p for p in factor(B * (A * A - 4 * B)).primes if p != 2)
     return [INF_PLACE, 2] + odd
 
 
-def _selmer(A: int, B: int, side: Side, images: dict | None = None) -> SelmerSet:
-    """The side's group from its local image masks {v: mask} at the finite
-    places of relevant_places(A, B); they are computed here unless given.
+def local_masks(A: int, B: int, places) -> dict:
+    """{v: (phi mask, phihat mask)}: both sides' local images at each place."""
+    sides = [_side_coefficients(A, B, side) for side in ("phi", "phihat")]
+    return {v: tuple(_local_image_tags(a, b, v) for a, b in sides) for v in places}
 
-    The forced class (the image of the kernel point) is the divisor d with
-    kernel / d a square, found among the divisors the loop visits anyway."""
-    a, b = _side_coefficients(A, B, side)
-    kernel = (A * A - 4 * B) if side == "phi" else B
-    if images is None:
-        images = {v: _local_image_tags(a, b, v) for v in relevant_places(A, B)[1:]}
+
+def _selmer(A: int, B: int, side: Side, masks: dict | None = None) -> SelmerSet:
+    """The side's group from `local_masks` output, or from its own images at
+    relevant_places(A, B), computed here, when not given.  The forced class
+    (the image of the kernel point) is the divisor d with kernel / d a
+    square, found among the divisors the loop visits anyway."""
+    a, kernel = _side_coefficients(A, B, side)  # b is the kernel: A^2-4B or B
+    if masks is None:
+        images = {v: _local_image_tags(a, kernel, v) for v in relevant_places(A, B)}
+    else:
+        images = {v: m[int(side == "phihat")] for v, m in masks.items()}
     classes = set()
     forced = None
     for d in signed_squarefree_divisors(kernel):
         if forced is None and is_square(kernel // d):
             forced = d
-        if _real_solvable(d, a, b) and all(m >> _class_index(d, v) & 1 for v, m in images.items()):
+        if all(m >> _class_index(d, v) & 1 for v, m in images.items()):
             classes.add(d)
     if forced not in classes:
         raise AssertionError(f"forced class {forced} missing from side {side} at ({A}, {B})")
@@ -447,21 +456,22 @@ def _selmer(A: int, B: int, side: Side, images: dict | None = None) -> SelmerSet
     return SelmerSet(side, frozenset(classes), n.bit_length() - 1)
 
 
-def selmer_phi(A: int, B: int) -> SelmerSet:
+def selmer_phi(A: int, B: int, masks: dict | None = None) -> SelmerSet:
     """Everywhere-locally-solvable classes supported on A^2-4B, for torsor
-    coefficients (-2A, A^2-4B)."""
-    return _selmer(A, B, "phi")
+    coefficients (-2A, A^2-4B); `masks` as from `local_masks`."""
+    return _selmer(A, B, "phi", masks)
 
 
-def selmer_phihat(A: int, B: int) -> SelmerSet:
+def selmer_phihat(A: int, B: int, masks: dict | None = None) -> SelmerSet:
     """Everywhere-locally-solvable classes supported on B, for torsor
-    coefficients (A, B)."""
-    return _selmer(A, B, "phihat")
+    coefficients (A, B); `masks` as from `local_masks`."""
+    return _selmer(A, B, "phihat", masks)
 
 
 def descent_exponent(A: int, B: int) -> int:
     """dim of the forward Selmer group minus dim of the dual one."""
-    return selmer_phi(A, B).dim - selmer_phihat(A, B).dim
+    masks = local_masks(A, B, relevant_places(A, B))
+    return selmer_phi(A, B, masks).dim - selmer_phihat(A, B, masks).dim
 
 
 def sel2_lower_bound(A: int, B: int) -> int:

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -23,7 +24,7 @@ from selmerlab.cli import (
     write_records,
 )
 from selmerlab.curve_family import FamilyWindow, column_count, enumerate_window, window_columns
-from selmerlab.descent import SolverPrecisionError
+from selmerlab.descent import SolverPrecisionError, descent_exponent
 
 
 def _records_text(config):
@@ -51,8 +52,18 @@ def test_bad_config_exit_code(capsys):
         ["stats", "--xmax", "10"],
         ["compute", "--xmax", "4", "--threads", "-5"],
         ["stats", "--xmax", "50", "--no-include-square-disc"],  # stats always drops them
+        ["verify", "--xmax", "4"],  # verify and enumerate write no file
+        ["enumerate", "--xmax", "4"],
     ],
-    ids=["sample-above-family", "compute-tsv", "stats-low-xmax", "negative-threads", "stats-no-square-disc"],
+    ids=[
+        "sample-above-family",
+        "compute-tsv",
+        "stats-low-xmax",
+        "negative-threads",
+        "stats-no-square-disc",
+        "verify-out",
+        "enumerate-out",
+    ],
 )
 def test_invalid_inputs_exit_2_before_output(argv, tmp_path, capsys):
     out = tmp_path / "out.txt"
@@ -338,6 +349,45 @@ def test_threads_env_fallback(monkeypatch):
     assert _resolve_threads(RunConfig(xmax=10, threads=2)) == 2
     monkeypatch.delenv("SELMERLAB_THREADS")
     assert _resolve_threads(RunConfig(xmax=10, threads=0)) >= 1
+
+
+def _count_factor_calls(monkeypatch):
+    """Rebind core_arith.factor, in every selmerlab namespace that binds it,
+    to a wrapper that counts its calls; returns the one-element counter."""
+    from selmerlab import core_arith
+
+    original, calls = core_arith.factor, [0]
+
+    def counting(n):
+        calls[0] += 1
+        return original(n)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "selmerlab" or name.startswith("selmerlab."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_factor_call_budget(e60_sample, monkeypatch):
+    # B (A^2-4B) is factored once per curve; each descent side factors only
+    # its kernel, to enumerate the candidate classes
+    calls = _count_factor_calls(monkeypatch)
+
+    def total(run):
+        calls[0] = 0
+        for c in e60_sample:
+            run(c)
+        return calls[0]
+
+    n = len(e60_sample)
+    assert total(lambda c: cli.curve_record(c, True)) == 3 * n
+    assert total(cli.curve_record) == n
+    assert total(lambda c: descent_exponent(c.A, c.B)) == 3 * n
+    calls[0] = 0
+    assert run_verification(20, report=lambda line: None)
+    assert calls[0] == 3 * sum(1 for _ in enumerate_window(FamilyWindow(20)))
 
 
 def test_io_failure_exit_code(tmp_path):

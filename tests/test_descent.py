@@ -13,6 +13,8 @@ from selmerlab.descent import (
     _chart_solvable,
     _class_index,
     _class_reps,
+    _local_image_tags,
+    _real_solvable,
     _shift_scale,
     _side_coefficients,
     _torsor_solvable_at,
@@ -20,6 +22,7 @@ from selmerlab.descent import (
     _zp_solvable_structural,
     descent_exponent,
     local_image,
+    local_masks,
     relevant_places,
     sel2_lower_bound,
     selmer_phi,
@@ -332,6 +335,27 @@ def _search_global_point(d, a, b, bound=18):
     return None
 
 
+def test_real_place_is_an_ordinary_mask(e60_sample):
+    # a class's bit in the real image is its closed-form real solvability, so
+    # the assembly reads inf off its mask like any other place
+    from selmerlab.core_arith import signed_squarefree_divisors
+
+    for c in e60_sample:
+        for side in ("phi", "phihat"):
+            a, b = _side_coefficients(c.A, c.B, side)  # b is the side's kernel
+            mask = _local_image_tags(a, b, INF_PLACE)
+            for d in signed_squarefree_divisors(b):
+                got = bool(mask >> _class_index(d, INF_PLACE) & 1)
+                assert got == _real_solvable(d, a, b), (c.A, c.B, side, d)
+
+
+def test_shared_masks_give_each_sides_own_group(e60_sample):
+    for c in e60_sample[:40]:
+        masks = local_masks(c.A, c.B, relevant_places(c.A, c.B))
+        assert selmer_phi(c.A, c.B, masks) == selmer_phi(c.A, c.B)
+        assert selmer_phihat(c.A, c.B, masks) == selmer_phihat(c.A, c.B)
+
+
 def test_rational_point_soundness(e60_sample):
     # a torsor with a global point must be solvable at every tested place
     from selmerlab.core_arith import signed_squarefree_divisors
@@ -343,7 +367,7 @@ def test_rational_point_soundness(e60_sample):
             if _search_global_point(d, a, b) is not None:
                 hits += 1
                 assert solvable_real(TorsorQuartic(d, a, b))
-                for p in relevant_places(c.A, c.B, d)[1:]:
+                for p in relevant_places(c.A, c.B)[1:]:  # the primes of d are among them
                     assert _torsor_solvable_at(d, a, b, p), (c.A, c.B, d, p)
         if hits > 25:
             break

@@ -294,11 +294,15 @@ def test_additive_ratio_is_power_of_two(e60_sample):
 
 
 def test_curve_record_reads_g1_g2_off_the_ledger(e60_sample):
+    # verify's decomposition bound reads all three counts off the same places
+    from selmerlab.cli import _odd_place_counts
     from selmerlab.statistics import g1, g2
 
     for c in e60_sample:
         rec = curve_record(c)
         assert (rec.g1, rec.g2) == (g1(c.A, c.B), g2(c.A, c.B)), (c.A, c.B)
+        counts = _odd_place_counts(c, tamagawa_exponent(c).entries[:-2])
+        assert counts == (rec.g1, rec.g2, repeated_prime_count(c.A, c.B)), (c.A, c.B)
 
 
 def _ledger_rows(B, As):
