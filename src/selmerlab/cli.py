@@ -11,10 +11,15 @@ whose odd places also give g1, g2 and the descent's place list.
 `--with-descent` runs the descent per curve (`descent.local_masks` once for
 both sides), and `OutputRecord` asserts it equals the ledger total.  `verify`
 visits each curve once and every per-curve suite reads its ledger and masks.
+
+Each command's parser declares only the flags that command honours
+(`COMMAND_FLAGS`, drawn from the one table `FLAGS`, whose dests are the
+`RunConfig` fields; an undeclared flag keeps the `RunConfig` default).
 Exit codes: 0 success; 1 verification or assertion failure, or a curve's
 solver failed (`compute`, `stats` and `verify` go on without it and list it
-on stderr); 2 bad configuration, such as `--out` for `enumerate` or `verify`,
-which write no file; 3 I/O failure.
+on stderr); 2 bad configuration: a flag the command does not declare, a bad
+value, or `--sample` above the family, each reported as one
+`bad configuration:` line before any output; 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ class RunConfig:
             raise ValueError("threads must be >= 0 (0 = auto)")
         if self.sample is not None and self.sample < 0:
             raise ValueError("sample must be >= 0")
-        if self.format not in ("csv", "json", "tsv"):
+        if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
 
 
@@ -241,10 +246,7 @@ def stream_records(config: RunConfig):
 
     ctx = mp.get_context("fork")
     with ctx.Pool(threads, initializer=_pool_init, initargs=(cfg,)) as pool:
-        yield from pool.imap(_column_records, bcols, chunksize=4)
-
-
-_TSV_RECORDS = "tsv is reserved for histograms; use csv or json for records"
+        yield from pool.imap(_column_records, bcols)  # each column as soon as it is done
 
 
 def _format_cell(v) -> str:
@@ -259,27 +261,19 @@ def write_records(config: RunConfig, out) -> tuple[int, list]:
     """Write all records in the configured format; returns (count, skipped)."""
     n = 0
     skipped_all = []
-    if config.format == "csv":
-        out.write(",".join(RECORD_FIELDS) + "\n")
-        for _, recs, skipped in stream_records(config):
-            skipped_all += skipped
-            for r in recs:
+    csv = config.format == "csv"
+    out.write(",".join(RECORD_FIELDS) + "\n" if csv else "[\n")
+    for _, recs, skipped in stream_records(config):
+        skipped_all += skipped
+        for r in recs:
+            if csv:
                 out.write(",".join(_format_cell(v) for v in r) + "\n")
-                n += 1
-    elif config.format == "json":
-        out.write("[\n")
-        first = True
-        for _, recs, skipped in stream_records(config):
-            skipped_all += skipped
-            for r in recs:
-                rec = dict(zip(RECORD_FIELDS, r))
-                text = json.dumps(rec, separators=(", ", ": "))
-                out.write(("" if first else ",\n") + text)
-                first = False
-                n += 1
+            else:
+                text = json.dumps(dict(zip(RECORD_FIELDS, r)), separators=(", ", ": "))
+                out.write(("" if n == 0 else ",\n") + text)
+            n += 1
+    if not csv:
         out.write("\n]\n")
-    else:
-        raise ValueError(_TSV_RECORDS)
     return n, skipped_all
 
 
@@ -322,7 +316,8 @@ def histogram_lines(values, X: int) -> list[str]:
     width = 0.25
     counts: dict[int, int] = {}
     for v in values:
-        counts[math.floor(v / scale / width)] = counts.get(math.floor(v / scale / width), 0) + 1
+        k = math.floor(v / scale / width)
+        counts[k] = counts.get(k, 0) + 1
     n = len(values)
     lines = []
     for k in sorted(counts):
@@ -335,14 +330,12 @@ def histogram_lines(values, X: int) -> list[str]:
 def _t_values(config: RunConfig) -> tuple[list[int], list]:
     """The t_total of every curve without a square discriminant, and the
     (A, B, reason) of the skipped curves."""
+    t, square = RECORD_FIELDS.index("t_total"), RECORD_FIELDS.index("square_disc_flag")
     vals = []
     skipped_all = []
     for _, recs, skipped in stream_records(config):
         skipped_all += skipped
-        for r in recs:
-            rec = dict(zip(RECORD_FIELDS, r))
-            if not rec["square_disc_flag"]:
-                vals.append(rec["t_total"])
+        vals += [r[t] for r in recs if not r[square]]
     return vals, skipped_all
 
 
@@ -384,7 +377,6 @@ def run_verification(
     xmax: int,
     sample: int | None = None,
     seed: int = 0,
-    zcut: int = 100,
     swap_orientation: bool = False,
     report=print,
 ) -> bool:
@@ -398,11 +390,11 @@ def run_verification(
     from .curve_family import density_rho
     from .local_analysis import _ORTH, decompose_total, tamagawa_number
 
-    if sample is not None and sample < count_window(xmax)[0]:
+    if sample is None:
+        curves = enumerate_window(FamilyWindow(xmax))
+    else:
         keep = sample_keys(xmax, True, sample, seed)
         curves = (CurvePair(A, B) for B, As in keep.items() for A in As)
-    else:
-        curves = enumerate_window(FamilyWindow(xmax))
 
     names = (  # in report order
         "local_duality",
@@ -489,7 +481,7 @@ def run_verification(
 
     # residue-class densities against the exact local model; tolerances carry
     # a B-granularity term since the window only holds ~2 sqrt(X)/p multiples
-    scan = stats.family_scan(xmax, zcut)
+    scan = stats.family_scan(xmax)  # its density counts do not depend on z
     n = scan["n_total"]
     bmax = math.isqrt(xmax)
     for p, (nB, nD, nBoth) in scan["density_counts"].items():
@@ -514,7 +506,7 @@ def run_verification(
 
 
 def cmd_verify(config: RunConfig) -> int:
-    return 0 if run_verification(config.xmax, config.sample, config.seed, config.zcut) else 1
+    return 0 if run_verification(config.xmax, config.sample, config.seed) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -522,62 +514,69 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_command(command: str, config: RunConfig) -> None:
-    """Raise ValueError for settings that are invalid for this command only."""
-    if command in ("enumerate", "verify") and config.outPath:
-        raise ValueError(f"{command} writes no file; drop --out")
-    if command == "compute":
-        if config.format == "tsv":
-            raise ValueError(_TSV_RECORDS)
-        X, n = config.xmax, config.sample
-        if n is not None and n > sum(column_count(B, X, config.includeSquareDisc) for B in window_columns(X)):
-            raise ValueError(f"sample {n} larger than the family at xmax={X}")
-    if command == "stats":
-        if config.xmax < 16:
-            raise ValueError("stats needs xmax >= 16 so that log log X is positive")
-        if not config.includeSquareDisc:
-            raise ValueError("stats always leaves out square-discriminant curves; drop --no-include-square-disc")
+# every flag a command can declare: option -> add_argument keywords, whose
+# dest is the RunConfig field the flag sets
+FLAGS = {
+    "--xmax": dict(dest="xmax", type=int, required=True),
+    "--zcut": dict(dest="zcut", type=int),
+    "--threads": dict(dest="threads", type=int),
+    "--sample": dict(dest="sample", type=int),
+    "--seed": dict(dest="seed", type=int),
+    "--format": dict(dest="format", choices=("csv", "json")),
+    "--out": dict(dest="outPath", metavar="PATH"),
+    "--with-descent": dict(dest="with_descent", action="store_true"),
+    "--include-square-disc": dict(dest="includeSquareDisc", action=argparse.BooleanOptionalAction),
+}
+
+# the flags each command honours; any other flag is a bad configuration
+COMMAND_FLAGS = {
+    "enumerate": ("--xmax",),
+    "compute": tuple("--xmax --threads --sample --seed --format --out --with-descent --include-square-disc".split()),
+    "stats": ("--xmax", "--zcut", "--threads", "--sample", "--seed", "--with-descent", "--out"),
+    "verify": ("--xmax", "--sample", "--seed"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports an argument error as one `bad configuration:` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"bad configuration: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="selmerlab",
         description="Tamagawa-ratio exponents over the two-torsion family: "
         "enumeration, local factors, descent, statistics.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("enumerate", "compute", "stats", "verify"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--xmax", type=int, required=True)
-        sp.add_argument("--zcut", type=int, default=100)
-        sp.add_argument("--threads", type=int, default=0)
-        sp.add_argument("--sample", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
-        sp.add_argument("--out", dest="out", default=None)
-        sp.add_argument("--with-descent", action="store_true")
-        sp.add_argument("--include-square-disc", action=argparse.BooleanOptionalAction, default=True)
+    for name, flags in COMMAND_FLAGS.items():
+        # a flag left out is left out of the namespace: RunConfig's default holds
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
     return ap
+
+
+def _check_command(command: str, config: RunConfig) -> None:
+    """Raise ValueError for values that are invalid only for this window or command."""
+    X, n = config.xmax, config.sample
+    if n is not None and n > sum(column_count(B, X, config.includeSquareDisc) for B in window_columns(X)):
+        raise ValueError(f"sample {n} larger than the family at xmax={X}")
+    if command == "stats" and X < 16:
+        raise ValueError("stats needs xmax >= 16 so that log log X is positive")
 
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = args.pop("command")
     try:
-        config = RunConfig(
-            xmax=ns.xmax,
-            zcut=ns.zcut,
-            threads=ns.threads,
-            sample=ns.sample,
-            seed=ns.seed,
-            format=ns.format,
-            includeSquareDisc=ns.include_square_disc,
-            outPath=ns.out,
-            with_descent=ns.with_descent,
-        )
-        _check_command(ns.command, config)
+        config = RunConfig(**args)
+        _check_command(command, config)
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
@@ -587,7 +586,7 @@ def main(argv=None) -> int:
             "compute": cmd_compute,
             "stats": cmd_stats,
             "verify": cmd_verify,
-        }[ns.command](config)
+        }[command](config)
     except AssertionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

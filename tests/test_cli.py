@@ -7,11 +7,14 @@ import itertools
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from selmerlab import cli, local_analysis
 from selmerlab.cli import (
+    COMMAND_FLAGS,
+    FLAGS,
     RECORD_FIELDS,
     OutputRecord,
     RunConfig,
@@ -44,16 +47,29 @@ def test_bad_config_exit_code(capsys):
     assert main(["stats", "--xmax", "50", "--zcut", "1"]) == 2
 
 
+OUT = "{out}"  # stands for a fresh path that must not be written
+
+
+def _exits_2_before_output(argv, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main([str(out) if a == OUT else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad configuration:")
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["compute", "--xmax", "4", "--sample", "35"],  # the family has 34 members
-        ["compute", "--xmax", "4", "--format", "tsv"],
-        ["stats", "--xmax", "10"],
-        ["compute", "--xmax", "4", "--threads", "-5"],
-        ["stats", "--xmax", "50", "--no-include-square-disc"],  # stats always drops them
-        ["verify", "--xmax", "4"],  # verify and enumerate write no file
-        ["enumerate", "--xmax", "4"],
+        ["compute", "--xmax", "4", "--sample", "35", "--out", OUT],  # the family has 34 members
+        ["compute", "--xmax", "4", "--format", "tsv", "--out", OUT],
+        ["stats", "--xmax", "10", "--out", OUT],
+        ["compute", "--xmax", "4", "--threads", "-5", "--out", OUT],
+        ["stats", "--xmax", "50", "--no-include-square-disc", "--out", OUT],  # stats always drops them
+        ["verify", "--xmax", "4", "--out", OUT],  # verify and enumerate write no file
+        ["enumerate", "--xmax", "4", "--out", OUT],
+        ["stats", "--xmax", "20", "--sample", "100000", "--out", OUT],
+        ["verify", "--xmax", "4", "--sample", "100000"],
     ],
     ids=[
         "sample-above-family",
@@ -63,14 +79,79 @@ def test_bad_config_exit_code(capsys):
         "stats-no-square-disc",
         "verify-out",
         "enumerate-out",
+        "stats-sample-above-family",
+        "verify-sample-above-family",
     ],
 )
 def test_invalid_inputs_exit_2_before_output(argv, tmp_path, capsys):
-    out = tmp_path / "out.txt"
-    assert main(argv + ["--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("bad configuration:")
-    assert captured.out == "" and not out.exists()
+    _exits_2_before_output(argv, tmp_path, capsys)
+
+
+# the flags each command honours, as README's "Command line" lists them
+_DECLARED = {
+    "enumerate": {"--xmax"},
+    "compute": {
+        "--xmax",
+        "--threads",
+        "--sample",
+        "--seed",
+        "--format",
+        "--out",
+        "--with-descent",
+        "--include-square-disc",
+    },
+    "stats": {"--xmax", "--zcut", "--threads", "--sample", "--seed", "--with-descent", "--out"},
+    "verify": {"--xmax", "--sample", "--seed"},
+}
+
+# (table flag, arguments that use it) for every option string but --xmax,
+# which every command requires
+_FLAG_USES = [
+    ("--zcut", ["--zcut", "50"]),
+    ("--threads", ["--threads", "1"]),
+    ("--sample", ["--sample", "5"]),
+    ("--seed", ["--seed", "3"]),
+    ("--format", ["--format", "json"]),
+    ("--out", ["--out", OUT]),
+    ("--with-descent", ["--with-descent"]),
+    ("--include-square-disc", ["--include-square-disc"]),
+    ("--include-square-disc", ["--no-include-square-disc"]),
+]
+
+
+def test_flag_uses_cover_every_flag():
+    assert {flag for flag, _ in _FLAG_USES} | {"--xmax"} == set(FLAGS)
+    assert set(COMMAND_FLAGS) == set(_DECLARED)
+
+
+@pytest.mark.parametrize("command", list(_DECLARED))
+@pytest.mark.parametrize("flag, uses", _FLAG_USES, ids=[" ".join(u) for _, u in _FLAG_USES])
+def test_flag_table(command, flag, uses, tmp_path, capsys):
+    argv = [command, "--xmax", "20"] + uses
+    if flag not in _DECLARED[command]:
+        _exits_2_before_output(argv, tmp_path, capsys)
+        return
+    ns = vars(build_parser().parse_args(argv))  # parsing writes no file
+    assert ns.pop("command") == command
+    assert FLAGS[flag]["dest"] in ns  # the flag sets its RunConfig field
+    RunConfig(**ns)
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("selmerlab ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert {argv[0] for argv in lines} == set(COMMAND_FLAGS)
+    for argv in lines:
+        build_parser().parse_args(argv)
+    # and every declared flag of a command shows up in one of its lines
+    for command, flags in COMMAND_FLAGS.items():
+        used = {a.replace("--no-", "--") for argv in lines if argv[0] == command for a in argv}
+        assert set(flags) <= used, command
 
 
 def test_sample_of_whole_family_matches_full_window():
@@ -210,10 +291,10 @@ def test_stats_exits_1_after_skipping_curves(capsys, monkeypatch):
 
 
 def test_verify_exits_1_after_skipping_curves(capsys, monkeypatch):
-    assert main(["verify", "--xmax", "20", "--threads", "1"]) == 0
+    assert main(["verify", "--xmax", "20"]) == 0
     clean = capsys.readouterr().out
     _fail_place_two_at_3_2(monkeypatch)
-    assert main(["verify", "--xmax", "20", "--threads", "1"]) == 1
+    assert main(["verify", "--xmax", "20"]) == 1
     out, err = capsys.readouterr()
     # the other curves are still verified, and every suite passes on them
     assert "FAIL" not in out and out != clean and len(out.splitlines()) == len(clean.splitlines())
