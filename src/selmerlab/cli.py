@@ -359,6 +359,9 @@ def cmd_stats(config: RunConfig) -> int:
     tvals, skipped = _t_values(config)
     if _report_skipped(skipped):
         return 1
+    if not tvals:
+        print("no t-values: empty curve selection", file=sys.stderr)
+        return 1
     dist = stats.cdf_distance(tvals, X)
     print(f"cdf_distance={dist:.6f} n={len(tvals)}")
     if config.outPath:

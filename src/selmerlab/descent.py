@@ -29,6 +29,10 @@ multiple roots are descended into, and the search runs in polylog(p).  The
 two deciders agree by construction and are cross-checked in the test suite.
 Precision exhaustion raises; it never silently guesses.  Valuations come
 from core_arith._vp, the one valuation loop outside the scan's inline one.
+The scan also names how many p-adic digits of the chart's coefficients its
+decisions read, so every chart that agrees with it to that many digits gets
+the same verdict by the same search; at p = 2 that count
+(`_torsor_solvable_at_two`) lets local_analysis replay place 2 from a memo.
 
 Square classes have one encoding, used by every module.  Q_v*/(Q_v*)^2 is
 F_2^n and a class is an int index (`_class_index`): at the real place bit 0
@@ -180,7 +184,14 @@ def _shift_scale(f, r: int, p: int):
 
 
 def _zp_solvable_scan(f, p: int, kmax: int, starts=None) -> bool:
-    """Exhaustive certified search for a Z_p point of y^2 = f(x).
+    """Whether y^2 = f(x) has a Z_p point with x = x0 (mod p), x0 in `starts`
+    (default: all of Z_p): the verdict of _zp_scan."""
+    return _zp_scan(f, p, kmax, starts)[0]
+
+
+def _zp_scan(f, p: int, kmax: int, starts=None) -> tuple[bool, int]:
+    """Exhaustive certified search for a Z_p point of y^2 = f(x), and the
+    number n of p-adic digits of f's coefficients it read.
 
     The search covers x = x0 (mod p) for the residues x0 in `starts`
     (default: all of Z_p).  Residue classes x = x0 (mod p^k) are refined
@@ -195,6 +206,17 @@ def _zp_solvable_scan(f, p: int, kmax: int, starts=None) -> bool:
     (mod p^P) on the class with P = min(k + v_p(f'(x0)), 2k).  The class is
     dropped when v < P and either v is odd or the unit part is pinned to a
     non-square, which takes P - v >= 1 digits at odd p and >= 3 at p = 2.
+
+    Each decision at a node reads f(x0) and f'(x0) to a precision it can
+    name, and x0 is a fixed integer, so f's coefficients mod p^n fix them.
+    With w = v_p(f'(x0)) a node reads v + 3 digits at even v (v + 1 at odd
+    p) and v + 1 at odd v, which fix v and the square test; w + 1 digits
+    when w < k and k otherwise, which fix P; and the v + 1 digits of f'(x0)
+    already keep w >= ceil(v/2), so Hensel does not fire.  An exact zero or
+    a Hensel exit reads 2w + 1 (f is separable, so w is finite at a root):
+    every f that agrees there mod p^(2w+1) has a point by one of the three
+    exits.  n is the most any visited node read, so every f that agrees with
+    this one mod p^n runs the same search to the same verdict.
     """
     while len(f) < 5:
         f = tuple(f) + (0,)
@@ -202,37 +224,48 @@ def _zp_solvable_scan(f, p: int, kmax: int, starts=None) -> bool:
     d0, d1, d2, d3 = c1, 2 * c2, 3 * c3, 4 * c4
     two = p == 2
     need = 3 if two else 1
+    n = 0
     stack = [(x0, 1, p) for x0 in reversed(range(p) if starts is None else starts)]
     while stack:
         x0, k, q = stack.pop()  # q = p**k
         c = (((c4 * x0 + c3) * x0 + c2) * x0 + c1) * x0 + c0
-        if c == 0:
-            return True
-        fp = ((d3 * x0 + d2) * x0 + d1) * x0 + d0
+        if c == 0:  # an exact root, simple since f is separable
+            return True, max(n, 2 * _vp(((d3 * x0 + d2) * x0 + d1) * x0 + d0, p) + 1)
         if two:
             v = (c & -c).bit_length() - 1
             if not v & 1 and (c >> v) & 7 == 1:
-                return True
-            w = (fp & -fp).bit_length() - 1 if fp else 1 << 30
+                return True, max(n, v + 3)
         else:
             v, u = 0, c
             while u % p == 0:
                 u //= p
                 v += 1
             if not v & 1 and jacobi(u % p, p) == 1:
-                return True
-            w = _vp(fp, p)
+                return True, max(n, v + 1)
+        fp = ((d3 * x0 + d2) * x0 + d1) * x0 + d0
+        w = (fp & -fp).bit_length() - 1 if two and fp else _vp(fp, p)
         if v >= 2 * w + 1:
-            return True  # Hensel: a root of f within p^(v - w) of x0, so y = 0
-        prec = k + w if w < k else 2 * k  # f(x) = f(x0) mod p^prec on the class
+            return True, max(n, 2 * w + 1)  # Hensel: a root of f within p^(v - w) of x0, so y = 0
+        read = v + 1 if v & 1 else v + need  # digits of f(x0) read; of f'(x0), w + 1 or k
+        if read > n:
+            n = read
+        if w < k:
+            prec = k + w  # f(x) = f(x0) mod p^prec on the class
+            if w >= n:
+                n = w + 1
+        else:
+            prec = 2 * k
+            if k > n:
+                n = k
         if v < prec and (v & 1 or prec - v >= need):
             continue  # valuation and unit class pinned: no solution here
         if k >= kmax:
             raise SolverPrecisionError(
                 f"residue search at p={p} exhausted modulus p^{kmax} without a certificate"
             )
-        stack.extend((x0 + j * q, k + 1, q * p) for j in range(p))
-    return False
+        k += 1
+        stack.extend([(x0 + j * q, k, q * p) for j in range(p)])
+    return False, n
 
 
 def _as_const_times_square(fb, p):
@@ -303,34 +336,66 @@ def _chart_solvable(f, p: int, force: str | None = None, starts=None) -> bool:
     A restricted chart needs the scan: the structural decider, used above
     _SCAN_MAX_P, always covers all of Z_p.
     """
-    e = min(_vp(c, p) for c in f if c)
-    if e >= 2:
-        f = tuple(c // p ** (e // 2 * 2) for c in f)  # y-rescaling
-    c0, _, c2, _, c4 = f
-    disc = 16 * c4 * c0 * (c2 * c2 - 4 * c4 * c0) ** 2
-    if disc == 0:
-        raise ValueError("degenerate chart quartic")
-    vd = _vp(disc, p)
-    method = force or ("scan" if (p == 2 or p <= _SCAN_MAX_P) else "structural")
-    if method == "scan":
-        return _zp_solvable_scan(f, p, vd + 6, starts)
+    if (force or ("scan" if p <= _SCAN_MAX_P else "structural")) == "scan":
+        return _chart_scan(f, p, starts)[0]
+    _, f, vd = _normal_chart(f, p)
     if starts is not None:
         raise ValueError(f"a chart restricted to x0 in {starts} at p={p} needs the scan")
     return _zp_solvable_structural(f, p, vd + 10)
 
 
+def _normal_chart(f, p: int):
+    """(e, f / p^(2 floor(e/2)), v_p(disc)) for a biquadratic chart f: e is the
+    least valuation of its coefficients, and the dividing out of p^2s is a
+    y-rescaling.  disc = 16 c4 c0 (c2^2 - 4 c4 c0)^2 must not vanish."""
+    c0, _, c2, _, c4 = f
+    h = c2 * c2 - 4 * c4 * c0
+    if not (c0 and c4 and h):
+        raise ValueError("degenerate chart quartic")
+    e = _vp(c0 | c2 | c4, 2) if p == 2 else _vp(math.gcd(c0, c2, c4), p)
+    s = e // 2 * 2
+    if s:
+        c0, c2, c4 = c0 // p**s, c2 // p**s, c4 // p**s
+        h //= p ** (2 * s)
+    return e, (c0, 0, c2, 0, c4), _vp(16 * c4 * c0, p) + 2 * _vp(h, p)
+
+
+def _chart_scan(f, p: int, starts=None) -> tuple[bool, int]:
+    """The scan's verdict on a biquadratic chart and the p-adic digits of its
+    coefficients the verdict read (see _zp_scan): e + 1 digits fix e, and n
+    digits of f / p^s are n + s digits of f.  The budget kmax = v_p(disc) + 6
+    needs no more: a node expanded at depth K read at least K digits, and
+    those keep v_p(disc) >= K - 5."""
+    e, g, vd = _normal_chart(f, p)
+    found, n = _zp_scan(g, p, vd + 6, starts)
+    return found, max(e + 1, n + e // 2 * 2)
+
+
 def _torsor_solvable_at(d: int, a: int, b: int, p: int) -> bool:
+    if p == 2:
+        return _torsor_solvable_at_two(d, a, b)[0]
     if d == 1:
         return True  # (u, v, w) = (1, 0, 1)
     # chart v = 1 (v a unit, u = x), then chart u = 1 (v = x); y = d*w absorbs
     # the class.  A point with u and v both units is (u/v, 1) in the first
     # chart, so once that chart has failed the second needs only x in pZ_p.
-    if _chart_solvable((b * d, 0, a * d * d, 0, d**3), p):
-        return True
-    if p != 2:
-        # on pZ_p, f = d^3 (mod p^2) for a unit d and v_p(f) = 3 when p | d
-        return jacobi(d % p, p) == 1
-    return _chart_solvable((d**3, 0, a * d * d, 0, b * d), p, starts=(0,))
+    # At odd p, f = d^3 (mod p^2) there for a unit d and v_p(f) = 3 when p | d.
+    return _chart_solvable((b * d, 0, a * d * d, 0, d**3), p) or jacobi(d % p, p) == 1
+
+
+def _torsor_solvable_at_two(d: int, a: int, b: int) -> tuple[bool, int]:
+    """Q_2 solvability of the torsor, and the number N of 2-adic digits of a
+    and b it read: the chart coefficients are integer polynomials in a and
+    b, so every (a', b') = (a, b) (mod 2^N) runs the same search to the same
+    verdict.  The charts are _torsor_solvable_at's; the second is searched on
+    2Z_2."""
+    if d == 1:
+        return True, 0
+    found, n = _chart_scan((b * d, 0, a * d * d, 0, d**3), 2)
+    if found:
+        return True, n
+    found, m = _chart_scan((d**3, 0, a * d * d, 0, b * d), 2, starts=(0,))
+    return found, max(n, m)
 
 
 def solvable_padic(t: TorsorQuartic, p: int) -> bool:

@@ -20,6 +20,17 @@ one side bounds the other: only classes orthogonal to it remain candidates
 there.  Torsors are still probed by certified scans; duality only chooses
 which probes are needed.
 
+Place 2 is memoized by a certificate, not by a guessed key.  Every branch
+of the computation at 2 reads finitely many 2-adic digits of A and B, and
+it counts them.  The free classes read v2 + 3 digits of B and of A^2-4B.
+A node of the residue scan, the class x0 mod 2^k of a chart quartic f,
+reads v + 3 digits of f(x0) at even v = v2(f(x0)) and v + 1 at odd v, and
+w + 1 digits of f'(x0) (w = v2(f'(x0))) if w < k, else k.  An exit at a
+root of f reads 2w + 1.  A chart adds the 2 floor(e/2) digits its
+normalization divided out, and e + 1 to find e.  With N the largest count,
+any curve that agrees with (A, B) mod 2^N repeats the same computation, so
+its size is looked up (`factor_at_two`), not recomputed.
+
 Every local size is |H^1| of the local condition group at that place, a
 power of 2 between 1 and 8; the ledger stores exponent = log2(size) - 1 so
 that good places contribute 0 and the total is the Tamagawa-ratio exponent.
@@ -42,7 +53,15 @@ from math import isqrt
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
 from .core_arith import _vp, factor, is_prime, jacobi, ord_p
 from .curve_family import CurvePair
-from .descent import INF_PLACE, _class_index, _class_reps, _mul_sets, _torsor_solvable_at, relevant_places
+from .descent import (
+    _TIMES,
+    INF_PLACE,
+    _class_index,
+    _class_reps,
+    _mul_sets,
+    _torsor_solvable_at_two,
+    relevant_places,
+)
 from .statistics import _odd_primes_below, _root_classes
 
 __all__ = [
@@ -259,8 +278,42 @@ _ORTH = tuple(
 )
 
 
+# (v2(B) + 1, v2(A^2-4B) + 1) -> {N: {(A mod 2^N, B mod 2^N): size}}, per process
+_TWO_MEMO: dict = {}
+
+
 def factor_at_two(A: int, B: int) -> int:
     """2-adic local condition size in {1, 2, 4, 8}: the size of the phi image.
+
+    This is _two_adic_size(A, B)[0], memoized.  That run also names N, the
+    number of 2-adic digits of A and B it read; every curve that agrees with
+    (A, B) mod 2^N replays it branch for branch to the same size.  So the
+    size is stored under (A mod 2^N, B mod 2^N), and a hit is a certified
+    replay, not a guess.  N varies from curve to curve, and no bound fixed in
+    advance (such as v2(B^2 (A^2-4B)) + 3) is proven to cover it.  Entries
+    are bucketed by the 2-adic valuations of B and A^2-4B, which N digits
+    fix, and a lookup tries the few N's of its bucket.  A singular curve
+    matches no entry and raises ValueError from _two_adic_size.  The
+    exhaustive image is local_image(A, B, 2, "phi").
+    """
+    D = A * A - 4 * B
+    key = ((B & -B).bit_length(), (D & -D).bit_length())
+    bucket = _TWO_MEMO.get(key)
+    if bucket:
+        for n, table in bucket.items():
+            mask = (1 << n) - 1
+            size = table.get((A & mask, B & mask))
+            if size:
+                return size
+    size, n = _two_adic_size(A, B)
+    mask = (1 << n) - 1
+    _TWO_MEMO.setdefault(key, {}).setdefault(n, {})[A & mask, B & mask] = size
+    return size
+
+
+def _two_adic_size(A: int, B: int) -> tuple[int, int]:
+    """(size of the phi image at 2, the number N of 2-adic digits of A and B
+    the computation read).
 
     The phi image W (torsor coefficients (-2A, A^2-4B)) and the dual image
     W^ (coefficients (A, B)) in Q_2*/Q_2*^2 are exact orthogonal complements
@@ -270,29 +323,41 @@ def factor_at_two(A: int, B: int) -> int:
     classes orthogonal to everything the other side has confirmed.  A failed
     probe of t rules out the coset t W.  Probing stops once the confirmed
     subgroups multiply to 8; if the candidates run out first, AssertionError
-    is raised.  Every probe is a certified descent._torsor_solvable_at scan.
-    The exhaustive image is local_image(A, B, 2, "phi").
+    is raised.  Every probe is a certified descent._torsor_solvable_at_two
+    scan.
+
+    The free classes read v2 + 3 digits of B and of A^2-4B, and each probe
+    names the digits of its torsor coefficients it read; those coefficients
+    are integer polynomials in A and B.  N is the largest of these counts,
+    so (A mod 2^N, B mod 2^N) fixes every branch taken here.
     """
     D = A * A - 4 * B
     if B * D == 0:
         raise ValueError("singular curve")
     sides = ((-2 * A, D), (A, B))
     got = [1 | 1 << _class_index(D, 2), 1 | 1 << _class_index(B, 2)]  # confirmed subgroups
-    out = [0, 0]  # classes confirmed outside each image
+    out = [0, 0]  # the cosets of got confirmed outside each image
+    n = max(_vp(B, 2), _vp(D, 2)) + 3
     if got[0] & ~_ORTH[got[1]]:
         raise AssertionError(f"free classes at 2 are not orthogonal at ({A}, {B})")
+    reps = _class_reps(2)
     while got[0].bit_count() * got[1].bit_count() < 8:
-        open_ = [_ORTH[got[1 - i]] & ~got[i] & ~_mul_sets(out[i], got[i]) for i in (0, 1)]
-        if not (open_[0] or open_[1]):
-            raise AssertionError(f"2-adic images at ({A}, {B}) ran out of candidates before |W| |W^| = 8")
-        i = 1 if open_[1] else 0  # the dual side first: smaller coefficients
-        t = (open_[i] & -open_[i]).bit_length() - 1
-        a, b = sides[i]
-        if _torsor_solvable_at(_class_reps(2)[t], a, b, 2):
-            got[i] = _mul_sets(got[i] | 1 << t, got[i])
+        for i in (1, 0):  # the dual side first: smaller coefficients
+            open_ = _ORTH[got[1 - i]] & ~got[i] & ~out[i]
+            if open_:
+                break
         else:
-            out[i] |= 1 << t
-    return got[0].bit_count()
+            raise AssertionError(f"2-adic images at ({A}, {B}) ran out of candidates before |W| |W^| = 8")
+        t = (open_ & -open_).bit_length() - 1
+        found, read = _torsor_solvable_at_two(reps[t], *sides[i])
+        if read > n:
+            n = read
+        if found:
+            got[i] |= _TIMES[t][got[i]]
+            out[i] = _mul_sets(out[i], got[i])
+        else:
+            out[i] |= _TIMES[t][got[i]]
+    return got[0].bit_count(), n
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,17 @@ def test_stats_exits_1_after_skipping_curves(capsys, monkeypatch):
     assert "skipped 1 curves:" in err and "(3, 2): injected precision exhaustion" in err
 
 
+def test_stats_without_t_values_exits_1(tmp_path, capsys):
+    # a sample with no curve gives no t-distribution: one line on stderr,
+    # no cdf_distance line and no histogram file, as verify --sample 0 fails
+    hist = tmp_path / "hist.tsv"
+    assert main(["stats", "--xmax", "16", "--sample", "0", "--out", str(hist)]) == 1
+    out, err = capsys.readouterr()
+    assert "moment k1=0 k2=0" in out and "cdf_distance" not in out
+    assert err == "no t-values: empty curve selection\n"
+    assert not hist.exists()
+
+
 def test_verify_exits_1_after_skipping_curves(capsys, monkeypatch):
     assert main(["verify", "--xmax", "20"]) == 0
     clean = capsys.readouterr().out

@@ -10,6 +10,7 @@ from selmerlab.descent import (
     SelmerSet,
     SolverPrecisionError,
     TorsorQuartic,
+    _chart_scan,
     _chart_solvable,
     _class_index,
     _class_reps,
@@ -262,6 +263,41 @@ def test_second_chart_needs_only_pzp_after_first_fails():
 def test_pruned_scan_on_deep_charts(f, p):
     # deep trees: the reference runs here without a node budget
     assert _assert_scan_matches_reference(f, p) is False
+
+
+def _moved(rng, f, shift, odd=False):
+    """f with each even-degree coefficient moved by a multiple of 2^shift
+    (an odd multiple for at least one coefficient when odd is set)."""
+    moves = [rng.randint(-4, 4) for _ in range(3)]
+    if odd:
+        moves[rng.randrange(3)] = rng.choice((-1, 1))
+    c0, _, c2, _, c4 = f
+    return (c0 + (moves[0] << shift), 0, c2 + (moves[1] << shift), 0, c4 + (moves[2] << shift))
+
+
+def test_chart_digit_count_is_a_certificate():
+    # every chart that agrees with f mod 2^n, for the n digits _chart_scan
+    # names at 2, gets f's verdict; with one digit fewer some verdicts change
+    rng = random.Random(1406)
+    tested = changed = 0
+    while tested < 1500:
+        f = _random_chart(rng, 2, rng.random() < 0.5)
+        if f is None:
+            continue
+        starts = rng.choice((None, (0,)))
+        found, n = _chart_scan(f, 2, starts)
+        for _ in range(3):
+            g = _moved(rng, f, n)
+            if g[0] and g[4] and g[2] ** 2 != 4 * g[0] * g[4]:
+                assert _chart_scan(g, 2, starts)[0] == found, (f, g, starts, n)
+        g = _moved(rng, f, n - 1, odd=True)
+        if g[0] and g[4] and g[2] ** 2 != 4 * g[0] * g[4]:
+            try:
+                changed += _chart_scan(g, 2, starts)[0] != found
+            except SolverPrecisionError:
+                changed += 1
+        tested += 1
+    assert changed > 300, changed  # 389 of the 1,500
 
 
 def test_spot_curve_selmer_groups():

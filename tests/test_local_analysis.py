@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from selmerlab import descent, local_analysis
 from selmerlab.cli import curve_record
@@ -16,6 +17,7 @@ from selmerlab.local_analysis import (
     LedgerEntry,
     LocalFactorLedger,
     ReductionType,
+    _two_adic_size,
     classify_reduction,
     decompose_total,
     factor_at_infinity,
@@ -132,22 +134,31 @@ def test_factor_at_infinity_matches_real_image(e60_sample):
         assert factor_at_infinity(c.A, c.B) == len(local_image(c.A, c.B, INF_PLACE, "phi"))
 
 
-def _assert_factor_at_two_exact(pairs):
+def _assert_factor_at_two_exact(pairs, monkeypatch, image=True):
+    """factor_at_two from an empty memo against the scan on every pair, and
+    against the exhaustively tested image unless image is False; the number
+    of pairs and of entries the memo stored."""
+    memo = {}
+    monkeypatch.setattr(local_analysis, "_TWO_MEMO", memo)
     n = 0
     for A, B in pairs:
-        assert factor_at_two(A, B) == len(local_image(A, B, 2, "phi")), (A, B)
+        size = factor_at_two(A, B)
+        assert size == _two_adic_size(A, B)[0], (A, B)
+        if image:
+            assert size == len(local_image(A, B, 2, "phi")), (A, B)
         n += 1
-    return n
+    return n, sum(len(table) for bucket in memo.values() for table in bucket.values())
 
 
-def test_factor_at_two_matches_full_image():
+def test_factor_at_two_matches_full_image(monkeypatch):
     # the two-sided size must agree with the exhaustively tested image on
     # every curve of E(300)
     assert factor_at_two(0, 1) == 8
-    assert _assert_factor_at_two_exact((c.A, c.B) for c in enumerate_window(FamilyWindow(300))) == 20126
+    pairs = ((c.A, c.B) for c in enumerate_window(FamilyWindow(300)))
+    assert _assert_factor_at_two_exact(pairs, monkeypatch)[0] == 20126
 
 
-def test_factor_at_two_exact_at_high_valuations():
+def test_factor_at_two_exact_at_high_valuations(monkeypatch):
     # seeded curves with v2(A) up to 12, v2(B) up to 16 and |A| up to 10^6
     rng = random.Random(20261018)
     pairs = []
@@ -158,13 +169,22 @@ def test_factor_at_two_exact_at_high_valuations():
         if A * A != 4 * B:
             pairs.append((A, B))
     assert max(ord_p(A, 2) for A, _ in pairs if A) >= 12
-    _assert_factor_at_two_exact(pairs)
+    _assert_factor_at_two_exact(pairs, monkeypatch)
 
 
 @pytest.mark.parametrize("B", [16, -16, 48, -48, 64, -64, 96, -96])
-def test_factor_at_two_exact_on_deep_columns(B):
-    # whole columns at X = 10^4: every 2-adic class of A to 2^14
-    assert _assert_factor_at_two_exact((A, B) for A in column_members(B, 10**4)) == 15000
+def test_factor_at_two_exact_on_deep_columns(B, monkeypatch):
+    # whole columns at X = 10^4: every 2-adic class of A to 2^14.  The memo
+    # stores from 555 entries (B = -16) to 7,830 (B = 64) for 15,000 curves.
+    n, stored = _assert_factor_at_two_exact(((A, B) for A in column_members(B, 10**4)), monkeypatch)
+    assert n == 15000 and stored < 8000
+
+
+def test_memo_replays_the_scan_on_the_x1000_window(monkeypatch):
+    pairs = ((c.A, c.B) for c in enumerate_window(FamilyWindow(1000)))
+    n, stored = _assert_factor_at_two_exact(pairs, monkeypatch, image=False)
+    # 12,880 entries: about 9 in 10 curves are replays, not scans
+    assert n == 123052 and stored < n // 8
 
 
 def test_hilbert_symbol_table():
@@ -191,25 +211,78 @@ def test_hilbert_symbol_table():
 
 def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch):
     # a probe that denies one solvable class leaves the confirmed images short
-    # of |W| |W^| = 8, so the candidates run out: never a wrong size
-    honest = descent._torsor_solvable_at
+    # of |W| |W^| = 8, so the candidates run out: never a wrong size.  The
+    # memo starts empty, so every curve reaches the probes, and a run that
+    # raised stores nothing.
+    memo = {}
+    monkeypatch.setattr(local_analysis, "_TWO_MEMO", memo)
+    honest = descent._torsor_solvable_at_two
     for c in [CurvePair(0, 1)] + e60_sample[:20]:
         lied = []
 
-        def probe(d, a, b, p):
-            ok = honest(d, a, b, p)
+        def probe(d, a, b):
+            ok, n = honest(d, a, b)
             if ok and d != 1 and not lied:
                 lied.append(d)
-                return False
-            return ok
+                return False, n
+            return ok, n
 
-        monkeypatch.setattr(local_analysis, "_torsor_solvable_at", probe)
+        monkeypatch.setattr(local_analysis, "_torsor_solvable_at_two", probe)
         with pytest.raises(AssertionError):
             factor_at_two(c.A, c.B)
-        assert lied
-    monkeypatch.setattr(local_analysis, "_torsor_solvable_at", lambda d, a, b, p: d == 1)
+        assert lied and memo == {}
+    monkeypatch.setattr(local_analysis, "_torsor_solvable_at_two", lambda d, a, b: (d == 1, 0))
     with pytest.raises(AssertionError):
         factor_at_two(3, 2)
+    assert memo == {}
+
+
+def test_certificate_digits_fix_the_size():
+    # moves by multiples of 2^N keep the size (0 of 9,000 change); moves by an
+    # odd multiple of 2^(N-1) change it on some curves, so the count is not a
+    # digit too generous everywhere, and a count one digit short fails here
+    rng = random.Random(20261018)
+    curves = rng.sample([(c.A, c.B) for c in enumerate_window(FamilyWindow(300))], 3000)
+    changed = 0
+    for A, B in curves:
+        size, n = _two_adic_size(A, B)
+        for _ in range(3):
+            j, l = rng.randint(-4, 4), rng.randint(-4, 4)
+            A2, B2 = A + (j << n), B + (l << n)
+            if B2 * (A2 * A2 - 4 * B2):
+                assert _two_adic_size(A2, B2)[0] == size, (A, B, j, l, n)
+        A2, B2 = A + (rng.choice((-1, 1)) << n - 1), B + (rng.choice((-1, 0, 1)) << n - 1)
+        if B2 * (A2 * A2 - 4 * B2):
+            changed += _two_adic_size(A2, B2)[0] != size
+    assert changed > 50  # 66 of the 3,000
+
+
+def _scaled_sizes(A, B):
+    # (A, B) -> (u^2 A, u^4 B) is the isomorphism (x, y) -> (u^2 x, u^3 y)
+    return {
+        f(u * u * A, u**4 * B) for u in (1, 2, 3) for f in (factor_at_two, lambda a, b: _two_adic_size(a, b)[0])
+    }
+
+
+def test_size_at_two_invariant_under_scaling():
+    rng = random.Random(5)
+    n = 0
+    while n < 300:
+        A = rng.randint(-500, 500) << rng.randint(0, 6)
+        B = rng.choice((1, -1)) * (rng.randint(1, 500) | 1) << rng.randint(0, 12)
+        if A * A != 4 * B:
+            assert len(_scaled_sizes(A, B)) == 1, (A, B)
+            n += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-100, 100), st.integers(0, 6), st.integers(-100, 100), st.integers(0, 12), st.sampled_from((1, -1))
+)
+def test_size_at_two_invariant_under_scaling_hypothesis(a, ka, b, kb, sign):
+    A, B = (2 * a + 1) << ka, sign * (2 * b + 1) << kb  # v2(A) = ka, v2(B) = kb
+    assume(A * A != 4 * B)
+    assert len(_scaled_sizes(A, B)) == 1, (A, B)
 
 
 def test_perfbench_tracer_hooks_resolve():
