@@ -182,8 +182,13 @@ def _column_records(B: int):
         try:
             if isinstance(row, Exception):
                 raise row
-            rec = curve_record(CurvePair(A, B), with_descent) if row is None else _record(A, B, row, with_descent)
-            out.append(rec.as_tuple())
+            if row is None:
+                out.append(curve_record(CurvePair(A, B), with_descent).as_tuple())
+            elif with_descent:
+                out.append(_record(A, B, row, True).as_tuple())
+            else:  # no descent, so nothing for OutputRecord to assert: the row is the record
+                t_total, g1, g2, n_add = row
+                out.append((A, B, t_total, None, None, None, g1, g2, n_add, is_square(A * A - 4 * B)))
         except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
             skipped.append((A, B, str(exc)))
     return B, out, skipped
@@ -267,7 +272,7 @@ def write_records(config: RunConfig, out) -> tuple[int, list]:
         skipped_all += skipped
         for r in recs:
             if csv:
-                out.write(",".join(_format_cell(v) for v in r) + "\n")
+                out.write(",".join(map(_format_cell, r)) + "\n")
             else:
                 text = json.dumps(dict(zip(RECORD_FIELDS, r)), separators=(", ", ": "))
                 out.write(("" if n == 0 else ",\n") + text)

@@ -33,6 +33,12 @@ The scan also names how many p-adic digits of the chart's coefficients its
 decisions read, so every chart that agrees with it to that many digits gets
 the same verdict by the same search; at p = 2 that count
 (`_torsor_solvable_at_two`) lets local_analysis replay place 2 from a memo.
+The same count keys the chart memo under the scan (`_CHART_MEMO`): a chart
+is normalized to g = (c0, 0, c2, 0, c4), and g is scanned once per process.
+Its verdict is stored under (p, starts, v_p(c0)), then n, then (c0, c2, c4)
+mod p^n, and every later chart whose g agrees mod p^n replays it, whoever
+asks: the place-2 probes of local_analysis and the local images at 2 and
+at odd p <= 13.  The structural decider above 13 is not memoized.
 
 Square classes have one encoding, used by every module.  Q_v*/(Q_v*)^2 is
 F_2^n and a class is an int index (`_class_index`): at the real place bit 0
@@ -210,13 +216,18 @@ def _zp_scan(f, p: int, kmax: int, starts=None) -> tuple[bool, int]:
     Each decision at a node reads f(x0) and f'(x0) to a precision it can
     name, and x0 is a fixed integer, so f's coefficients mod p^n fix them.
     With w = v_p(f'(x0)) a node reads v + 3 digits at even v (v + 1 at odd
-    p) and v + 1 at odd v, which fix v and the square test; w + 1 digits
-    when w < k and k otherwise, which fix P; and the v + 1 digits of f'(x0)
-    already keep w >= ceil(v/2), so Hensel does not fire.  An exact zero or
-    a Hensel exit reads 2w + 1 (f is separable, so w is finite at a root):
-    every f that agrees there mod p^(2w+1) has a point by one of the three
-    exits.  n is the most any visited node read, so every f that agrees with
-    this one mod p^n runs the same search to the same verdict.
+    p) and v + 1 at odd v, which fix v and the square test, and the v + 1
+    digits of f'(x0) already keep w >= ceil(v/2), so Hensel does not fire.
+    P needs w + 1 digits of f'(x0) when w < k and k otherwise, and the node
+    has read k already: at k = 1 trivially, and deeper its parent class
+    (P', v') was kept, either with v' >= P' >= k - 1, so that v >= k - 1
+    and the node read v + 1 or more, or at p = 2 with an even v' < P' <=
+    v' + 2, so that v = v' >= k - 3 and the node read v + 3.
+    An exact zero or a Hensel exit reads 2w + 1 (f is separable, so w is
+    finite at a root): every f that agrees there mod p^(2w+1) has a point by
+    one of the three exits.  n is the most any visited node read, so every f
+    that agrees with this one mod p^n runs the same search to the same
+    verdict.
     """
     while len(f) < 5:
         f = tuple(f) + (0,)
@@ -246,17 +257,10 @@ def _zp_scan(f, p: int, kmax: int, starts=None) -> tuple[bool, int]:
         w = (fp & -fp).bit_length() - 1 if two and fp else _vp(fp, p)
         if v >= 2 * w + 1:
             return True, max(n, 2 * w + 1)  # Hensel: a root of f within p^(v - w) of x0, so y = 0
-        read = v + 1 if v & 1 else v + need  # digits of f(x0) read; of f'(x0), w + 1 or k
+        read = v + 1 if v & 1 else v + need  # digits of f(x0), and of f'(x0) to k
         if read > n:
             n = read
-        if w < k:
-            prec = k + w  # f(x) = f(x0) mod p^prec on the class
-            if w >= n:
-                n = w + 1
-        else:
-            prec = 2 * k
-            if k > n:
-                n = k
+        prec = k + w if w < k else 2 * k  # f(x) = f(x0) mod p^prec on the class
         if v < prec and (v & 1 or prec - v >= need):
             continue  # valuation and unit class pinned: no solution here
         if k >= kmax:
@@ -338,26 +342,35 @@ def _chart_solvable(f, p: int, force: str | None = None, starts=None) -> bool:
     """
     if (force or ("scan" if p <= _SCAN_MAX_P else "structural")) == "scan":
         return _chart_scan(f, p, starts)[0]
-    _, f, vd = _normal_chart(f, p)
+    _, f = _normal_chart(f, p)
     if starts is not None:
         raise ValueError(f"a chart restricted to x0 in {starts} at p={p} needs the scan")
-    return _zp_solvable_structural(f, p, vd + 10)
+    return _zp_solvable_structural(f, p, _disc_vp(f, p) + 10)
 
 
 def _normal_chart(f, p: int):
-    """(e, f / p^(2 floor(e/2)), v_p(disc)) for a biquadratic chart f: e is the
-    least valuation of its coefficients, and the dividing out of p^2s is a
+    """(e, f / p^(2 floor(e/2))) for a biquadratic chart f: e is the least
+    valuation of its coefficients, and the dividing out of p^2s is a
     y-rescaling.  disc = 16 c4 c0 (c2^2 - 4 c4 c0)^2 must not vanish."""
     c0, _, c2, _, c4 = f
-    h = c2 * c2 - 4 * c4 * c0
-    if not (c0 and c4 and h):
+    if not (c0 and c4 and c2 * c2 != 4 * c4 * c0):
         raise ValueError("degenerate chart quartic")
     e = _vp(c0 | c2 | c4, 2) if p == 2 else _vp(math.gcd(c0, c2, c4), p)
     s = e // 2 * 2
     if s:
         c0, c2, c4 = c0 // p**s, c2 // p**s, c4 // p**s
-        h //= p ** (2 * s)
-    return e, (c0, 0, c2, 0, c4), _vp(16 * c4 * c0, p) + 2 * _vp(h, p)
+    return e, (c0, 0, c2, 0, c4)
+
+
+def _disc_vp(g, p: int) -> int:
+    """v_p(disc) of a biquadratic chart, disc = 16 c4 c0 (c2^2 - 4 c4 c0)^2."""
+    c0, _, c2, _, c4 = g
+    return _vp(16 * c4 * c0, p) + 2 * _vp(c2 * c2 - 4 * c4 * c0, p)
+
+
+# (p, starts, v_p(c0)) -> {n: {(c0, c2, c4) mod p^n: found}} for the normal
+# charts (c0, 0, c2, 0, c4) that _zp_scan searched, per process
+_CHART_MEMO: dict = {}
 
 
 def _chart_scan(f, p: int, starts=None) -> tuple[bool, int]:
@@ -365,10 +378,31 @@ def _chart_scan(f, p: int, starts=None) -> tuple[bool, int]:
     coefficients the verdict read (see _zp_scan): e + 1 digits fix e, and n
     digits of f / p^s are n + s digits of f.  The budget kmax = v_p(disc) + 6
     needs no more: a node expanded at depth K read at least K digits, and
-    those keep v_p(disc) >= K - 5."""
-    e, g, vd = _normal_chart(f, p)
-    found, n = _zp_scan(g, p, vd + 6, starts)
-    return found, max(e + 1, n + e // 2 * 2)
+    those keep v_p(disc) >= K - 5.
+
+    The normal chart g = f / p^s is scanned once per process: every chart
+    whose g agrees with it mod p^n, for the n digits its scan read, gets the
+    same verdict, so the verdict is looked up in _CHART_MEMO, and n, which
+    certifies it for that whole class, is the count.  (A fresh scan of such
+    a chart may exit at a root by another branch and name more digits.)  The
+    first node, x0 = 0, reads more than v_p(c0) digits, so n > v_p(c0) and
+    v_p(c0) picks the bucket; a lookup tries the few n's stored there.  A
+    scan that raised stores nothing."""
+    e, g = _normal_chart(f, p)
+    c0, _, c2, _, c4 = g
+    s = e // 2 * 2
+    key = (p, starts, _vp(c0, p))
+    bucket = _CHART_MEMO.get(key)
+    if bucket:
+        for n, table in bucket.items():
+            q = p**n
+            found = table.get((c0 % q, c2 % q, c4 % q))
+            if found is not None:
+                return found, max(e + 1, n + s)
+    found, n = _zp_scan(g, p, _disc_vp(g, p) + 6, starts)
+    q = p**n
+    _CHART_MEMO.setdefault(key, {}).setdefault(n, {})[c0 % q, c2 % q, c4 % q] = found
+    return found, max(e + 1, n + s)
 
 
 def _torsor_solvable_at(d: int, a: int, b: int, p: int) -> bool:

@@ -20,16 +20,20 @@ one side bounds the other: only classes orthogonal to it remain candidates
 there.  Torsors are still probed by certified scans; duality only chooses
 which probes are needed.
 
-Place 2 is memoized by a certificate, not by a guessed key.  Every branch
-of the computation at 2 reads finitely many 2-adic digits of A and B, and
-it counts them.  The free classes read v2 + 3 digits of B and of A^2-4B.
-A node of the residue scan, the class x0 mod 2^k of a chart quartic f,
-reads v + 3 digits of f(x0) at even v = v2(f(x0)) and v + 1 at odd v, and
-w + 1 digits of f'(x0) (w = v2(f'(x0))) if w < k, else k.  An exit at a
-root of f reads 2w + 1.  A chart adds the 2 floor(e/2) digits its
-normalization divided out, and e + 1 to find e.  With N the largest count,
-any curve that agrees with (A, B) mod 2^N repeats the same computation, so
-its size is looked up (`factor_at_two`), not recomputed.
+Place 2 is memoized by a certificate, not by a guessed key, in two layers.
+Every branch of the computation at 2 reads finitely many 2-adic digits of A
+and B, and it counts them.  The free classes read v2 + 3 digits of B and of
+A^2-4B.  A node of the residue scan, the class x0 mod 2^k of a chart
+quartic f, reads v + 3 digits of f(x0) at even v = v2(f(x0)) and v + 1 at
+odd v, which also fix f'(x0) as far as the node needs it.  An exit at a
+root of f reads 2w + 1, w = v2(f'(x0)).  A chart adds the 2 floor(e/2)
+digits its normalization divided out, and e + 1 to find e.  With N the
+largest count, any curve that agrees with (A, B) mod 2^N repeats the same
+computation, so its size is looked up (`factor_at_two`, the curve layer),
+not recomputed.  A miss still finds most of its charts already scanned:
+descent._chart_scan keeps each chart's verdict under the digits that scan
+read (the chart layer), so a miss costs its dict probes and the charts no
+earlier curve met.
 
 Every local size is |H^1| of the local condition group at that place, a
 power of 2 between 1 and 8; the ledger stores exponent = log2(size) - 1 so

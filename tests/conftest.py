@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from selmerlab import descent, local_analysis
 from selmerlab.curve_family import FamilyWindow, enumerate_window
 
 
@@ -13,3 +14,23 @@ def e60():
 @pytest.fixture(scope="session")
 def e60_sample(e60):
     return random.Random(11).sample(e60, 120)
+
+
+class NeverStores(dict):
+    """A memo that stays empty: every lookup misses and every store is dropped."""
+
+    def __setitem__(self, key, value):
+        pass
+
+    def setdefault(self, key, default=None):
+        return default
+
+
+@pytest.fixture
+def scan_oracle(monkeypatch):
+    """Every place-2 size and every chart verdict from a fresh scan: the
+    curve memo starts empty and the chart memo stores nothing.  Without it a
+    chart that agrees with an earlier one to its digit count is a memo hit,
+    and a test of the count checks the memo against itself."""
+    monkeypatch.setattr(local_analysis, "_TWO_MEMO", {})
+    monkeypatch.setattr(descent, "_CHART_MEMO", NeverStores())

@@ -4,7 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from selmerlab import descent, local_analysis
+from selmerlab.cli import sample_keys
 from selmerlab.core_arith import _vp, is_prime, jacobi, primes_below, squarefree_part
+from selmerlab.curve_family import FamilyWindow, enumerate_window
 from selmerlab.descent import (
     INF_PLACE,
     SelmerSet,
@@ -14,11 +17,14 @@ from selmerlab.descent import (
     _chart_solvable,
     _class_index,
     _class_reps,
+    _disc_vp,
     _local_image_tags,
+    _normal_chart,
     _real_solvable,
     _shift_scale,
     _side_coefficients,
     _torsor_solvable_at,
+    _zp_scan,
     _zp_solvable_scan,
     _zp_solvable_structural,
     descent_exponent,
@@ -85,7 +91,7 @@ def test_solvable_padic_examples():
         solvable_padic(TorsorQuartic(1, 0, 1), 6)
 
 
-def test_structural_matches_scan_on_random_charts():
+def test_structural_matches_scan_on_random_charts(scan_oracle):
     rng = random.Random(42)
     ps = [p for p in primes_below(60) if p >= 17]
     n = 0
@@ -216,7 +222,7 @@ def _pzp_chart_solvable(f, p):
     return _zp_solvable_structural(_shift_scale(f, 0, p), p, kmax + 4)
 
 
-def test_second_chart_needs_only_pzp_after_first_fails():
+def test_second_chart_needs_only_pzp_after_first_fails(scan_oracle):
     # a point of chart u = 1 with x a unit is (1/x, 1) in chart v = 1, so once
     # that chart fails, searching x = 0 (mod p) decides the second chart
     rng = random.Random(1018)
@@ -275,7 +281,7 @@ def _moved(rng, f, shift, odd=False):
     return (c0 + (moves[0] << shift), 0, c2 + (moves[1] << shift), 0, c4 + (moves[2] << shift))
 
 
-def test_chart_digit_count_is_a_certificate():
+def test_chart_digit_count_is_a_certificate(scan_oracle):
     # every chart that agrees with f mod 2^n, for the n digits _chart_scan
     # names at 2, gets f's verdict; with one digit fewer some verdicts change
     rng = random.Random(1406)
@@ -298,6 +304,102 @@ def test_chart_digit_count_is_a_certificate():
                 changed += 1
         tested += 1
     assert changed > 300, changed  # 389 of the 1,500
+
+
+def _rooted_chart(rng, p):
+    """A chart with the root x0 in 1..6, at which v_p(f'(x0)) is about w, or
+    half the time a p-adic root near x0: c0 = -(c2 x0^2 + c4 x0^4), then
+    moved by a multiple of p^m."""
+    x0, w = rng.randint(1, 6), rng.randint(0, 3)
+    c4 = rng.choice((1, -1)) * rng.randint(1, 60)
+    c2 = -2 * c4 * x0 * x0 + rng.choice((1, -1, 2)) * p**w * rng.choice((1, 1, p))
+    c0 = -(c2 * x0 * x0 + c4 * x0**4)
+    if rng.random() < 0.5:
+        c0 += rng.choice((1, -1, 2, 3)) * p ** rng.randint(2, 9)
+    return (c0, 0, c2, 0, c4) if c0 and c2 * c2 != 4 * c0 * c4 else None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_root_exit_digit_count_is_a_certificate(p, scan_oracle):
+    # the scan's exits at a root x0 of f (exact, or by Hensel) read 2w + 1
+    # digits of f(x0), w = v_p(f'(x0)); random torsor charts rarely reach
+    # them.  Moving c0 moves f(x0) and nothing else: by multiples of p^n the
+    # verdict stays, by multiples of p^(n-1) it changes on some charts.  With
+    # the exits cut to 2w, moves by p^n change the verdict at odd p.
+    rng = random.Random(p)
+    tested = changed = 0
+    while tested < 600:
+        f = _rooted_chart(rng, p)
+        if f is None:
+            continue
+        starts = rng.choice((None, (0,)))
+        found, n = _chart_scan(f, p, starts)
+        c0, _, c2, _, c4 = f
+        for j in (1, -1, 2, 3):
+            for shift in (n, n - 1):
+                g = (c0 + j * p**shift, 0, c2, 0, c4)
+                if g[0] and c2 * c2 != 4 * g[0] * c4:
+                    if shift == n:
+                        assert _chart_scan(g, p, starts)[0] == found, (f, g, starts, n)
+                    else:
+                        changed += _chart_scan(g, p, starts)[0] != found
+        tested += 1
+    assert changed > 300, changed  # 375 to 723 of about 2,400 moves by p^(n-1)
+
+
+def _charts_met(monkeypatch):
+    """Every (f, p, starts) _chart_scan is called with, in order, from empty
+    memos: place 2 over E(10^3) through factor_at_two, then both sides'
+    local images at every place of a 400-curve sample at X = 10^3, whose
+    odd p <= 13 are scanned."""
+    monkeypatch.setattr(local_analysis, "_TWO_MEMO", {})
+    monkeypatch.setattr(descent, "_CHART_MEMO", {})
+    calls = []
+    scan = descent._chart_scan
+
+    def recording(f, p, starts=None):
+        found, n = scan(f, p, starts)
+        calls.append((f, p, starts, found))
+        return found, n
+
+    monkeypatch.setattr(descent, "_chart_scan", recording)
+    for c in enumerate_window(FamilyWindow(1000)):
+        local_analysis.factor_at_two(c.A, c.B)
+    for B, As in sample_keys(1000, True, 400, 13).items():
+        for A in As:
+            local_masks(A, B, relevant_places(A, B))
+    return calls
+
+
+def test_chart_memo_replays_a_fresh_scan(monkeypatch):
+    # the memo's verdict on every chart the curve-memo misses and the descent
+    # meet equals a fresh _zp_scan of its normal chart; a memo keyed on one
+    # digit fewer than the scan read answers some chart wrongly
+    calls = _charts_met(monkeypatch)
+    fresh = {}
+    short = {}  # (p, starts, v_p(c0)) -> {n - 1: {(c0, c2, c4) mod p^(n-1): found}}
+    wrong = 0
+    for f, p, starts, found in calls:
+        _, g = _normal_chart(f, p)
+        if (g, p, starts) not in fresh:
+            fresh[g, p, starts] = _zp_scan(g, p, _disc_vp(g, p) + 6, starts)
+        want, n = fresh[g, p, starts]
+        assert found == want, (f, p, starts)
+        c0, _, c2, _, c4 = g  # the memo's lookup, with each count cut by one
+        bucket = short.setdefault((p, starts, _vp(c0, p)), {})
+        for m, table in bucket.items():
+            q = p**m
+            hit = table.get((c0 % q, c2 % q, c4 % q))
+            if hit is not None:
+                wrong += hit != want
+                break
+        else:
+            q = p ** (n - 1)
+            bucket.setdefault(n - 1, {})[c0 % q, c2 % q, c4 % q] = want
+    scanned = sum(len(table) for bucket in descent._CHART_MEMO.values() for table in bucket.values())
+    odd = sum(p != 2 for _, p, _, _ in calls)
+    assert len(calls) > 5 * scanned and odd > 1000, (len(calls), scanned, odd)
+    assert wrong, wrong
 
 
 def test_spot_curve_selmer_groups():

@@ -134,12 +134,12 @@ def test_factor_at_infinity_matches_real_image(e60_sample):
         assert factor_at_infinity(c.A, c.B) == len(local_image(c.A, c.B, INF_PLACE, "phi"))
 
 
-def _assert_factor_at_two_exact(pairs, monkeypatch, image=True):
+def _assert_factor_at_two_exact(pairs, image=True):
     """factor_at_two from an empty memo against the scan on every pair, and
     against the exhaustively tested image unless image is False; the number
-    of pairs and of entries the memo stored."""
-    memo = {}
-    monkeypatch.setattr(local_analysis, "_TWO_MEMO", memo)
+    of pairs and of entries the memo stored.  The caller uses scan_oracle, so
+    the memo starts empty and every chart is a fresh scan."""
+    memo = local_analysis._TWO_MEMO
     n = 0
     for A, B in pairs:
         size = factor_at_two(A, B)
@@ -150,15 +150,15 @@ def _assert_factor_at_two_exact(pairs, monkeypatch, image=True):
     return n, sum(len(table) for bucket in memo.values() for table in bucket.values())
 
 
-def test_factor_at_two_matches_full_image(monkeypatch):
+def test_factor_at_two_matches_full_image(scan_oracle):
     # the two-sided size must agree with the exhaustively tested image on
     # every curve of E(300)
     assert factor_at_two(0, 1) == 8
     pairs = ((c.A, c.B) for c in enumerate_window(FamilyWindow(300)))
-    assert _assert_factor_at_two_exact(pairs, monkeypatch)[0] == 20126
+    assert _assert_factor_at_two_exact(pairs)[0] == 20126
 
 
-def test_factor_at_two_exact_at_high_valuations(monkeypatch):
+def test_factor_at_two_exact_at_high_valuations(scan_oracle):
     # seeded curves with v2(A) up to 12, v2(B) up to 16 and |A| up to 10^6
     rng = random.Random(20261018)
     pairs = []
@@ -169,20 +169,20 @@ def test_factor_at_two_exact_at_high_valuations(monkeypatch):
         if A * A != 4 * B:
             pairs.append((A, B))
     assert max(ord_p(A, 2) for A, _ in pairs if A) >= 12
-    _assert_factor_at_two_exact(pairs, monkeypatch)
+    _assert_factor_at_two_exact(pairs)
 
 
 @pytest.mark.parametrize("B", [16, -16, 48, -48, 64, -64, 96, -96])
-def test_factor_at_two_exact_on_deep_columns(B, monkeypatch):
+def test_factor_at_two_exact_on_deep_columns(B, scan_oracle):
     # whole columns at X = 10^4: every 2-adic class of A to 2^14.  The memo
     # stores from 555 entries (B = -16) to 7,830 (B = 64) for 15,000 curves.
-    n, stored = _assert_factor_at_two_exact(((A, B) for A in column_members(B, 10**4)), monkeypatch)
+    n, stored = _assert_factor_at_two_exact((A, B) for A in column_members(B, 10**4))
     assert n == 15000 and stored < 8000
 
 
-def test_memo_replays_the_scan_on_the_x1000_window(monkeypatch):
+def test_memo_replays_the_scan_on_the_x1000_window(scan_oracle):
     pairs = ((c.A, c.B) for c in enumerate_window(FamilyWindow(1000)))
-    n, stored = _assert_factor_at_two_exact(pairs, monkeypatch, image=False)
+    n, stored = _assert_factor_at_two_exact(pairs, image=False)
     # 12,880 entries: about 9 in 10 curves are replays, not scans
     assert n == 123052 and stored < n // 8
 
@@ -209,13 +209,12 @@ def test_hilbert_symbol_table():
         assert orth.bit_count() * m.bit_count() == 8 and local_analysis._ORTH[orth] == m
 
 
-def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch):
+def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch, scan_oracle):
     # a probe that denies one solvable class leaves the confirmed images short
     # of |W| |W^| = 8, so the candidates run out: never a wrong size.  The
     # memo starts empty, so every curve reaches the probes, and a run that
     # raised stores nothing.
-    memo = {}
-    monkeypatch.setattr(local_analysis, "_TWO_MEMO", memo)
+    memo = local_analysis._TWO_MEMO
     honest = descent._torsor_solvable_at_two
     for c in [CurvePair(0, 1)] + e60_sample[:20]:
         lied = []
@@ -237,7 +236,7 @@ def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch):
     assert memo == {}
 
 
-def test_certificate_digits_fix_the_size():
+def test_certificate_digits_fix_the_size(scan_oracle):
     # moves by multiples of 2^N keep the size (0 of 9,000 change); moves by an
     # odd multiple of 2^(N-1) change it on some curves, so the count is not a
     # digit too generous everywhere, and a count one digit short fails here
