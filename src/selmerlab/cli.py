@@ -8,9 +8,12 @@ identical for any thread count.  A full-window column (`compute` without
 `local_analysis.column_ledger`, one sieve over the whole column; a sampled
 column builds each record with `curve_record` from the per-curve ledger,
 whose odd places also give g1, g2 and the descent's place list.
-`--with-descent` runs the descent per curve (`descent.local_masks` once for
-both sides), and `OutputRecord` asserts it equals the ledger total.  `verify`
-visits each curve once and every per-curve suite reads its ledger and masks.
+`--with-descent` runs the descent per curve (`descent.local_masks`: one
+duality loop finds both sides' images at each finite place), and
+`OutputRecord` asserts it equals the ledger total.  `verify` visits each
+curve once and every per-curve suite reads its ledger and its exhaustive
+images (every class tested on each side), so its duality suites test
+duality instead of assuming it.
 
 Each command's parser declares only the flags that command honours
 (`COMMAND_FLAGS`, drawn from the one table `FLAGS`, whose dests are the
@@ -346,6 +349,11 @@ def _t_values(config: RunConfig) -> tuple[list[int], list]:
 
 def cmd_stats(config: RunConfig) -> int:
     X, z = config.xmax, config.zcut
+    out = config.outPath
+    if out:  # fail before any output, as compute does, but create no file yet
+        where = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
+        if os.path.isdir(out) or not os.access(where, os.W_OK):
+            raise OSError(f"cannot write {out}")
     scan = stats.family_scan(X, z)
     if scan["n_stats"] == 0:
         print("empty family", file=sys.stderr)
@@ -391,12 +399,14 @@ def run_verification(
     """Run the invariant suites over the window (or a seeded sample of it).
 
     Each curve is visited once: its ledger (which also names its odd bad
-    places) and both local images at every one of its places are computed
-    once, and every per-curve suite, the descent groups too, reads them.
+    places) and both exhaustive local images at every one of its places are
+    computed once, and every per-curve suite, the descent groups too, reads
+    them.
     Returns True iff everything passed; prints one line per suite.
     """
     from .curve_family import density_rho
-    from .local_analysis import _ORTH, decompose_total, tamagawa_number
+    from .descent import _ORTH, _exhaustive_masks
+    from .local_analysis import decompose_total, tamagawa_number
 
     if sample is None:
         curves = enumerate_window(FamilyWindow(xmax))
@@ -427,7 +437,7 @@ def run_verification(
         try:  # the images are class masks (descent's square-class encoding)
             ledger = tamagawa_exponent(c)
             odd = ledger.entries[:-2]  # the odd bad places, ascending, then 2 and inf
-            images = local_masks(A, B, [INF_PLACE, 2] + [e.place for e in odd])
+            images = _exhaustive_masks(A, B, [INF_PLACE, 2] + [e.place for e in odd])
         except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
             skipped.append((A, B, str(exc)))
             continue

@@ -37,8 +37,9 @@ The same count keys the chart memo under the scan (`_CHART_MEMO`): a chart
 is normalized to g = (c0, 0, c2, 0, c4), and g is scanned once per process.
 Its verdict is stored under (p, starts, v_p(c0)), then n, then (c0, c2, c4)
 mod p^n, and every later chart whose g agrees mod p^n replays it, whoever
-asks: the place-2 probes of local_analysis and the local images at 2 and
-at odd p <= 13.  The structural decider above 13 is not memoized.
+asks: the duality loop's probes at 2 (the ledger's and the descent's) and
+at odd p <= 13, and the exhaustive images.  The structural decider above 13
+is not memoized.
 
 Square classes have one encoding, used by every module.  Q_v*/(Q_v*)^2 is
 F_2^n and a class is an int index (`_class_index`): at the real place bit 0
@@ -49,6 +50,13 @@ classes, such as a local image, is a mask with bit i for class i.  A
 curve's local conditions are one dict {v: (phi mask, phihat mask)} at inf, 2
 and the odd primes of B (A^2-4B) (`local_masks`), read by both sides; inf is
 an ordinary place, since real solvability of a class depends only on its sign.
+
+At a finite place the two masks are found together by one duality loop
+(`_dual_images`, over the Hilbert pairing tables `_ORTH` and `_ORTH_ODD`),
+which serves compute, the descent and the ledger's place 2.  Testing every
+class on each side (`_local_image_tags`, `_exhaustive_masks`) is the
+reference that `local_image`, `_selmer` without masks and verify use, so
+duality is checked there, not assumed.
 """
 
 from __future__ import annotations
@@ -483,6 +491,91 @@ def _mul_sets(s: int, m: int) -> int:
     return out
 
 
+def _hilbert2(x: int, y: int) -> int:
+    """0 if the Hilbert symbol (x, y)_2 of two class indices is 1, else 1.
+
+    For x = 2^a u and y = 2^b w, (x, y)_2 = (-1)^(e(u)e(w) + a o(w) + b o(u))
+    with e(u) = (u-1)/2 and o(u) = (u^2-1)/8 mod 2, i.e. the bits of -1 and 5.
+    """
+    return ((x & y) ^ (x >> 2 & y >> 1) ^ (x >> 1 & y >> 2)) & 1
+
+
+def _hilbert_odd(x: int, y: int, eps: int) -> int:
+    """0 if the Hilbert symbol (x, y)_p of two class indices at odd p is 1, else 1.
+
+    For x = p^a u and y = p^b w, (x, y)_p = (-1)^(eps a b) (u/p)^b (w/p)^a
+    with eps = (p-1)/2 mod 2 (Serre, A Course in Arithmetic, III.1.2); bit 0
+    of an index is (u/p) = -1 and bit 1 is a.
+    """
+    return ((x & y >> 1) ^ (x >> 1 & y) ^ (eps & x >> 1 & y >> 1)) & 1
+
+
+def _orth_table(pair, n: int) -> tuple:
+    """t[m]: the classes (of n) pairing trivially with all of the mask m."""
+    return tuple(
+        sum(1 << y for y in range(n) if not any(m >> x & 1 and pair(x, y) for x in range(n))) for m in range(1 << n)
+    )
+
+
+# the orthogonal complements under the Hilbert symbol: _ORTH at 2, and
+# _ORTH_ODD[p >> 1 & 1] at odd p (p = 1, 3 mod 4)
+_ORTH = _orth_table(_hilbert2, 8)
+_ORTH_ODD = tuple(_orth_table(lambda x, y, e=eps: _hilbert_odd(x, y, e), 4) for eps in (0, 1))
+
+
+def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
+    """(W, W^, N) at a finite place v: the phi image W (torsor coefficients
+    (-2A, A^2-4B)) and the dual image W^ (coefficients (A, B)) as masks, and
+    at v = 2 the number N of 2-adic digits of A and B read (0 at odd v).
+
+    W and W^ are exact orthogonal complements under the Hilbert symbol
+    (local Tate duality; Schaefer, Class groups and Selmer groups, J. Number
+    Theory 56, 1996), so |W| |W^| = 8 at 2 and 4 at odd p.  Each starts as
+    the span of 1 and its free class ([A^2-4B] in W, [B] in W^, the points
+    with u = 0), and a side only probes classes orthogonal to everything the
+    other side has confirmed.  A failed probe of t rules out the coset t W.
+    Probing stops once the confirmed sizes multiply to the full size; if the
+    candidates run out first, AssertionError is raised.
+
+    At 2 the free classes read v2 + 3 digits of B and of A^2-4B, and each
+    certified probe (_torsor_solvable_at_two) names the digits of its torsor
+    coefficients, integer polynomials in A and B, that it read.  N is the
+    largest count, so (A mod 2^N, B mod 2^N) fixes every branch taken here.
+    """
+    D = A * A - 4 * B
+    if B * D == 0:
+        raise ValueError("singular curve")
+    two = v == 2
+    orth, full = (_ORTH, 8) if two else (_ORTH_ODD[v >> 1 & 1], 4)
+    sides = ((-2 * A, D), (A, B))
+    got = [1 | 1 << _class_index(D, v), 1 | 1 << _class_index(B, v)]  # confirmed subgroups
+    out = [0, 0]  # the cosets of got confirmed outside each image
+    n = max(_vp(B, 2), _vp(D, 2)) + 3 if two else 0
+    if got[0] & ~orth[got[1]]:
+        raise AssertionError(f"free classes at {v} are not orthogonal at ({A}, {B})")
+    reps = _class_reps(v)
+    while got[0].bit_count() * got[1].bit_count() < full:
+        for i in (1, 0):  # the dual side first: smaller coefficients
+            open_ = orth[got[1 - i]] & ~got[i] & ~out[i]
+            if open_:
+                break
+        else:
+            raise AssertionError(f"images at {v} for ({A}, {B}) ran out of candidates before |W| |W^| = {full}")
+        t = (open_ & -open_).bit_length() - 1
+        if two:
+            found, read = _torsor_solvable_at_two(reps[t], *sides[i])
+            if read > n:
+                n = read
+        else:
+            found = _torsor_solvable_at(reps[t], *sides[i], v)
+        if found:
+            got[i] |= _TIMES[t][got[i]]
+            out[i] = _mul_sets(out[i], got[i])
+        else:
+            out[i] |= _TIMES[t][got[i]]
+    return got[0], got[1], n
+
+
 def _local_image_tags(a: int, b: int, v) -> int:
     """Mask of the classes whose torsor (with coefficients a, b) is Q_v-solvable.
 
@@ -525,7 +618,15 @@ def relevant_places(A: int, B: int) -> list:
 
 
 def local_masks(A: int, B: int, places) -> dict:
-    """{v: (phi mask, phihat mask)}: both sides' local images at each place."""
+    """{v: (phi mask, phihat mask)}: both sides' local images at each place,
+    from the duality loop (_dual_images) at a finite place and the closed
+    form at inf."""
+    return {v: _exhaustive_masks(A, B, [v])[v] if v == INF_PLACE else _dual_images(A, B, v)[:2] for v in places}
+
+
+def _exhaustive_masks(A: int, B: int, places) -> dict:
+    """local_masks with every class tested on each side (_local_image_tags),
+    so that duality is checked, not assumed: the reference verify reads."""
     sides = [_side_coefficients(A, B, side) for side in ("phi", "phihat")]
     return {v: tuple(_local_image_tags(a, b, v) for a, b in sides) for v in places}
 

@@ -12,13 +12,14 @@ it ever meets a non-minimal model).  The place 2 is handled by 2-adic local
 images from the descent machinery, never by Tate at 2, and the real place
 has a closed form.
 
-At 2 the two images are found together.  By local Tate duality the phi image
-W and the dual image W^ in Q_2*/Q_2*^2 = F_2^3 are exact orthogonal
-complements under the Hilbert symbol (Schaefer, Class groups and Selmer
-groups, J. Number Theory 56, 1996), so |W| |W^| = 8 and a class confirmed on
-one side bounds the other: only classes orthogonal to it remain candidates
-there.  Torsors are still probed by certified scans; duality only chooses
-which probes are needed.
+At 2 the two images are found together, by descent._dual_images, the one
+duality loop that also gives the descent its local images at every finite
+place.  By local Tate duality the phi image W and the dual image W^ in
+Q_2*/Q_2*^2 = F_2^3 are exact orthogonal complements under the Hilbert
+symbol (Schaefer, Class groups and Selmer groups, J. Number Theory 56,
+1996), so |W| |W^| = 8 and a class confirmed on one side bounds the other:
+only classes orthogonal to it remain candidates there.  Torsors are still
+probed by certified scans; duality only chooses which probes are needed.
 
 Place 2 is memoized by a certificate, not by a guessed key, in two layers.
 Every branch of the computation at 2 reads finitely many 2-adic digits of A
@@ -57,15 +58,8 @@ from math import isqrt
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
 from .core_arith import _vp, factor, is_prime, jacobi, ord_p
 from .curve_family import CurvePair
-from .descent import (
-    _TIMES,
-    INF_PLACE,
-    _class_index,
-    _class_reps,
-    _mul_sets,
-    _torsor_solvable_at_two,
-    relevant_places,
-)
+from .descent import INF_PLACE, _dual_images, relevant_places
+from .descent import _ORTH, _hilbert2  # noqa: F401  the pairing at 2, importable from the ledger too
 from .statistics import _odd_primes_below, _root_classes
 
 __all__ = [
@@ -265,23 +259,6 @@ def factor_at_infinity(A: int, B: int) -> int:
     return 2 if (B > 0 and (A < 0 or A * A < 4 * B)) else 1
 
 
-def _hilbert2(x: int, y: int) -> int:
-    """0 if the Hilbert symbol (x, y)_2 of two class indices is 1, else 1.
-
-    For x = 2^a u and y = 2^b w, (x, y)_2 = (-1)^(e(u)e(w) + a o(w) + b o(u))
-    with e(u) = (u-1)/2 and o(u) = (u^2-1)/8 mod 2, i.e. the bits of -1 and 5.
-    """
-    return ((x & y) ^ (x >> 2 & y >> 1) ^ (x >> 1 & y >> 2)) & 1
-
-
-# _ORTH[m]: the classes pairing trivially with all of m.  Indices and masks at
-# 2 are descent's square-class encoding (see its module docstring).
-_ORTH = tuple(
-    sum(1 << y for y in range(8) if not any(m >> x & 1 and _hilbert2(x, y) for x in range(8)))
-    for m in range(256)
-)
-
-
 # (v2(B) + 1, v2(A^2-4B) + 1) -> {N: {(A mod 2^N, B mod 2^N): size}}, per process
 _TWO_MEMO: dict = {}
 
@@ -317,51 +294,10 @@ def factor_at_two(A: int, B: int) -> int:
 
 def _two_adic_size(A: int, B: int) -> tuple[int, int]:
     """(size of the phi image at 2, the number N of 2-adic digits of A and B
-    the computation read).
-
-    The phi image W (torsor coefficients (-2A, A^2-4B)) and the dual image
-    W^ (coefficients (A, B)) in Q_2*/Q_2*^2 are exact orthogonal complements
-    under the Hilbert symbol (local Tate duality), so |W| |W^| = 8.  Both are
-    found together: each starts as the span of 1 and its free class
-    ([A^2-4B] in W, [B] in W^, the points with u = 0), and a side only probes
-    classes orthogonal to everything the other side has confirmed.  A failed
-    probe of t rules out the coset t W.  Probing stops once the confirmed
-    subgroups multiply to 8; if the candidates run out first, AssertionError
-    is raised.  Every probe is a certified descent._torsor_solvable_at_two
-    scan.
-
-    The free classes read v2 + 3 digits of B and of A^2-4B, and each probe
-    names the digits of its torsor coefficients it read; those coefficients
-    are integer polynomials in A and B.  N is the largest of these counts,
-    so (A mod 2^N, B mod 2^N) fixes every branch taken here.
-    """
-    D = A * A - 4 * B
-    if B * D == 0:
-        raise ValueError("singular curve")
-    sides = ((-2 * A, D), (A, B))
-    got = [1 | 1 << _class_index(D, 2), 1 | 1 << _class_index(B, 2)]  # confirmed subgroups
-    out = [0, 0]  # the cosets of got confirmed outside each image
-    n = max(_vp(B, 2), _vp(D, 2)) + 3
-    if got[0] & ~_ORTH[got[1]]:
-        raise AssertionError(f"free classes at 2 are not orthogonal at ({A}, {B})")
-    reps = _class_reps(2)
-    while got[0].bit_count() * got[1].bit_count() < 8:
-        for i in (1, 0):  # the dual side first: smaller coefficients
-            open_ = _ORTH[got[1 - i]] & ~got[i] & ~out[i]
-            if open_:
-                break
-        else:
-            raise AssertionError(f"2-adic images at ({A}, {B}) ran out of candidates before |W| |W^| = 8")
-        t = (open_ & -open_).bit_length() - 1
-        found, read = _torsor_solvable_at_two(reps[t], *sides[i])
-        if read > n:
-            n = read
-        if found:
-            got[i] |= _TIMES[t][got[i]]
-            out[i] = _mul_sets(out[i], got[i])
-        else:
-            out[i] |= _TIMES[t][got[i]]
-    return got[0].bit_count(), n
+    the computation read): descent._dual_images at 2, which finds the phi
+    image and the dual image together under local Tate duality."""
+    w, _, n = _dual_images(A, B, 2)
+    return w.bit_count(), n
 
 
 @dataclass(frozen=True)

@@ -487,6 +487,18 @@ def test_io_failure_exit_code(tmp_path):
     assert main(["compute", "--xmax", "5", "--out", str(missing)]) == 3
 
 
+def test_stats_io_failure_exits_3_before_any_output(tmp_path, capsys):
+    # an unwritable histogram path fails up front: no moment line, no t pass
+    for out in (tmp_path / "no" / "such" / "dir" / "h.tsv", tmp_path):
+        assert main(["stats", "--xmax", "20", "--out", str(out)]) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("I/O failure:"), (stdout, err)
+    assert not (tmp_path / "no").exists()
+    hist = tmp_path / "hist.tsv"  # a writable path is written as before
+    assert main(["stats", "--xmax", "20", "--out", str(hist)]) == 0
+    assert hist.read_text()
+
+
 # SHA-256 of outputs that every refactor must reproduce byte for byte; the
 # window-ledger value is the one in perfbench/expected.json
 _GOLDEN = {

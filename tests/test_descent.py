@@ -18,6 +18,7 @@ from selmerlab.descent import (
     _class_index,
     _class_reps,
     _disc_vp,
+    _exhaustive_masks,
     _local_image_tags,
     _normal_chart,
     _real_solvable,
@@ -350,8 +351,8 @@ def test_root_exit_digit_count_is_a_certificate(p, scan_oracle):
 def _charts_met(monkeypatch):
     """Every (f, p, starts) _chart_scan is called with, in order, from empty
     memos: place 2 over E(10^3) through factor_at_two, then both sides'
-    local images at every place of a 400-curve sample at X = 10^3, whose
-    odd p <= 13 are scanned."""
+    exhaustive local images (_local_image_tags on each side) at every place
+    of a 400-curve sample at X = 10^3, whose odd p <= 13 are scanned."""
     monkeypatch.setattr(local_analysis, "_TWO_MEMO", {})
     monkeypatch.setattr(descent, "_CHART_MEMO", {})
     calls = []
@@ -367,7 +368,7 @@ def _charts_met(monkeypatch):
         local_analysis.factor_at_two(c.A, c.B)
     for B, As in sample_keys(1000, True, 400, 13).items():
         for A in As:
-            local_masks(A, B, relevant_places(A, B))
+            _exhaustive_masks(A, B, relevant_places(A, B))
     return calls
 
 
@@ -492,6 +493,105 @@ def test_shared_masks_give_each_sides_own_group(e60_sample):
         masks = local_masks(c.A, c.B, relevant_places(c.A, c.B))
         assert selmer_phi(c.A, c.B, masks) == selmer_phi(c.A, c.B)
         assert selmer_phihat(c.A, c.B, masks) == selmer_phihat(c.A, c.B)
+
+
+def test_odd_hilbert_table():
+    # the bit form of (x, y)_p against Serre's formula (A Course in
+    # Arithmetic, III.1.2) for p = 1 and 3 mod 4, on representatives and on
+    # random integers, and the complements it gives are exact
+    def serre(x, y, p):
+        a, b = _vp(x, p), _vp(y, p)
+        u, w = x // p**a, y // p**b
+        e = a * b * (p - 1) // 2 + b * (jacobi(u % p, p) == -1) + a * (jacobi(w % p, p) == -1)
+        return e % 2
+
+    rng = random.Random(3)
+    subgroups = [m for m in range(16) if m & 1 and descent._mul_sets(m, m) == m]
+    assert len(subgroups) == 5
+    for p in primes_below(32)[1:]:
+        eps = p >> 1 & 1
+        reps = _class_reps(p)
+        orth = descent._ORTH_ODD[eps]
+        for x in range(4):
+            for y in range(4):
+                assert descent._hilbert_odd(x, y, eps) == serre(reps[x], reps[y], p), (p, x, y)
+                assert orth[1 << x] >> y & 1 == 1 - serre(reps[x], reps[y], p), (p, x, y)
+        for _ in range(100):
+            x, y = (rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(2))
+            assert descent._hilbert_odd(_class_index(x, p), _class_index(y, p), eps) == serre(x, y, p)
+        for m in subgroups:
+            assert orth[m].bit_count() * m.bit_count() == 4 and orth[orth[m]] == m, (p, m)
+
+
+def _masks_cases(e60_sample):
+    """Curves for the duality loop: the e60 sample, a 400-curve sample at
+    X = 10^3, p^k | A and p^k | B at p = 3..23, and the deep 2-adic columns
+    B = +-16, +-48, +-64, +-96."""
+    rng = random.Random(14)
+    cases = [(c.A, c.B) for c in e60_sample]
+    cases += [(A, B) for B, As in sample_keys(1000, True, 400, 14).items() for A in As]
+    for p in primes_below(24)[1:]:
+        for k in (1, 2, 3):
+            cases += [(p**k * rng.randint(-9, 9), p**k * rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in range(6)]
+    cases += [(A, s * B) for B in (16, 48, 64, 96) for s in (1, -1) for A in range(-40, 41)]
+    return [(A, B) for A, B in cases if B * (A * A - 4 * B)]
+
+
+def test_duality_masks_equal_exhaustive_masks(e60_sample):
+    # the duality loop's images equal each side's own exhaustive search at
+    # every place: local Tate duality, checked, not assumed
+    cases = _masks_cases(e60_sample)
+    assert len(cases) > 1200
+    for A, B in cases:
+        places = relevant_places(A, B)
+        assert local_masks(A, B, places) == _exhaustive_masks(A, B, places), (A, B)
+
+
+def test_duality_loop_probes_only_open_classes(e60_sample, monkeypatch):
+    # each side starts from 1 and its free class (the class of its kernel b),
+    # so neither is ever probed; and a probe that denies one solvable class
+    # at an odd place leaves the images short of |W| |W^| = 4, so the
+    # candidates run out: AssertionError, never a wrong mask
+    probes = []
+    at_two, at_odd = descent._torsor_solvable_at_two, descent._torsor_solvable_at
+
+    def two(d, a, b):
+        probes.append((d, b, 2))
+        return at_two(d, a, b)
+
+    def odd(d, a, b, p):
+        probes.append((d, b, p))
+        return at_odd(d, a, b, p)
+
+    monkeypatch.setattr(descent, "_torsor_solvable_at_two", two)
+    monkeypatch.setattr(descent, "_torsor_solvable_at", odd)
+    cases = _masks_cases(e60_sample)
+    for A, B in cases:
+        local_masks(A, B, relevant_places(A, B))
+    assert len(probes) < 10 * len(cases)
+    for d, b, v in probes:
+        assert _class_index(d, v) not in (0, _class_index(b, v)), (d, b, v)
+
+    lies = 0
+    for A, B in cases[:200]:
+        for p in relevant_places(A, B)[2:]:
+            lied = []
+
+            def lying(d, a, b, v):
+                ok = at_odd(d, a, b, v)
+                if ok and not lied:
+                    lied.append(d)
+                    return False
+                return ok
+
+            monkeypatch.setattr(descent, "_torsor_solvable_at", lying)
+            try:
+                descent._dual_images(A, B, p)
+            except AssertionError:
+                lies += 1
+            else:
+                assert not lied, (A, B, p, lied)
+    assert lies > 50, lies
 
 
 def test_rational_point_soundness(e60_sample):

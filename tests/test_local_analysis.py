@@ -226,11 +226,11 @@ def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch, scan_oracl
                 return False, n
             return ok, n
 
-        monkeypatch.setattr(local_analysis, "_torsor_solvable_at_two", probe)
+        monkeypatch.setattr(descent, "_torsor_solvable_at_two", probe)
         with pytest.raises(AssertionError):
             factor_at_two(c.A, c.B)
         assert lied and memo == {}
-    monkeypatch.setattr(local_analysis, "_torsor_solvable_at_two", lambda d, a, b: (d == 1, 0))
+    monkeypatch.setattr(descent, "_torsor_solvable_at_two", lambda d, a, b: (d == 1, 0))
     with pytest.raises(AssertionError):
         factor_at_two(3, 2)
     assert memo == {}
