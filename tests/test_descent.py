@@ -26,7 +26,6 @@ from selmerlab.descent import (
     _side_coefficients,
     _torsor_solvable_at,
     _zp_scan,
-    _zp_solvable_scan,
     _zp_solvable_structural,
     descent_exponent,
     local_image,
@@ -109,7 +108,8 @@ def test_structural_matches_scan_on_random_charts(scan_oracle):
             if 16 * f[4] * f[0] * (f[2] ** 2 - 4 * f[4] * f[0]) ** 2 == 0:
                 continue
             n += 1
-            assert _chart_solvable(f, p, force="structural") == _chart_solvable(f, p, force="scan"), (f, p)
+            _, g = _normal_chart(f, p)  # the normalization and budget of _chart_solvable
+            assert _zp_solvable_structural(g, p, _disc_vp(g, p) + 10) == _chart_scan(f, p)[0], (f, p)
     assert n > 300
 
 
@@ -189,7 +189,7 @@ def _assert_scan_matches_reference(f, p, max_nodes=None):
         want = _reference_scan(f, p, kmax, max_nodes)
     except SolverPrecisionError:
         return None  # the pruned scan may answer where the reference cannot
-    assert _zp_solvable_scan(f, p, kmax) == want, (f, p)
+    assert _zp_scan(f, p, kmax)[0] == want, (f, p)
     return want
 
 
@@ -216,9 +216,7 @@ def _pzp_chart_solvable(f, p):
     to p = 13, above it the structural decider on the chart f(p t), with the
     normalization and budget _chart_solvable gives it."""
     if p <= 13:
-        return _chart_solvable(f, p, starts=(0,))
-    with pytest.raises(ValueError):  # the structural decider covers all of Z_p only
-        _chart_solvable(f, p, starts=(0,))
+        return _chart_scan(f, p, starts=(0,))[0]
     f, kmax = _scan_input(f, p)  # kmax = v_p(disc) + 6; the budget is v_p(disc) + 10
     return _zp_solvable_structural(_shift_scale(f, 0, p), p, kmax + 4)
 
@@ -240,7 +238,7 @@ def test_second_chart_needs_only_pzp_after_first_fails(scan_oracle):
                     want = first or _chart_solvable(fu, p)
                 except SolverPrecisionError:
                     continue  # the full search gave no answer to compare with
-                assert _torsor_solvable_at(*torsor, p) == want, (torsor, p)
+                assert _torsor_solvable_at(*torsor, p)[0] == want, (torsor, p)
                 if p != 2:
                     # the closed form _torsor_solvable_at uses at odd p: on pZ_p,
                     # f(x) = d^3 (mod p^2) for a unit d, and v(f) = 3 when p | d.
@@ -353,7 +351,7 @@ def _charts_met(monkeypatch):
     memos: place 2 over E(10^3) through factor_at_two, then both sides'
     exhaustive local images (_local_image_tags on each side) at every place
     of a 400-curve sample at X = 10^3, whose odd p <= 13 are scanned."""
-    monkeypatch.setattr(local_analysis, "_TWO_MEMO", {})
+    monkeypatch.setattr(descent, "_CURVE_MEMO", {})
     monkeypatch.setattr(descent, "_CHART_MEMO", {})
     calls = []
     scan = descent._chart_scan
@@ -547,27 +545,48 @@ def test_duality_masks_equal_exhaustive_masks(e60_sample):
         assert local_masks(A, B, places) == _exhaustive_masks(A, B, places), (A, B)
 
 
+def test_descent_reads_place_two_from_the_ledgers_memo(monkeypatch):
+    # factor_at_two and local_masks share one memo at 2: once the ledger has
+    # seen a curve, the descent scans no torsor chart at 2 (every probe at 2
+    # scans one), and its masks are still each side's exhaustive images
+    scans = []
+    scan = descent._chart_scan
+
+    def recording(f, p, starts=None):
+        scans.append(p)
+        return scan(f, p, starts)
+
+    monkeypatch.setattr(descent, "_chart_scan", recording)
+    n = 0
+    for B, As in sample_keys(1000, True, 400, 15).items():
+        for A in As:
+            places = relevant_places(A, B)
+            local_analysis.factor_at_two(A, B)
+            scans.clear()
+            masks = local_masks(A, B, places)
+            assert 2 not in scans, (A, B)
+            assert masks == _exhaustive_masks(A, B, places), (A, B)
+            n += 1
+    assert n == 400
+
+
 def test_duality_loop_probes_only_open_classes(e60_sample, monkeypatch):
     # each side starts from 1 and its free class (the class of its kernel b),
     # so neither is ever probed; and a probe that denies one solvable class
     # at an odd place leaves the images short of |W| |W^| = 4, so the
     # candidates run out: AssertionError, never a wrong mask
     probes = []
-    at_two, at_odd = descent._torsor_solvable_at_two, descent._torsor_solvable_at
+    honest = descent._torsor_solvable_at
 
-    def two(d, a, b):
-        probes.append((d, b, 2))
-        return at_two(d, a, b)
-
-    def odd(d, a, b, p):
+    def probe(d, a, b, p):
         probes.append((d, b, p))
-        return at_odd(d, a, b, p)
+        return honest(d, a, b, p)
 
-    monkeypatch.setattr(descent, "_torsor_solvable_at_two", two)
-    monkeypatch.setattr(descent, "_torsor_solvable_at", odd)
+    monkeypatch.setattr(descent, "_torsor_solvable_at", probe)
     cases = _masks_cases(e60_sample)
-    for A, B in cases:
-        local_masks(A, B, relevant_places(A, B))
+    for A, B in cases:  # the loop itself at every finite place, past the memo at 2
+        for v in relevant_places(A, B)[1:]:
+            descent._dual_images(A, B, v)
     assert len(probes) < 10 * len(cases)
     for d, b, v in probes:
         assert _class_index(d, v) not in (0, _class_index(b, v)), (d, b, v)
@@ -578,11 +597,11 @@ def test_duality_loop_probes_only_open_classes(e60_sample, monkeypatch):
             lied = []
 
             def lying(d, a, b, v):
-                ok = at_odd(d, a, b, v)
+                ok, n = honest(d, a, b, v)
                 if ok and not lied:
                     lied.append(d)
-                    return False
-                return ok
+                    return False, n
+                return ok, n
 
             monkeypatch.setattr(descent, "_torsor_solvable_at", lying)
             try:
@@ -606,7 +625,7 @@ def test_rational_point_soundness(e60_sample):
                 hits += 1
                 assert solvable_real(TorsorQuartic(d, a, b))
                 for p in relevant_places(c.A, c.B)[1:]:  # the primes of d are among them
-                    assert _torsor_solvable_at(d, a, b, p), (c.A, c.B, d, p)
+                    assert _torsor_solvable_at(d, a, b, p)[0], (c.A, c.B, d, p)
         if hits > 25:
             break
     assert hits > 10
@@ -622,7 +641,7 @@ def test_good_primes_are_automatically_solvable(e60_sample):
             if p in bad:
                 continue
             for d in (1, -1):
-                assert _torsor_solvable_at(d, a, b, p)
+                assert _torsor_solvable_at(d, a, b, p)[0]
                 checked += 1
     assert checked > 50
 

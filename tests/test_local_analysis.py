@@ -17,7 +17,6 @@ from selmerlab.local_analysis import (
     LedgerEntry,
     LocalFactorLedger,
     ReductionType,
-    _two_adic_size,
     classify_reduction,
     decompose_total,
     factor_at_infinity,
@@ -113,6 +112,39 @@ def test_tate_detects_nonminimal_model():
     assert (sym, c, v) == (sym0, c0, v0)
 
 
+_FIBER_COMPONENTS = {"II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
+
+
+def test_ogg_formula_at_additive_fibers():
+    # Ogg's formula v(Delta_min) = f + m - 1, with conductor exponent f = 2
+    # for every additive fiber at p >= 5 and m its number of components
+    # (Silverman, Advanced Topics, IV.11; I_n* has n + 5).  Family curves
+    # with p^k | A and p^k | B give I0*, III, I_n* and III*; a constant term
+    # a6 gives II, IV, IV* and II* as well.
+    rng = random.Random(1511)
+    seen = {False: set(), True: set()}  # fiber types, by whether a6 != 0
+    checked = 0
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        for _ in range(600):
+            k = rng.randint(1, 4)
+            A = p ** rng.randint(k, 6) * rng.randint(-20, 20)
+            B = rng.choice((1, -1)) * p ** rng.randint(k, k + 4) * rng.randint(1, 20)
+            for a6 in (0, rng.choice((1, -1)) * p ** rng.randint(1, 5) * rng.randint(1, 9)):
+                try:
+                    sym, _, v = tate_local_data(A, B, p, a6)
+                except ValueError:  # singular
+                    continue
+                if sym[1:].isdigit():
+                    continue  # I0 or I_n: the minimal model has good or multiplicative reduction
+                m = _FIBER_COMPONENTS.get(sym) or int(sym[1:-1]) + 5
+                assert v == 2 + m - 1, (A, B, a6, p, sym, v)
+                seen[bool(a6)].add(sym if sym in _FIBER_COMPONENTS else "In*")
+                checked += 1
+    assert checked > 5000, checked  # 7,219
+    assert seen[False] == {"I0*", "III", "In*", "III*"}, seen
+    assert {"II", "IV", "IV*", "II*"} <= seen[True], seen
+
+
 def test_mult_factor_equals_tate_ratio(e60_sample):
     for c in e60_sample:
         for p in relevant_places(c.A, c.B)[2:]:
@@ -134,16 +166,23 @@ def test_factor_at_infinity_matches_real_image(e60_sample):
         assert factor_at_infinity(c.A, c.B) == len(local_image(c.A, c.B, INF_PLACE, "phi"))
 
 
+def _scan_size(A, B):
+    """(size of the phi image at 2, the digits N it read) from the duality
+    loop, which reads no memo."""
+    w, _, n = descent._dual_images(A, B, 2)
+    return w.bit_count(), n
+
+
 def _assert_factor_at_two_exact(pairs, image=True):
     """factor_at_two from an empty memo against the scan on every pair, and
     against the exhaustively tested image unless image is False; the number
     of pairs and of entries the memo stored.  The caller uses scan_oracle, so
     the memo starts empty and every chart is a fresh scan."""
-    memo = local_analysis._TWO_MEMO
+    memo = descent._CURVE_MEMO
     n = 0
     for A, B in pairs:
         size = factor_at_two(A, B)
-        assert size == _two_adic_size(A, B)[0], (A, B)
+        assert size == _scan_size(A, B)[0], (A, B)
         if image:
             assert size == len(local_image(A, B, 2, "phi")), (A, B)
         n += 1
@@ -200,13 +239,13 @@ def test_hilbert_symbol_table():
     assert [descent._class_index(r * 4 * 9, 2) for r in reps] == list(range(8))
     for x in range(8):
         for y in range(8):
-            assert local_analysis._hilbert2(x, y) == classical(reps[x], reps[y])
+            assert descent._hilbert2(x, y) == classical(reps[x], reps[y])
     # nondegenerate: every subgroup's complement has the complementary size
     subgroups = [m for m in range(256) if m & 1 and descent._mul_sets(m, m) == m]
     assert len(subgroups) == 16
     for m in subgroups:
-        orth = local_analysis._ORTH[m]
-        assert orth.bit_count() * m.bit_count() == 8 and local_analysis._ORTH[orth] == m
+        orth = descent._ORTH[m]
+        assert orth.bit_count() * m.bit_count() == 8 and descent._ORTH[orth] == m
 
 
 def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch, scan_oracle):
@@ -214,23 +253,23 @@ def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch, scan_oracl
     # of |W| |W^| = 8, so the candidates run out: never a wrong size.  The
     # memo starts empty, so every curve reaches the probes, and a run that
     # raised stores nothing.
-    memo = local_analysis._TWO_MEMO
-    honest = descent._torsor_solvable_at_two
+    memo = descent._CURVE_MEMO
+    honest = descent._torsor_solvable_at
     for c in [CurvePair(0, 1)] + e60_sample[:20]:
         lied = []
 
-        def probe(d, a, b):
-            ok, n = honest(d, a, b)
+        def probe(d, a, b, p):
+            ok, n = honest(d, a, b, p)
             if ok and d != 1 and not lied:
                 lied.append(d)
                 return False, n
             return ok, n
 
-        monkeypatch.setattr(descent, "_torsor_solvable_at_two", probe)
+        monkeypatch.setattr(descent, "_torsor_solvable_at", probe)
         with pytest.raises(AssertionError):
             factor_at_two(c.A, c.B)
         assert lied and memo == {}
-    monkeypatch.setattr(descent, "_torsor_solvable_at_two", lambda d, a, b: (d == 1, 0))
+    monkeypatch.setattr(descent, "_torsor_solvable_at", lambda d, a, b, p: (d == 1, 0))
     with pytest.raises(AssertionError):
         factor_at_two(3, 2)
     assert memo == {}
@@ -244,22 +283,22 @@ def test_certificate_digits_fix_the_size(scan_oracle):
     curves = rng.sample([(c.A, c.B) for c in enumerate_window(FamilyWindow(300))], 3000)
     changed = 0
     for A, B in curves:
-        size, n = _two_adic_size(A, B)
+        size, n = _scan_size(A, B)
         for _ in range(3):
             j, l = rng.randint(-4, 4), rng.randint(-4, 4)
             A2, B2 = A + (j << n), B + (l << n)
             if B2 * (A2 * A2 - 4 * B2):
-                assert _two_adic_size(A2, B2)[0] == size, (A, B, j, l, n)
+                assert _scan_size(A2, B2)[0] == size, (A, B, j, l, n)
         A2, B2 = A + (rng.choice((-1, 1)) << n - 1), B + (rng.choice((-1, 0, 1)) << n - 1)
         if B2 * (A2 * A2 - 4 * B2):
-            changed += _two_adic_size(A2, B2)[0] != size
+            changed += _scan_size(A2, B2)[0] != size
     assert changed > 50  # 66 of the 3,000
 
 
 def _scaled_sizes(A, B):
     # (A, B) -> (u^2 A, u^4 B) is the isomorphism (x, y) -> (u^2 x, u^3 y)
     return {
-        f(u * u * A, u**4 * B) for u in (1, 2, 3) for f in (factor_at_two, lambda a, b: _two_adic_size(a, b)[0])
+        f(u * u * A, u**4 * B) for u in (1, 2, 3) for f in (factor_at_two, lambda a, b: _scan_size(a, b)[0])
     }
 
 
