@@ -9,8 +9,9 @@ identical for any thread count.  A full-window column (`compute` without
 column builds each record with `curve_record` from the per-curve ledger,
 whose odd places also give g1, g2 and the descent's place list.
 `--with-descent` runs the descent per curve (`descent.local_masks`: one
-duality loop finds both sides' images at each finite place), and
-`OutputRecord` asserts it equals the ledger total.  `verify` visits each
+duality loop finds both sides' images at each finite place), and `_record`,
+the one function that turns a ledger row into its record tuple, asserts
+that the descent's t equals the ledger total.  `verify` visits each
 curve once and every per-curve suite reads its ledger and its exhaustive
 images (every class tested on each side), so its duality suites test
 duality instead of assuming it.
@@ -28,6 +29,7 @@ value, or `--sample` above the family, each reported as one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -50,7 +52,7 @@ from .curve_family import (
 from .descent import INF_PLACE, local_masks, relevant_places, selmer_phi, selmer_phihat
 from .local_analysis import column_ledger, tamagawa_exponent
 
-__all__ = ["RunConfig", "OutputRecord", "main", "entrypoint", "run_verification", "curve_record"]
+__all__ = ["RunConfig", "main", "entrypoint", "run_verification", "curve_record"]
 
 RECORD_FIELDS = (
     "A",
@@ -91,30 +93,6 @@ class RunConfig:
             raise ValueError(f"unknown format {self.format!r}")
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    A: int
-    B: int
-    t_total: int
-    t_descent: int | None = None
-    dim_sel_phi: int | None = None
-    dim_sel_phihat: int | None = None
-    g1: int = 0
-    g2: int = 0
-    n_additive: int = 0
-    square_disc_flag: bool = False
-
-    def __post_init__(self):
-        if self.t_descent is not None and self.t_descent != self.t_total:
-            raise AssertionError(
-                f"product formula violated at ({self.A}, {self.B}): "
-                f"ledger {self.t_total} != descent {self.t_descent}"
-            )
-
-    def as_tuple(self):
-        return tuple(getattr(self, f) for f in RECORD_FIELDS)
-
-
 def _odd_place_counts(c: CurvePair, odd) -> tuple[int, int, int]:
     """(g1, g2, repeated): how many of a ledger's odd places, the odd primes
     of B (A^2-4B), divide A^2-4B, divide B, and divide either one twice."""
@@ -127,58 +105,44 @@ def _odd_place_counts(c: CurvePair, odd) -> tuple[int, int, int]:
     return g1, g2, repeated
 
 
-def curve_record(c: CurvePair, with_descent: bool = False) -> OutputRecord:
+def curve_record(c: CurvePair, with_descent: bool = False) -> tuple:
     """The record of one curve from its ledger, whose places the descent reads."""
     ledger = tamagawa_exponent(c)
     odd = ledger.entries[:-2]  # then 2 and inf
     g1, g2, _ = _odd_place_counts(c, odd)
     places = [INF_PLACE, 2] + [e.place for e in odd] if with_descent else None
-    return _record(c.A, c.B, (ledger.total, g1, g2, sum(e.additive for e in odd)), with_descent, places)
+    return _record(c.A, c.B, (ledger.total, g1, g2, sum(e.additive for e in odd)), places)
 
 
-def _record(A: int, B: int, row: tuple, with_descent: bool, places: list | None = None) -> OutputRecord:
-    # row = (t_total, g1, g2, n_additive); the descent, if asked for, runs here
+def _record(A: int, B: int, row: tuple, places: list | None = None) -> tuple:
+    """The record tuple (RECORD_FIELDS order) of a ledger row (t_total, g1,
+    g2, n_additive).  Given the curve's places, the descent runs over them
+    and its t must equal the ledger's (the product formula)."""
     t_total, g1, g2, n_add = row
     t_descent = dim_phi = dim_phihat = None
-    if with_descent:  # relevant_places(A, B) unless the ledger gave them
-        masks = local_masks(A, B, places or relevant_places(A, B))
+    if places is not None:
+        masks = local_masks(A, B, places)
         dim_phi, dim_phihat = selmer_phi(A, B, masks).dim, selmer_phihat(A, B, masks).dim
         t_descent = dim_phi - dim_phihat
-    return OutputRecord(
-        A=A,
-        B=B,
-        t_total=t_total,
-        t_descent=t_descent,
-        dim_sel_phi=dim_phi,
-        dim_sel_phihat=dim_phihat,
-        g1=g1,
-        g2=g2,
-        n_additive=n_add,
-        square_disc_flag=is_square(A * A - 4 * B),
-    )
+        if t_descent != t_total:
+            raise AssertionError(f"product formula violated at ({A}, {B}): ledger {t_total} != descent {t_descent}")
+    return (A, B, t_total, t_descent, dim_phi, dim_phihat, g1, g2, n_add, is_square(A * A - 4 * B))
 
 
 # ---------------------------------------------------------------------------
 # parallel record pipeline (B-column stripes, ordered merge)
 # ---------------------------------------------------------------------------
 
-_worker_cfg: dict = {}
 
-
-def _pool_init(cfg):
-    _worker_cfg.update(cfg)
-
-
-def _column_records(B: int):
-    cfg = _worker_cfg
-    X, with_descent = cfg["xmax"], cfg["with_descent"]
-    keep = cfg.get("keep")
-    if keep is None:  # the whole column: one sieve for its odd places
-        As = list(column_members(B, X, cfg["include_square_disc"]))
+def _column_records(X: int, with_descent: bool, include_square_disc: bool, task: tuple):
+    """(B, records, skipped) of one column task (B, As): As are its sampled
+    A's (window members, ascending), or None for the whole column."""
+    B, As = task
+    if As is None:  # the whole column: one sieve for its odd places
+        As = list(column_members(B, X, include_square_disc))
         rows = column_ledger(B, As)
-    else:  # sampled A's of this column: already window members, ascending
-        As = keep.get(B, ())
-        rows = [None] * len(As)  # one curve_record each
+    else:  # each sampled curve reads its own ledger
+        rows = [None] * len(As)
     out = []
     skipped = []
     for A, row in zip(As, rows):
@@ -186,12 +150,9 @@ def _column_records(B: int):
             if isinstance(row, Exception):
                 raise row
             if row is None:
-                out.append(curve_record(CurvePair(A, B), with_descent).as_tuple())
-            elif with_descent:
-                out.append(_record(A, B, row, True).as_tuple())
-            else:  # no descent, so nothing for OutputRecord to assert: the row is the record
-                t_total, g1, g2, n_add = row
-                out.append((A, B, t_total, None, None, None, g1, g2, n_add, is_square(A * A - 4 * B)))
+                out.append(curve_record(CurvePair(A, B), with_descent))
+            else:
+                out.append(_record(A, B, row, relevant_places(A, B) if with_descent else None))
         except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
             skipped.append((A, B, str(exc)))
     return B, out, skipped
@@ -232,25 +193,16 @@ def stream_records(config: RunConfig):
     keep = None
     if config.sample is not None:
         keep = sample_keys(X, config.includeSquareDisc, config.sample, config.seed)
-    cfg = {
-        "xmax": X,
-        "with_descent": config.with_descent,
-        "include_square_disc": config.includeSquareDisc,
-        "keep": keep,
-    }
-    bcols = window_columns(X)
+    tasks = [(B, None if keep is None else keep.get(B, ())) for B in window_columns(X)]
+    column = functools.partial(_column_records, X, config.with_descent, config.includeSquareDisc)
     threads = _resolve_threads(config)
     if threads == 1:
-        _pool_init(cfg)
-        for B in bcols:
-            yield _column_records(B)
-        _worker_cfg.clear()
+        yield from map(column, tasks)
         return
     import multiprocessing as mp
 
-    ctx = mp.get_context("fork")
-    with ctx.Pool(threads, initializer=_pool_init, initargs=(cfg,)) as pool:
-        yield from pool.imap(_column_records, bcols)  # each column as soon as it is done
+    with mp.get_context("fork").Pool(threads) as pool:
+        yield from pool.imap(column, tasks)  # each column as soon as it is done
 
 
 def _format_cell(v) -> str:
@@ -385,13 +337,7 @@ def cmd_stats(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_verification(
-    xmax: int,
-    sample: int | None = None,
-    seed: int = 0,
-    swap_orientation: bool = False,
-    report=print,
-) -> bool:
+def run_verification(xmax: int, sample: int | None = None, seed: int = 0, report=print) -> bool:
     """Run the invariant suites over the window (or a seeded sample of it).
 
     Each curve is visited once: its ledger (which also names its odd bad
@@ -423,8 +369,6 @@ def run_verification(
     fails = {name: [] for name in names}
     checked = dict.fromkeys(names, 0)
     full = {INF_PLACE: 2, 2: 8}
-    # the fault injection reads each side's image off the other side
-    phi = int(swap_orientation)
     ncurves = 0
     skipped = []
     for c in curves:
@@ -450,7 +394,7 @@ def run_verification(
             p = e.place
             if c.dualB % p == 0 and c.dualB % (p * p) != 0 and B % p != 0:
                 checked["orientation_anchor"] += 1
-                if images[p][phi].bit_count() != 4:
+                if images[p][0].bit_count() != 4:
                     fails["orientation_anchor"].append((A, B, p))
                 break
 
@@ -484,7 +428,7 @@ def run_verification(
         # the exhaustive images at 2 are each other's annihilators under the
         # Hilbert symbol (W is a subgroup, so W^perp = W^ gives W^^perp = W),
         # and the ledger's size at 2 (factor_at_two) matches
-        w, what = images[2][phi], images[2][1 - phi]
+        w, what = images[2]
         checked["place_two_duality"] += 1
         if _ORTH[w] != what or 2 ** (ledger.exponent_at(2) + 1) != w.bit_count():
             fails["place_two_duality"].append((A, B))

@@ -85,6 +85,8 @@ def _fourth_power_primes(B: int) -> list[int]:
     while p**4 <= b:
         if b % p**4 == 0:
             out.append(p)
+        while b % p == 0:  # divide p out, so that no composite p divides b later
+            b //= p
         p += 1 if p == 2 else 2
     return out
 

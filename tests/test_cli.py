@@ -7,16 +7,16 @@ import itertools
 import json
 import random
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from selmerlab import cli, local_analysis
+from selmerlab import cli, descent, local_analysis
 from selmerlab.cli import (
     COMMAND_FLAGS,
     FLAGS,
     RECORD_FIELDS,
-    OutputRecord,
     RunConfig,
     build_parser,
     histogram_lines,
@@ -27,7 +27,7 @@ from selmerlab.cli import (
     write_records,
 )
 from selmerlab.curve_family import FamilyWindow, column_count, enumerate_window, window_columns
-from selmerlab.descent import SolverPrecisionError, descent_exponent
+from selmerlab.descent import SolverPrecisionError, descent_exponent, relevant_places
 
 
 def _records_text(config):
@@ -409,8 +409,15 @@ def test_verify_command_small_window(capsys):
         assert f"suite {name}:" in out
 
 
-def test_verify_swapped_orientation_fails(capsys):
-    ok = run_verification(40, sample=40, seed=3, swap_orientation=True)
+def test_verify_swapped_orientation_fails(capsys, monkeypatch):
+    # the fault injection reads each side's image off the other side
+    honest = descent._exhaustive_masks
+
+    def swapped(A, B, places):
+        return {v: (what, w) for v, (w, what) in honest(A, B, places).items()}
+
+    monkeypatch.setattr(descent, "_exhaustive_masks", swapped)
+    ok = run_verification(40, sample=40, seed=3)
     out = capsys.readouterr().out
     assert not ok
     assert "suite orientation_anchor:" in out
@@ -424,8 +431,27 @@ def test_verify_empty_window():
 
 
 def test_output_record_consistency_guard():
-    with pytest.raises(AssertionError):
-        OutputRecord(A=1, B=3, t_total=1, t_descent=0)
+    t = descent_exponent(1, 3)
+    with pytest.raises(AssertionError, match=rf"product formula violated at \(1, 3\): ledger {t + 1} != descent {t}"):
+        cli._record(1, 3, (t + 1, 0, 0, 0), relevant_places(1, 3))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--xmax", "30", "--threads", "1"], ["--xmax", "300", "--sample", "20", "--seed", "1", "--threads", "2"]],
+    ids=["full", "sample"],
+)
+def test_pipeline_enforces_the_product_formula(flags, tmp_path, capsys, monkeypatch):
+    # a descent off by one on the phihat side fails the run on its first curve
+    honest = cli.selmer_phihat
+
+    def off_by_one(A, B, masks):
+        return types.SimpleNamespace(dim=honest(A, B, masks).dim + 1)
+
+    monkeypatch.setattr(cli, "selmer_phihat", off_by_one)
+    out = tmp_path / "records.csv"
+    assert main(["compute", "--with-descent", "--out", str(out)] + flags) == 1
+    assert "verification failure: product formula violated" in capsys.readouterr().err
 
 
 def test_parser_unknown_format():
@@ -433,7 +459,7 @@ def test_parser_unknown_format():
         build_parser().parse_args(["compute", "--xmax", "5", "--format", "xml"])
 
 
-def test_threads_env_fallback():
+def test_threads_zero_means_cpu_count():
     from selmerlab.cli import _resolve_threads
 
     assert _resolve_threads(RunConfig(xmax=10, threads=2)) == 2
@@ -505,6 +531,8 @@ _GOLDEN = {
     "verify-60": "63b4fc0bef0e62a3f4698af65e74bafcf25c74651d1625a8bdc6d4b6253d284e",
     "compute-100-json": "4ce5cf21c1b62b8e4e87e2813feaf9f7b9d85a4fe37ab6e0d2e7248dd8a4ae32",
     "compute-30-descent": "37a730efea27ecaa49ea6c43329659ee7fba9f8fe3efef4c8f9e6b1f0d65ebe7",
+    "compute-1000-sample-descent": "c16a2cea221005426d4d6d0c47cce06c8351e45b9f2a8c28b165e5c69549ae5c",
+    "compute-2000-sample-json": "4d4eb65085ae7d6a3018e8b7ecf094baf56a17fb2031e99afc068d37e4cfb1d1",
 }
 
 
@@ -519,8 +547,13 @@ def _sha256(text):
         (["--xmax", "100", "--no-include-square-disc"], "compute-100-no-square-disc"),
         (["--xmax", "100", "--format", "json"], "compute-100-json"),
         (["--xmax", "30", "--with-descent"], "compute-30-descent"),
+        (["--xmax", "1000", "--sample", "400", "--seed", "1000", "--with-descent"], "compute-1000-sample-descent"),
+        (
+            ["--xmax", "2000", "--sample", "500", "--seed", "1", "--threads", "2", "--format", "json"],
+            "compute-2000-sample-json",
+        ),
     ],
-    ids=["full", "no-square-disc", "json", "descent"],
+    ids=["full", "no-square-disc", "json", "descent", "sample-descent", "sample-json"],
 )
 def test_golden_compute_csv(flags, key, tmp_path):
     out = tmp_path / "records.csv"

@@ -71,7 +71,7 @@ def _column_members(B, X, include_square_disc):
     return members
 
 
-@pytest.mark.parametrize("B", [16, -16, 48, -48, 81, -81, 1296, -1296, 4, 9, 36, -1, -4, 3])
+@pytest.mark.parametrize("B", [16, -16, 48, -48, 81, -81, 1296, -1296, 6561, -6561, 13122, 50625, 4, 9, 36, -1, -4, 3])
 @pytest.mark.parametrize("include", [True, False])
 def test_column_count_and_unrank_match_bruteforce(B, include):
     for X in (0, 1, 5, 40, 300):

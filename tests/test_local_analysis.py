@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from selmerlab import descent, local_analysis
-from selmerlab.cli import curve_record
+from selmerlab.cli import RECORD_FIELDS, curve_record
 from selmerlab.core_arith import is_square, ord_p
 from selmerlab.curve_family import CurvePair, FamilyWindow, column_members, enumerate_window, window_columns
 from selmerlab.descent import INF_PLACE, descent_exponent, local_image, relevant_places
@@ -378,7 +378,7 @@ def test_ledger_records_reduction_kind(e60_sample):
             if e.place not in (2, INF_PLACE)
         ]
         assert [e.additive for e in led.entries] == kinds + [False, False]
-        assert curve_record(c).n_additive == sum(kinds)
+        assert dict(zip(RECORD_FIELDS, curve_record(c)))["n_additive"] == sum(kinds)
 
 
 def test_decompose_total_and_bound(e60_sample):
@@ -410,16 +410,16 @@ def test_curve_record_reads_g1_g2_off_the_ledger(e60_sample):
     from selmerlab.statistics import g1, g2
 
     for c in e60_sample:
-        rec = curve_record(c)
-        assert (rec.g1, rec.g2) == (g1(c.A, c.B), g2(c.A, c.B)), (c.A, c.B)
+        rec = dict(zip(RECORD_FIELDS, curve_record(c)))
+        assert (rec["g1"], rec["g2"]) == (g1(c.A, c.B), g2(c.A, c.B)), (c.A, c.B)
         counts = _odd_place_counts(c, tamagawa_exponent(c).entries[:-2])
-        assert counts == (rec.g1, rec.g2, repeated_prime_count(c.A, c.B)), (c.A, c.B)
+        assert counts == (rec["g1"], rec["g2"], repeated_prime_count(c.A, c.B)), (c.A, c.B)
 
 
 def _ledger_rows(B, As):
     # the per-curve oracle: (t_total, g1, g2, n_additive) of curve_record
-    recs = (curve_record(CurvePair(A, B)) for A in As)
-    return [(r.t_total, r.g1, r.g2, r.n_additive) for r in recs]
+    recs = (dict(zip(RECORD_FIELDS, curve_record(CurvePair(A, B)))) for A in As)
+    return [(r["t_total"], r["g1"], r["g2"], r["n_additive"]) for r in recs]
 
 
 @functools.lru_cache(maxsize=None)
