@@ -35,6 +35,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from . import statistics as stats
@@ -162,6 +163,12 @@ def _resolve_threads(config: RunConfig) -> int:
     return config.threads or os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=1)
+def _column_sizes(X: int, include_square_disc: bool) -> tuple[int, ...]:
+    """Each column's member count: one pass for the sample-size check and the sampler."""
+    return tuple(column_count(B, X, include_square_disc) for B in window_columns(X))
+
+
 def sample_keys(X: int, include_square_disc: bool, n: int, seed: int) -> dict[int, list[int]]:
     """A seeded uniform n-subset of the window: {B: [A, ...]}, both ascending.
 
@@ -173,13 +180,10 @@ def sample_keys(X: int, include_square_disc: bool, n: int, seed: int) -> dict[in
     per rank: O((sqrt(X) + n) 2^k) time and O(n) memory.
     """
     cols = window_columns(X)
-    sizes = [column_count(B, X, include_square_disc) for B in cols]
-    total = sum(sizes)
-    if n > total:
-        raise ValueError("sample larger than the family")
+    sizes = _column_sizes(X, include_square_disc)
     ranks: dict[int, list[int]] = {}
     col = start = 0
-    for r in sorted(random.Random(seed).sample(range(total), n)):
+    for r in sorted(random.Random(seed).sample(range(sum(sizes)), n)):
         while r >= start + sizes[col]:
             start += sizes[col]
             col += 1
@@ -267,14 +271,14 @@ def _report_skipped(skipped: list) -> bool:
 
 
 def histogram_lines(values, X: int) -> list[str]:
-    """TSV rows (bin_left, bin_right, count, density) of standardized values."""
+    """TSV rows (bin_left, bin_right, count, density) of standardized values,
+    given as any iterable or as a Counter {value: count}."""
     scale = math.sqrt(2.0 * math.log(math.log(X)))
     width = 0.25
-    counts: dict[int, int] = {}
-    for v in values:
-        k = math.floor(v / scale / width)
-        counts[k] = counts.get(k, 0) + 1
-    n = len(values)
+    counts = Counter()
+    for v, c in Counter(values).items():
+        counts[math.floor(v / scale / width)] += c
+    n = counts.total()
     lines = []
     for k in sorted(counts):
         left, right = k * width, (k + 1) * width
@@ -283,16 +287,16 @@ def histogram_lines(values, X: int) -> list[str]:
     return lines
 
 
-def _t_values(config: RunConfig) -> tuple[list[int], list]:
-    """The t_total of every curve without a square discriminant, and the
-    (A, B, reason) of the skipped curves."""
+def _t_values(config: RunConfig) -> tuple[Counter, list]:
+    """The multiset {t: count} of t_total over the curves without a square
+    discriminant, and the (A, B, reason) of the skipped curves."""
     t, square = RECORD_FIELDS.index("t_total"), RECORD_FIELDS.index("square_disc_flag")
-    vals = []
+    counts = Counter()
     skipped_all = []
     for _, recs, skipped in stream_records(config):
         skipped_all += skipped
-        vals += [r[t] for r in recs if not r[square]]
-    return vals, skipped_all
+        counts.update(r[t] for r in recs if not r[square])
+    return counts, skipped_all
 
 
 def cmd_stats(config: RunConfig) -> int:
@@ -324,7 +328,7 @@ def cmd_stats(config: RunConfig) -> int:
         print("no t-values: empty curve selection", file=sys.stderr)
         return 1
     dist = stats.cdf_distance(tvals, X)
-    print(f"cdf_distance={dist:.6f} n={len(tvals)}")
+    print(f"cdf_distance={dist:.6f} n={tvals.total()}")
     if config.outPath:
         with open(config.outPath, "w", newline="\n") as fh:
             for line in histogram_lines(tvals, X):
@@ -520,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_command(command: str, config: RunConfig) -> None:
     """Raise ValueError for values that are invalid only for this window or command."""
     X, n = config.xmax, config.sample
-    if n is not None and n > sum(column_count(B, X, config.includeSquareDisc) for B in window_columns(X)):
+    if n is not None and n > sum(_column_sizes(X, config.includeSquareDisc)):
         raise ValueError(f"sample {n} larger than the family at xmax={X}")
     if command == "stats" and X < 16:
         raise ValueError("stats needs xmax >= 16 so that log log X is positive")

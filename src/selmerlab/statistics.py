@@ -22,6 +22,7 @@ two-torsion and sit outside the generic model.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -223,18 +224,23 @@ def normal_cdf(x: float) -> float:
 
 def cdf_distance(values, X: int) -> float:
     """Sup distance between the empirical CDF of t / sqrt(2 log log X) and
-    the standard normal CDF."""
+    the standard normal CDF, from the counts of `values` (an iterable or a
+    Counter).  i/n - Phi is monotone in i over a tie block, so its largest
+    |i/n - Phi| is at below/n or above/n: bit for bit the sorted-list sup."""
     if X < 16:
         raise ValueError("X must be at least 16 so that log log X is positive")
-    if not values:
+    counts = Counter(values)
+    if not counts:
         raise ValueError("no values")
     scale = math.sqrt(2.0 * math.log(math.log(X)))
-    xs = sorted(v / scale for v in values)
-    n = len(xs)
+    n = counts.total()
     dist = 0.0
-    for i, x in enumerate(xs, start=1):
-        phi = normal_cdf(x)
-        dist = max(dist, abs(i / n - phi), abs((i - 1) / n - phi))
+    below = 0
+    for v in sorted(counts):
+        phi = normal_cdf(v / scale)
+        above = below + counts[v]
+        dist = max(dist, abs(above / n - phi), abs(below / n - phi))
+        below = above
     return dist
 
 

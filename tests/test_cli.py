@@ -186,6 +186,21 @@ def test_sample_keys_match_key_list_sampling(X, include):
         sample_keys(X, include, size + 1, 0)
 
 
+def test_sampled_run_sizes_the_window_once(monkeypatch, capsys):
+    # the sample-size check and the sampler share one count per column
+    calls = []
+    honest = cli.column_count
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "column_count", counted)
+    cli._column_sizes.cache_clear()
+    assert main(["compute", "--xmax", "300", "--sample", "50", "--seed", "1", "--threads", "1"]) == 0
+    assert len(calls) == len(window_columns(300)) == 34
+
+
 def _per_rank_sample_keys(X, include_square_disc, n, seed):
     # the former unranking: bisect each rank alone on its column's count
 
@@ -528,6 +543,8 @@ _GOLDEN = {
     "compute-100": "c5c0dc2f8046ab4839b2c87052160cd36b3c55f1908be119226630c863148fde",
     "compute-100-no-square-disc": "5d93eed9b5a4f15dcb13ded4c953ab58e89f09e9a29178c967ed19895b171b6e",
     "stats-300": "5b9ca4c9c226aafe7a29faae7fa590a3048e7f21032eb350908f9e79b7ba3a03",
+    "stats-300-hist": "2b785d28e7a5234166e36cc4b06a8b133d38bf2d07ad0b6d1ffbd1757a8b091c",
+    "stats-1000-sample-descent": "54d74513bdac49a899c56e45ca4815ac5263e2ff4586ba3c1d680754f84fb940",
     "verify-60": "63b4fc0bef0e62a3f4698af65e74bafcf25c74651d1625a8bdc6d4b6253d284e",
     "compute-100-json": "4ce5cf21c1b62b8e4e87e2813feaf9f7b9d85a4fe37ab6e0d2e7248dd8a4ae32",
     "compute-30-descent": "37a730efea27ecaa49ea6c43329659ee7fba9f8fe3efef4c8f9e6b1f0d65ebe7",
@@ -561,9 +578,23 @@ def test_golden_compute_csv(flags, key, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN[key]
 
 
-def test_golden_stats_stdout(capsys):
-    assert main(["stats", "--xmax", "300", "--threads", "1"]) == 0
-    assert _sha256(capsys.readouterr().out) == _GOLDEN["stats-300"]
+def test_golden_stats_stdout(tmp_path, capsys):
+    hist = tmp_path / "hist.tsv"
+    assert main(["stats", "--xmax", "300", "--threads", "1", "--out", str(hist)]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out) == _GOLDEN["stats-300"]
+    assert hashlib.sha256(hist.read_bytes()).hexdigest() == _GOLDEN["stats-300-hist"]
+    # two independent counts of the non-square members: the column rule and
+    # the ledger (the t-values) against family_scan's mask (the family line)
+    family = dict(kv.split("=") for kv in out.splitlines()[0].split()[1:])
+    n = int(out.split("cdf_distance=", 1)[1].split()[1].removeprefix("n="))
+    assert n == int(family["members"]) - int(family["square_disc_excluded"]) == 20_027
+
+
+def test_golden_stats_sample_descent_stdout(capsys):
+    argv = ["stats", "--xmax", "1000", "--sample", "2000", "--seed", "7", "--threads", "2", "--with-descent"]
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == _GOLDEN["stats-1000-sample-descent"]
 
 
 def test_golden_verify_lines():

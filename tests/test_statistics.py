@@ -1,10 +1,14 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from selmerlab.cli import histogram_lines
 from selmerlab.curve_family import FamilyWindow, density_rho, enumerate_window
+from selmerlab.local_analysis import tamagawa_exponent
 from selmerlab.statistics import (
     MomentReport,
     PrimeModel,
@@ -201,18 +205,56 @@ def test_rho_sum_monotone():
 
 def test_cdf_distance_degenerate():
     assert cdf_distance([0] * 500, 100) == pytest.approx(0.5)
+    assert cdf_distance(Counter({0: 500}), 100) == cdf_distance([0] * 500, 100)
     with pytest.raises(ValueError):
         cdf_distance([1, 2], 15)
     with pytest.raises(ValueError):
         cdf_distance([], 100)
+    with pytest.raises(ValueError):
+        cdf_distance(iter([]), 100)
+
+
+def _synthetic_normal(X):
+    rng = random.Random(12)
+    sigma = math.sqrt(2 * math.log(math.log(X)))
+    return [rng.gauss(0, sigma) for _ in range(40000)]
 
 
 def test_cdf_distance_on_synthetic_normal():
-    rng = random.Random(12)
     X = 10**4
-    sigma = math.sqrt(2 * math.log(math.log(X)))
-    values = [rng.gauss(0, sigma) for _ in range(40000)]
-    assert cdf_distance(values, X) < 0.02
+    assert cdf_distance(_synthetic_normal(X), X) < 0.02
+
+
+def _sorted_list_cdf_distance(values, X):
+    # reference: one float per value, sorted, every index visited
+    scale = math.sqrt(2.0 * math.log(math.log(X)))
+    xs = sorted(v / scale for v in values)
+    n = len(xs)
+    dist = 0.0
+    for i, x in enumerate(xs, start=1):
+        phi = normal_cdf(x)
+        dist = max(dist, abs(i / n - phi), abs((i - 1) / n - phi))
+    return dist
+
+
+def _assert_counted_matches_sorted_list(values, X):
+    assert cdf_distance(values, X) == _sorted_list_cdf_distance(values, X)
+    assert cdf_distance(Counter(values), X) == _sorted_list_cdf_distance(values, X)
+    assert histogram_lines(Counter(values), X) == histogram_lines(values, X)
+
+
+def test_counted_cdf_matches_sorted_list_on_a_full_window(e60):
+    _assert_counted_matches_sorted_list([tamagawa_exponent(c).total for c in e60], 60)
+
+
+@given(st.lists(st.integers(-4, 6), min_size=1, max_size=300), st.sampled_from([16, 100, 10**4, 10**8]))
+def test_counted_cdf_matches_sorted_list_on_ties(values, X):
+    _assert_counted_matches_sorted_list(values, X)
+
+
+def test_counted_cdf_matches_sorted_list_on_floats():
+    X = 10**4
+    _assert_counted_matches_sorted_list(_synthetic_normal(X), X)
 
 
 def test_normal_cdf_reference_values():
