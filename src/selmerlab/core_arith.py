@@ -9,6 +9,7 @@ callers) always see identical output.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,7 +47,7 @@ def primes_below(n: int) -> list[int]:
     for p in range(2, math.isqrt(n - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, n, p)))
-    return [i for i in range(n) if sieve[i]]
+    return list(itertools.compress(range(n), sieve))
 
 
 def _sieve() -> list[int]:

@@ -462,10 +462,18 @@ def _class_reps(v) -> list[int]:
     return [1, n, v, n * v]
 
 
+def _by_lowest_bit(n: int, empty: int, step) -> tuple:
+    """t[m] for every mask m of n bits: t[0] = empty, and t[m] = step(t[m'], y)
+    where y is the lowest set bit of m and m' is m without it."""
+    t = [empty]
+    for m in range(1, 1 << n):
+        low = m & -m
+        t.append(step(t[m ^ low], low.bit_length() - 1))
+    return tuple(t)
+
+
 # _TIMES[x][m]: the mask x*m (products are XORs; no place has over 8 classes)
-_TIMES = tuple(
-    tuple(sum(1 << (x ^ y) for y in range(8) if m >> y & 1) for m in range(256)) for x in range(8)
-)
+_TIMES = tuple(_by_lowest_bit(8, 0, lambda t, y, x=x: t | 1 << (x ^ y)) for x in range(8))
 
 
 def _mul_sets(s: int, m: int) -> int:
@@ -498,9 +506,8 @@ def _hilbert_odd(x: int, y: int, eps: int) -> int:
 
 def _orth_table(pair, n: int) -> tuple:
     """t[m]: the classes (of n) pairing trivially with all of the mask m."""
-    return tuple(
-        sum(1 << y for y in range(n) if not any(m >> x & 1 and pair(x, y) for x in range(n))) for m in range(1 << n)
-    )
+    single = [sum(1 << y for y in range(n) if not pair(x, y)) for x in range(n)]
+    return _by_lowest_bit(n, (1 << n) - 1, lambda t, x: t & single[x])
 
 
 # the orthogonal complements under the Hilbert symbol: _ORTH at 2, and

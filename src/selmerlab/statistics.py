@@ -4,15 +4,17 @@ g1 counts distinct odd primes below a cut z dividing A^2-4B, g2 the same for
 B.  The model replaces the two divisibility indicator families by coupled
 Bernoulli pairs: for each odd prime p both indicators fire with probability
 rho(p) = (p^5-1)/(p^6-1), and they fire jointly with probability
-(p^4-1)/(p^6-1).  Centered mixed moments of the model are computed exactly
-(rational arithmetic, convolution across primes); empirical moments use
+(p^4-1)/(p^6-1).  Centered mixed moments of the model are computed exactly:
+each prime's joint cumulants in integers, their sums over the primes as
+rationals, and the moments from those sums once.  Empirical moments use
 exact integer power sums so the result does not depend on summation order
 or partitioning.
 
 `family_scan` gets the whole window's power sums without forming any
 A^2-4B: in column B the odd primes p < z dividing A^2-4B are read off the
-root classes A = +-2 sqrt(B) (mod p), one strided update per root, which is
-O(sqrt(X) * X * sum over p < z of 2/p) work in all.
+root classes A = +-2 sqrt(B) (mod p), one strided update per root.  Every
+count it takes is even in A, so it scans A in [0, X] only:
+O(sqrt(X) * X * sum over p < z of 1/p) work in all.
 
 Curves whose A^2-4B is a nonzero perfect square are excluded from all
 empirical statistics (their count is reported); they carry extra rational
@@ -123,38 +125,72 @@ class MomentReport:
             raise ValueError("non-finite moment")
 
 
+def _recursion_term(i: int, j: int, kappa: dict, m: dict):
+    """sum C(i-1, r) C(j, s) kappa[r+1, s] m[i-1-r, j-s] over r < i, s <= j
+    (for i = 0: sum C(j-1, s) kappa[0, s+1] m[0, j-1-s] over s < j).
+
+    This is m[i, j], the bivariate moment-cumulant recursion (the derivative
+    of M = exp(K) is M times that of K); its one term in kappa[i, j] is
+    kappa[i, j] m[0, 0], so with kappa[i, j] still 0 it gives m[i, j] less
+    kappa[i, j].  Entries are read at lower total degree only.
+    """
+    if i:
+        return sum(
+            math.comb(i - 1, r) * math.comb(j, s) * kappa[(r + 1, s)] * m[(i - 1 - r, j - s)]
+            for r in range(i)
+            for s in range(j + 1)
+        )
+    return sum(math.comb(j - 1, s) * kappa[(0, s + 1)] * m[(0, j - 1 - s)] for s in range(j))
+
+
+def _degrees(kmax: int) -> list[tuple[int, int]]:
+    # (i, j) with i + j <= kmax, by ascending total degree
+    return [(i, n - i) for n in range(kmax + 1) for i in range(n + 1)]
+
+
+def _scaled_cumulants(row, kmax: int) -> tuple[int, dict]:
+    """(d, kappa) for one PrimeModel row: d = p^6 - 1 and the joint
+    cumulants kappa[i, j] of (d I, d J) up to total degree kmax, integers.
+
+    Every raw moment of (d I, d J) is an integer (each probability is an
+    integer over d, each nonconstant monomial a multiple of d), and the
+    recursion from raw moments to cumulants multiplies and subtracts only.
+    """
+    p, both, o1, o2, neither = row
+    d = p**6 - 1
+    weights = [(int(q * d), x, y) for q, x, y in ((neither, 0, 0), (o1, d, 0), (o2, 0, d), (both, d, d))]
+    degrees = _degrees(kmax)
+    raw = {(r, s): sum(w * x**r * y**s for w, x, y in weights) // d for r, s in degrees}
+    kappa = dict.fromkeys(degrees, 0)
+    for i, j in degrees[1:]:
+        kappa[(i, j)] = raw[(i, j)] - _recursion_term(i, j, kappa, raw)
+    return d, kappa
+
+
 @lru_cache(maxsize=None)
 def _model_centered_table(z: int, kmax: int) -> dict:
     """Exact centered mixed moments of the model pair up to total degree kmax.
 
-    Each entry is convolved from entries of lower degree only, so it does not
-    depend on kmax; callers ask for degree 4 or 6 and read lower entries.
+    The pair is a sum of independent per-prime indicator pairs (I, J) (I for
+    p | A^2-4B, J for p | B), so its joint cumulants of degree >= 2 are the
+    sums of theirs; those of degree 1 vanish, as the pair is centered.  A
+    prime's cumulants come from its raw moments in integers: the values are
+    scaled by d = p^6 - 1, so every raw moment of (dI, dJ) is an integer,
+    and the cumulant of degree n of (dI, dJ) is d^n times that of (I, J).
+    The summed cumulants give the moments once, by the same recursion.  An
+    entry is made from entries of lower degree only, so it does not depend
+    on kmax; callers ask for degree 4 or 6 and read lower entries.
     """
+    degrees = _degrees(kmax)
+    total = dict.fromkeys(degrees, Fraction(0))
+    for row in PrimeModel.build(z).perPrime:
+        d, kappa = _scaled_cumulants(row, kmax)
+        for (i, j), k in kappa.items():
+            if i + j >= 2:
+                total[(i, j)] += Fraction(k, d ** (i + j))
     table = {(0, 0): Fraction(1)}
-    for i in range(kmax + 1):
-        for j in range(kmax + 1 - i):
-            table.setdefault((i, j), Fraction(0))
-    for p, both, o1, o2, neither in PrimeModel.build(z).perPrime:
-        rho = both + o1
-        outcomes = (
-            (neither, -rho, -rho),
-            (o1, 1 - rho, -rho),
-            (o2, -rho, 1 - rho),
-            (both, 1 - rho, 1 - rho),
-        )
-        step = {}
-        for r in range(kmax + 1):
-            for s in range(kmax + 1 - r):
-                step[(r, s)] = sum(pr * x**r * y**s for pr, x, y in outcomes)
-        new = {}
-        for i in range(kmax + 1):
-            for j in range(kmax + 1 - i):
-                acc = Fraction(0)
-                for r in range(i + 1):
-                    for s in range(j + 1):
-                        acc += math.comb(i, r) * math.comb(j, s) * table[(i - r, j - s)] * step[(r, s)]
-                new[(i, j)] = acc
-        table = new
+    for i, j in degrees[1:]:
+        table[(i, j)] = _recursion_term(i, j, total, table)
     return table
 
 
@@ -279,45 +315,59 @@ def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: in
     A = +-2 sqrt(B) (mod p), so each g1 row is built by adding 1 along every
     p-th entry from each root, and each density count sums the member mask
     over the same slices.  The mask and the square-discriminant A's come
-    from the column rule of `curve_family`.  The cost is
-    O(sqrt(X) * X * sum over p < z of 2/p) strided updates; the power sums
-    are exact Python integers read off a histogram of each row, so they
-    match the streaming path bit for bit.
+    from the column rule of `curve_family`.
+
+    Every count is the same at A and -A: the root classes are closed under
+    negation (p | A^2 - 4B is even in A), and so are the moduli p^2 | A, the
+    singular A = +-2 sqrt(B) and the square discriminants A^2 - 4B = s^2.
+    So each row holds A in [0, X] only, and every entry counts twice but
+    A = 0, which counts once.  The cost is
+    O(sqrt(X) * X * sum over p < z of 1/p) strided updates (none at z = 3,
+    where no g1 row is built); the power sums are exact Python integers
+    read off a histogram of each row, so they match the streaming path bit
+    for bit.
     """
     import numpy as np
 
     zprimes = _odd_primes_below(z)
-    width = 2 * X + 1  # entry i holds A = i - X
     sums = {(i, j): 0 for i in range(kmax + 1) for j in range(kmax + 1)}
     density = {p: [0, 0, 0] for p in density_primes}
     n_total = 0
     n_square = 0
     for B in window_columns(X):
         moduli, singular, square = _column_rule(B, X)
-        mask = np.ones(width, dtype=bool)
+        for skip in (singular, square):
+            assert skip == [-A for A in reversed(skip)], f"column rule not symmetric at B={B}"
+        mask = np.ones(X + 1, dtype=bool)  # entry A stands for A and -A
         for m in moduli:
-            mask[X % m :: m] = False
-        mask[[A + X for A in singular]] = False
-        nb = int(np.count_nonzero(mask))
+            mask[::m] = False
+        mask[[A for A in singular if A >= 0]] = False
+        zero = int(mask[0])  # A = 0 is its own mirror, so counts once
+        nb = 2 * int(np.count_nonzero(mask)) - zero
         n_total += nb
         n_square += len(square)
         for p in density_primes:
-            cD = sum(int(np.count_nonzero(mask[(r + X) % p :: p])) for r in _root_classes(p, B % p))
+            cD = 2 * sum(int(np.count_nonzero(mask[r::p])) for r in _root_classes(p, B % p)) - zero * (B % p == 0)
             density[p][1] += cD
             if B % p == 0:
                 density[p][0] += nb
                 density[p][2] += cD
-        mask[[A + X for A in square]] = False
-        # a member's count is at most omega(|A^2 - 4B|) < 16 while
-        # |A^2 - 4B| < 2^63, so int8 holds it; only the singular entries
-        # (divisible by every p) can wrap, and the mask drops them
-        g1row = np.zeros(width, dtype=np.int8)
-        for p in zprimes:
-            for r in _root_classes(p, B % p):
-                g1row[(r + X) % p :: p] += 1
-        hist = np.bincount(g1row[mask]).tolist()
+        mask[[A for A in square if A >= 0]] = False
+        zero = int(mask[0])
+        if zprimes:
+            # a member's count is at most omega(|A^2 - 4B|) < 16 while
+            # |A^2 - 4B| < 2^63, so int8 holds it; only the singular entries
+            # (divisible by every p) can wrap, and the mask drops them
+            g1row = np.zeros(X + 1, dtype=np.int8)
+            for p in zprimes:
+                for r in _root_classes(p, B % p):
+                    g1row[r::p] += 1
+            hist = np.bincount(g1row[mask]).tolist()
+            g0 = int(g1row[0])
+        else:
+            hist, g0 = [int(np.count_nonzero(mask))], 0
         g2val = sum(1 for p in zprimes if B % p == 0)
-        rowpow = [sum(c * g**i for g, c in enumerate(hist)) for i in range(kmax + 1)]
+        rowpow = [2 * sum(c * g**i for g, c in enumerate(hist)) - zero * g0**i for i in range(kmax + 1)]
         for i in range(kmax + 1):
             for j in range(kmax + 1):
                 sums[(i, j)] += rowpow[i] * g2val**j

@@ -138,6 +138,8 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == (n in small)
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * (2**31 + 11))
+    for n in range(40):
+        assert primes_below(n) == [p for p in range(n) if is_prime(p)], n
 
 
 def test_sqrt_mod_p():

@@ -521,6 +521,21 @@ def test_odd_hilbert_table():
             assert orth[m].bit_count() * m.bit_count() == 4 and orth[orth[m]] == m, (p, m)
 
 
+def test_class_tables_match_their_pairwise_definitions():
+    # _TIMES, _ORTH and _ORTH_ODD are built entry from entry by the lowest
+    # set bit; each entry against its definition over every pair of classes
+    for x in range(8):
+        for m in range(256):
+            assert descent._TIMES[x][m] == sum(1 << (x ^ y) for y in range(8) if m >> y & 1), (x, m)
+    tables = [(descent._ORTH, descent._hilbert2, 8)]
+    tables += [(descent._ORTH_ODD[eps], lambda x, y, e=eps: descent._hilbert_odd(x, y, e), 4) for eps in (0, 1)]
+    for orth, pair, n in tables:
+        assert len(orth) == 1 << n
+        for m in range(1 << n):
+            want = sum(1 << y for y in range(n) if not any(m >> x & 1 and pair(x, y) for x in range(n)))
+            assert orth[m] == want, (n, m)
+
+
 def _masks_cases(e60_sample):
     """Curves for the duality loop: the e60 sample, a 400-curve sample at
     X = 10^3, p^k | A and p^k | B at p = 3..23, and the deep 2-adic columns

@@ -70,6 +70,49 @@ def test_model_table_entries_do_not_depend_on_degree():
                 assert model_mixed_moment_exact(k1, k - k1, z) == own[(k1, k - k1)]
 
 
+def _convolved_model_table(z, kmax):
+    # reference: the centered moments convolved prime by prime in Fractions
+    table = {(i, j): Fraction(int(i == j == 0)) for i in range(kmax + 1) for j in range(kmax + 1 - i)}
+    for p, both, o1, o2, neither in PrimeModel.build(z).perPrime:
+        rho = both + o1
+        outcomes = ((neither, -rho, -rho), (o1, 1 - rho, -rho), (o2, -rho, 1 - rho), (both, 1 - rho, 1 - rho))
+        step = {(r, s): sum(q * x**r * y**s for q, x, y in outcomes) for (r, s) in table}
+        table = {
+            (i, j): sum(
+                math.comb(i, r) * math.comb(j, s) * table[(i - r, j - s)] * step[(r, s)]
+                for r in range(i + 1)
+                for s in range(j + 1)
+            )
+            for (i, j) in table
+        }
+    return table
+
+
+@pytest.mark.parametrize("z, kmax", [(z, k) for z in (3, 4, 10, 30, 100) for k in (4, 6)] + [(1000, 4)])
+def test_model_table_from_cumulants_matches_convolution(z, kmax):
+    from selmerlab.statistics import _model_centered_table
+
+    assert _model_centered_table(z, kmax) == _convolved_model_table(z, kmax)
+
+
+def test_single_prime_low_cumulants_are_its_centered_moments():
+    # kappa_2 and kappa_3 of one prime's pair equal its centered moments;
+    # kappa_1 is its mean, and (d I, d J) scales degree n by d^n
+    from selmerlab.statistics import _scaled_cumulants
+
+    for row in PrimeModel.build(60).perPrime:
+        p, both, o1, o2, neither = row
+        rho = both + o1
+        outcomes = ((neither, 0, 0), (o1, 1, 0), (o2, 0, 1), (both, 1, 1))
+        d, kappa = _scaled_cumulants(row, 3)
+        assert d == p**6 - 1
+        assert kappa[(1, 0)] == kappa[(0, 1)] == rho * d
+        for (r, s), k in kappa.items():
+            if r + s >= 2:
+                centered = sum(q * (x - rho) ** r * (y - rho) ** s for q, x, y in outcomes)
+                assert Fraction(k, d ** (r + s)) == centered, (p, r, s)
+
+
 def test_model_exchangeable():
     for (k1, k2) in [(2, 1), (3, 0), (2, 2), (4, 1)]:
         for z in (10, 30):
@@ -171,7 +214,9 @@ def _reference_family_scan(X, z, density_primes):
 
 # 256 and 6561 bring in the columns B = +-16 and B = +-81 (a modulus p^2);
 # with z = 10 the density primes 11 and 13 lie above the cut
-@pytest.mark.parametrize("X", [0, 1, 16, 255, 256, 300, 1296, 6561])
+# X = 2 and 4 bring in B = -1 (A = 0 has the square discriminant 4) and
+# B = 1 (A = +-2 singular); at X = 1000 the columns B = +-16 exclude A = 0.
+@pytest.mark.parametrize("X", [0, 1, 2, 4, 16, 255, 256, 300, 1000, 1296, 6561])
 @pytest.mark.parametrize("density_primes", [(3, 5, 7, 11, 13), (3, 11, 13)])
 def test_family_scan_matches_discriminant_scan(X, density_primes):
     for z in (3, 4, 10, 30, 100):
