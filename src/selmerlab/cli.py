@@ -443,7 +443,7 @@ def run_verification(xmax: int, sample: int | None = None, seed: int = 0, report
 
     # residue-class densities against the exact local model; tolerances carry
     # a B-granularity term since the window only holds ~2 sqrt(X)/p multiples
-    scan = stats.family_scan(xmax, 3)  # density counts do not depend on z; at 3 no g1 row is built
+    scan = stats.family_scan(xmax, 3)  # density counts do not depend on z; at 3 no g1 update is made
     n = scan["n_total"]
     bmax = math.isqrt(xmax)
     for p, (nB, nD, nBoth) in scan["density_counts"].items():

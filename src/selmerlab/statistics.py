@@ -322,10 +322,9 @@ def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: in
     singular A = +-2 sqrt(B) and the square discriminants A^2 - 4B = s^2.
     So each row holds A in [0, X] only, and every entry counts twice but
     A = 0, which counts once.  The cost is
-    O(sqrt(X) * X * sum over p < z of 1/p) strided updates (none at z = 3,
-    where no g1 row is built); the power sums are exact Python integers
-    read off a histogram of each row, so they match the streaming path bit
-    for bit.
+    O(sqrt(X) * X * sum over p < z of 1/p) strided updates; the power sums
+    are exact Python integers read off a histogram of each row, so they
+    match the streaming path bit for bit.
     """
     import numpy as np
 
@@ -354,18 +353,15 @@ def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: in
                 density[p][2] += cD
         mask[[A for A in square if A >= 0]] = False
         zero = int(mask[0])
-        if zprimes:
-            # a member's count is at most omega(|A^2 - 4B|) < 16 while
-            # |A^2 - 4B| < 2^63, so int8 holds it; only the singular entries
-            # (divisible by every p) can wrap, and the mask drops them
-            g1row = np.zeros(X + 1, dtype=np.int8)
-            for p in zprimes:
-                for r in _root_classes(p, B % p):
-                    g1row[r::p] += 1
-            hist = np.bincount(g1row[mask]).tolist()
-            g0 = int(g1row[0])
-        else:
-            hist, g0 = [int(np.count_nonzero(mask))], 0
+        # a member's count is at most omega(|A^2 - 4B|) < 16 while
+        # |A^2 - 4B| < 2^63, so int8 holds it; only the singular entries
+        # (divisible by every p) can wrap, and the mask drops them
+        g1row = np.zeros(X + 1, dtype=np.int8)
+        for p in zprimes:
+            for r in _root_classes(p, B % p):
+                g1row[r::p] += 1
+        hist = np.bincount(g1row[mask]).tolist()
+        g0 = int(g1row[0])
         g2val = sum(1 for p in zprimes if B % p == 0)
         rowpow = [2 * sum(c * g**i for g, c in enumerate(hist)) - zero * g0**i for i in range(kmax + 1)]
         for i in range(kmax + 1):
