@@ -209,12 +209,18 @@ def stream_records(config: RunConfig):
         yield from pool.imap(column, tasks)  # each column as soon as it is done
 
 
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    return str(v)
+# the two CSV line templates: a ledger-only record leaves its three descent
+# cells empty, a --with-descent record fills all ten; %d writes the
+# square-discriminant flag as 1 or 0
+_CSV_LEDGER = "%d,%d,%d,,,,%d,%d,%d,%d\n"
+_CSV_DESCENT = ",".join(["%d"] * len(RECORD_FIELDS)) + "\n"
+
+
+def _csv_lines(recs: list, with_descent: bool) -> str:
+    """The CSV lines of one column's records, as one string."""
+    if with_descent:
+        return "".join([_CSV_DESCENT % r for r in recs])
+    return "".join([_CSV_LEDGER % (A, B, t, g1, g2, n, sq) for A, B, t, _, _, _, g1, g2, n, sq in recs])
 
 
 def write_records(config: RunConfig, out) -> tuple[int, list]:
@@ -225,13 +231,14 @@ def write_records(config: RunConfig, out) -> tuple[int, list]:
     out.write(",".join(RECORD_FIELDS) + "\n" if csv else "[\n")
     for _, recs, skipped in stream_records(config):
         skipped_all += skipped
-        for r in recs:
-            if csv:
-                out.write(",".join(map(_format_cell, r)) + "\n")
-            else:
+        if csv:
+            out.write(_csv_lines(recs, config.with_descent))
+            n += len(recs)
+        else:
+            for r in recs:
                 text = json.dumps(dict(zip(RECORD_FIELDS, r)), separators=(", ", ": "))
                 out.write(("" if n == 0 else ",\n") + text)
-            n += 1
+                n += 1
     if not csv:
         out.write("\n]\n")
     return n, skipped_all

@@ -5,12 +5,14 @@ At an odd prime exactly one of three things happens to y^2 = x^3+Ax^2+Bx:
 good reduction (p divides neither B nor A^2-4B), multiplicative reduction
 (p divides exactly one of them), or additive reduction (p divides both).
 For multiplicative primes the local factor has a closed form; for additive
-primes it is computed as 2 c'_p / c_p from the Tamagawa numbers of the two
-isogenous curves, with c_p delivered by a full implementation of Tate's
+primes it is 2 c'_p / c_p from the Tamagawa numbers of the two isogenous
+curves.  Per curve, c_p comes from a full implementation of Tate's
 algorithm (odd p only; the model is integral and the algorithm rescales if
-it ever meets a non-minimal model).  The place 2 is handled by 2-adic local
-images from the descent machinery, never by Tate at 2, and the real place
-has a closed form.
+it ever meets a non-minimal model).  On the family's reduced models the
+ratio also has a closed form, `additive_factor`, read off Tate's branches:
+a few valuations and Legendre symbols; Tate stays its oracle.  The place 2
+is handled by 2-adic local images from the descent machinery, never by
+Tate at 2, and the real place has a closed form.
 
 At 2 the two images are found together, by descent._dual_images, the one
 duality loop that also gives the descent its local images at every finite
@@ -31,8 +33,9 @@ that good places contribute 0 and the total is the Tamagawa-ratio exponent.
 B (A^2-4B).  `column_ledger` gives the same totals for a whole B column by
 sieving its odd places over the residue classes of A (Pomerance, The
 quadratic sieve factoring algorithm, 1984: values of a polynomial are
-sieved by its roots mod p); place 2 and the additive places keep their
-per-curve calls.
+sieved by its roots mod p), with `additive_factor` at the additive places;
+place 2 keeps its per-curve call.  `tamagawa_exponent`, which sampled runs
+and `verify` read, runs Tate at each additive place.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "classify_reduction",
     "kodaira_indices",
     "mult_factor",
+    "additive_factor",
     "tamagawa_number",
     "tate_local_data",
     "factor_at_infinity",
@@ -309,6 +313,59 @@ def _additive_size(A: int, B: int, p: int) -> int:
     return size
 
 
+def additive_factor(A: int, B: int, p: int) -> int:
+    """Local condition size 2 c'_p / c_p at an odd prime p dividing A and B,
+    in closed form; the model must be nonsingular and reduced (not p^2 | A
+    with p^4 | B), or ValueError.  `_additive_size` runs Tate's algorithm on
+    both curves for the same size and is its oracle.
+
+    Since x^3 + A x^2 + B x = x^3 (mod p), Tate's algorithm (Silverman,
+    Advanced Topics, IV.9) starts with t = 0 and a6 = 0.  Write b = v_p(B),
+    d = v_p(D) for D = A^2 - 4B, and (n) for the Legendre symbol of the unit
+    part n / p^v_p(n).  The companion (-2A, D) has A'^2 - 4B' = 16 B, so it
+    swaps b and d.  Reducedness leaves five branches:
+    - b = 1 (so d = 1): v_p(b8) = v_p(B^2) = 2, type III on both sides:
+      c = c' = 2.
+    - b = d = 3 (so v_p(A) >= 2): the scaled cubic is T^3 and v_p(a4) = 3,
+      type III* on both sides: c = c' = 2.
+    - b = d = 2: the scaled cubic T (T^2 + (A/p) T + B/p^2) is separable,
+      type I0*, and c = 1 + #roots = 3 + (D); likewise c' = 3 + (B).
+    - b = 2 < d (so v_p(A) = 1): the cubic has a double root, E is I_{d-2}*
+      and E' is I_{2d-4}*.  At an I_m* fibre Tate's last step tests whether
+      the far components are defined over F_p; for odd p they make up
+      E(Q_p)[2^inf], as E_0(Q_p) is pro-p.  So c' = 4, since 16 B is a
+      square ((A/p)^2 = 4 B/p^2 mod p).  For even d, c = 4 iff D is a
+      square, iff (D) = 1; for odd d, iff (0, 0) is in 2E(Q_p): B = s^2 and
+      one of A +- 2s is a square.  One of those two has valuation d - 1 and
+      unit part D_u / (2 A/p) mod p, so the test is (2 (A/p) D) = 1.
+    - d = 2 < b (so v_p(A) = 1): the companion of the branch above, so
+      size = 4 / (its size): c = 4, and c' = 4 iff (B) = 1 for even b, or
+      iff (-(A/p) B) = 1 for odd b (its 2 A'/p = -4 A/p and its D' = 16 B).
+    """
+    vb = _vp(B, p)
+    if vb == 1:
+        return 2
+    D = A * A - 4 * B
+    if D == 0:
+        raise ValueError("singular curve")
+    vd = _vp(D, p)
+
+    def unit(n, v):
+        return (n // p**v) % p
+
+    if vb == 2 and vd == 2:
+        return 2 * (3 + jacobi(unit(B, 2), p)) // (3 + jacobi(unit(D, 2), p))
+    if vb == 2:
+        s = unit(D, vd) * (2 * A // p if vd & 1 else 1)
+        return 2 if jacobi(s, p) == 1 else 4
+    if vd == 2:
+        s = unit(B, vb) * (-A // p if vb & 1 else 1)
+        return 2 if jacobi(s, p) == 1 else 1
+    if vb == vd == 3:
+        return 2
+    raise ValueError(f"non-reduced pair (A, B) = ({A}, {B})")
+
+
 def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
     """Ledger of local factors whose exponents sum to the ratio exponent t(A, B).
 
@@ -336,13 +393,13 @@ def column_ledger(B: int, As) -> list:
     factoring each curve.
 
     Entry i belongs to As[i]: that tuple, or the ValueError or RuntimeError
-    its ledger raised (the one tamagawa_exponent raises there).  g1 and g2
-    count the odd primes of A^2-4B and of B, n_additive those of both.  With
-    D = A^2 - 4B, over the span of the A's:
+    its ledger raised (for an A that is no family member, the one CurvePair
+    raises).  g1 and g2 count the odd primes of A^2-4B and of B, n_additive
+    those of both.  With D = A^2 - 4B, over the span of the A's:
     - odd p | B (read off the sieve's prime list): p divides D exactly when
-      p | A.  Those A are additive at p and get the Tate pair 2 c'_p / c_p;
-      every other A gets -1 if v_p(B) is odd or (A/p) = 1, from one
-      Legendre symbol per residue class of A mod p.
+      p | A.  Those A are additive at p and get additive_factor, the closed
+      form of 2 c'_p / c_p (no Tate run); every other A gets -1 if v_p(B) is
+      odd or (A/p) = 1, from one Legendre symbol per residue class of A mod p.
     - odd p not dividing B, up to isqrt(max |D|): p divides D exactly on the
       root classes A = r with r^2 = 4B (mod p) (statistics._root_classes).
       Each hit divides p out of its running |D|; it gets +1 if v_p(D) is odd
@@ -364,6 +421,13 @@ def column_ledger(B: int, As) -> list:
     g1 = [0] * width
     additive = {}  # index -> the odd primes of gcd(A, B), ascending
     bprimes = [p for p in ps if B % p == 0]
+    # the A of no family member, where CurvePair raises: singular, or p^2 | A
+    # with p^4 | B (so additive_factor only sees reduced models)
+    r = isqrt(B) if B > 0 else 0
+    non_members = {A - lo for A in (-2 * r, 2 * r) if r * r == B and 0 <= A - lo < width}
+    for p in [2] + bprimes:
+        if B % p**4 == 0:
+            non_members.update(range(-lo % (p * p), width, p * p))
     for p in bprimes:
         odd_vb = _vp(B, p) & 1
         for a in range(1, p):
@@ -401,7 +465,9 @@ def column_ledger(B: int, As) -> list:
         cofactor = (n >> (n & -n).bit_length() - 1) > 1  # odd part of the rest
         adds = additive.get(i, ())
         try:
-            total = t[i] + cofactor + sum(_additive_size(A, B, p).bit_length() - 2 for p in adds)
+            if i in non_members:
+                CurvePair(A, B)  # raises the ValueError that says why
+            total = t[i] + cofactor + sum(additive_factor(A, B, p).bit_length() - 2 for p in adds)
             total += factor_at_two(A, B).bit_length() - 2
         except (ValueError, RuntimeError) as exc:
             out.append(exc)

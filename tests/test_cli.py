@@ -541,6 +541,7 @@ def test_stats_io_failure_exits_3_before_any_output(tmp_path, capsys):
 # window-ledger value is the one in perfbench/expected.json
 _GOLDEN = {
     "compute-100": "c5c0dc2f8046ab4839b2c87052160cd36b3c55f1908be119226630c863148fde",
+    "compute-1000": "c85e05c45053433889a99a95b5355e6adba5cbe85c8add47364ebf557f049a51",
     "compute-100-no-square-disc": "5d93eed9b5a4f15dcb13ded4c953ab58e89f09e9a29178c967ed19895b171b6e",
     "stats-300": "5b9ca4c9c226aafe7a29faae7fa590a3048e7f21032eb350908f9e79b7ba3a03",
     "stats-300-hist": "2b785d28e7a5234166e36cc4b06a8b133d38bf2d07ad0b6d1ffbd1757a8b091c",
@@ -561,6 +562,7 @@ def _sha256(text):
     "flags, key",
     [
         (["--xmax", "100"], "compute-100"),
+        (["--xmax", "1000"], "compute-1000"),
         (["--xmax", "100", "--no-include-square-disc"], "compute-100-no-square-disc"),
         (["--xmax", "100", "--format", "json"], "compute-100-json"),
         (["--xmax", "30", "--with-descent"], "compute-30-descent"),
@@ -570,7 +572,7 @@ def _sha256(text):
             "compute-2000-sample-json",
         ),
     ],
-    ids=["full", "no-square-disc", "json", "descent", "sample-descent", "sample-json"],
+    ids=["full", "full-1000", "no-square-disc", "json", "descent", "sample-descent", "sample-json"],
 )
 def test_golden_compute_csv(flags, key, tmp_path):
     out = tmp_path / "records.csv"
@@ -601,3 +603,12 @@ def test_golden_verify_lines():
     lines = []
     assert run_verification(60, report=lines.append)
     assert _sha256("\n".join(lines) + "\n") == _GOLDEN["verify-60"]
+
+
+def test_product_formula_through_the_additive_closed_form(tmp_path, capsys):
+    # every curve of E(300): the descent's t against the ledger's, whose
+    # additive places come from additive_factor; _record raises on a
+    # mismatch, which main reports as exit 1
+    argv = ["compute", "--xmax", "300", "--with-descent", "--threads", "2", "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "wrote 20126 records\n"

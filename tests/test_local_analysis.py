@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from selmerlab import descent, local_analysis
 from selmerlab.cli import RECORD_FIELDS, curve_record
-from selmerlab.core_arith import is_square, ord_p
+from selmerlab.core_arith import is_square, jacobi, ord_p
 from selmerlab.curve_family import CurvePair, FamilyWindow, column_members, enumerate_window, window_columns
 from selmerlab.descent import INF_PLACE, descent_exponent, local_image, relevant_places
 from selmerlab.local_analysis import (
@@ -473,3 +473,170 @@ def test_column_ledger_errors_stay_with_their_curve(monkeypatch):
     monkeypatch.setattr(local_analysis, "factor_at_two", flaky)
     again = shown(local_analysis.column_ledger(1, As))
     assert again[2] == "injected" and again[:2] + again[3:] == shown(rows[:2] + rows[3:])
+
+
+def test_column_ledger_gives_non_members_the_curve_pair_error():
+    # p^2 | A with p^4 | B is no family member: column_ledger(81, [9]) once
+    # returned a row for (9, 81), and at 2 for (4, 16)
+    for B, A in ((81, 9), (-81, 0), (16, 4), (1, 2)):
+        rows = local_analysis.column_ledger(B, [A - 1, A, A + 1])
+        with pytest.raises(ValueError) as want:
+            CurvePair(A, B)
+        assert isinstance(rows[1], ValueError) and str(rows[1]) == str(want.value), (A, B)
+        assert rows[::2] == _ledger_rows(B, [A - 1, A + 1])
+
+
+# ---------------------------------------------------------------------------
+# the closed-form additive size against Tate's algorithm
+# ---------------------------------------------------------------------------
+
+_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _branch(A, B, p):
+    # the branch of additive_factor's docstring that a reduced (A, B) falls in
+    b, d = ord_p(B, p), ord_p(A * A - 4 * B, p)
+    if b == 1:
+        return "III"
+    if b == d:
+        return {2: "I0*", 3: "III*"}[b]
+    if b == 2:
+        return "I_(d-2)*, d " + ("odd" if d % 2 else "even")
+    return "I_(2b-4)*, b " + ("odd" if b % 2 else "even")
+
+
+# each branch with every size it can take
+_OUTCOMES = {
+    ("III", 2),
+    ("III*", 2),
+    ("I0*", 1),
+    ("I0*", 2),
+    ("I0*", 4),
+    ("I_(d-2)*, d even", 2),
+    ("I_(d-2)*, d even", 4),
+    ("I_(d-2)*, d odd", 2),
+    ("I_(d-2)*, d odd", 4),
+    ("I_(2b-4)*, b even", 1),
+    ("I_(2b-4)*, b even", 2),
+    ("I_(2b-4)*, b odd", 1),
+    ("I_(2b-4)*, b odd", 2),
+}
+
+
+def _checked_outcomes(pairs):
+    # additive_factor against the Tate oracle on each (A, B, p) and on its
+    # companion (-2A, A^2-4B, p); the (branch, size) outcomes seen
+    seen = set()
+    for A, B, p in pairs:
+        for a, b in ((A, B), (-2 * A, A * A - 4 * B)):
+            size = local_analysis.additive_factor(a, b, p)
+            assert size == local_analysis._additive_size(a, b, p), (a, b, p)
+            seen.add((_branch(a, b, p), size))
+    return seen
+
+
+def _in_star_fibres(n, seed):
+    # reduced (A, B) with v_p(A) = 1, v_p(B) = 2 and v_p(A^2-4B) = d in 3..10:
+    # A = p a, B = p^2 u with a^2 - 4u = p^(d-2) w for units a, w
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        p, d = rng.choice(_ODD_PRIMES), rng.randint(3, 10)
+        a, w = rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6)
+        num = a * a - p ** (d - 2) * w
+        if a % p and w % p and num % 4 == 0:
+            out.append((p * a, p * p * (num // 4), p))
+    return out
+
+
+def test_additive_factor_on_every_additive_pair_of_the_x1000_window():
+    pairs = [
+        (A, B, p)
+        for B in window_columns(1000)
+        for p in _ODD_PRIMES
+        if B % p == 0
+        for A in column_members(B, 1000)
+        if A % p == 0
+    ]
+    assert len(pairs) == 22_650
+    seen = _checked_outcomes(pairs)
+    assert ("III", 2) in seen and ("III*", 2) in seen
+
+
+def test_additive_factor_on_generated_fibres():
+    # I_n* fibres (their companions have v_p(B) = d >= 3 and v_p(A^2-4B) = 2),
+    # and the random reduced models with p | A and p | B; together they reach
+    # every branch with every size it can take
+    rng = random.Random(19)
+    pairs = _in_star_fibres(3000, 1)
+    for _ in range(3000):
+        p = rng.choice(_ODD_PRIMES)
+        a = rng.choice((1, 1, 2, 3))
+        b = rng.choice((1, 2, 3) if a > 1 else (1, 2, 3, 4, 5, 6))  # reduced: no p^2 | A with p^4 | B
+        A = p**a * rng.choice([u for u in range(-50, 51) if u % p])
+        B = p**b * rng.choice([u for u in range(-50, 51) if u % p])
+        if A * A != 4 * B:
+            pairs.append((A, B, p))
+    assert _checked_outcomes(pairs) == _OUTCOMES
+
+
+@pytest.mark.parametrize(
+    "vas, b", [((1,), 4), ((1,), 5), ((1,), 6), ((2, 3, 4), 3)], ids=["I4*-I2*", "I6*-I3*", "I8*-I4*", "III*-III*"]
+)
+def test_additive_factor_on_the_deep_fibres(vas, b):
+    # (v_p(A), v_p(B), v_p(A^2-4B)) = (1, >= 4, 2), types I_(2b-4)* / I_(b-2)*,
+    # and (>= 2, 3, 3), type III* on both sides
+    rng = random.Random(b)
+    pairs = []
+    for _ in range(400):
+        p = rng.choice(_ODD_PRIMES)
+        A = p ** rng.choice(vas) * rng.choice([u for u in range(-99, 100) if u % p])
+        B = p**b * rng.choice([u for u in range(-99, 100) if u % p])
+        pairs.append((A, B, p))
+    if vas == (1,):
+        want = {(f"I_(2b-4)*, b {'odd' if b % 2 else 'even'}", size) for size in (1, 2)}
+    else:
+        want = {("III*", 2)}
+    assert want <= _checked_outcomes(pairs)
+
+
+def _naive_key(A, B, p, modulus):
+    # p mod `modulus`, min(v_p(A), 2), v_p(B), whether v_p(D) = 2, v_p(D) mod 2,
+    # and the Legendre symbols of the unit parts of A, B and D = A^2 - 4B
+    D = A * A - 4 * B
+    vs = [ord_p(n, p) for n in (A, B, D)]
+    units = tuple(jacobi(n // p**v, p) for n, v in zip((A, B, D), vs))
+    return (p % modulus, min(vs[0], 2), vs[1], vs[2] == 2, vs[2] % 2) + units
+
+
+def test_a_key_without_two_over_p_fails_on_in_star_fibres():
+    # the I_n* test reads (2 (A/p) D_u / p) for odd v_p(D): a table keyed on
+    # p mod 4 (so blind to (2/p)) clashes, and the same key on p mod 8 fits
+    fibres = _in_star_fibres(2000, 2)
+    for modulus, clash in ((8, False), (4, True)):
+        table = {}
+        for A, B, p in fibres:
+            table.setdefault(_naive_key(A, B, p, modulus), set()).add(local_analysis._additive_size(A, B, p))
+        assert any(len(sizes) > 1 for sizes in table.values()) == clash, modulus
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_ODD_PRIMES + (97, 101, 1009)),
+    st.integers(1, 4),
+    st.integers(1, 7),
+    st.integers(-(10**12), 10**12),
+    st.integers(-(10**12), 10**12),
+)
+def test_additive_factor_matches_tate_hypothesis(p, a, b, u, w):
+    # reduced (A, B) with p^a | A, p^b | B and |A| up to 10^12
+    A, B = u // p**a * p**a, p**b * (w or 1)
+    assume(not (A % (p * p) == 0 and B % p**4 == 0) and A * A != 4 * B)
+    _checked_outcomes([(A, B, p)])
+
+
+def test_additive_factor_rejects_non_reduced_models():
+    with pytest.raises(ValueError, match="non-reduced"):
+        local_analysis.additive_factor(9, 81, 3)
+    with pytest.raises(ValueError, match="non-reduced"):
+        local_analysis.additive_factor(0, 5 * 625, 5)
