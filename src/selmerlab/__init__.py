@@ -1,11 +1,11 @@
 """Tamagawa-ratio exponents for y^2 = x^3 + A x^2 + B x over the height window.
 
 The exponent t(A, B) is computed two independent ways: as a sum of local
-condition sizes (closed forms at multiplicative primes, Tate's algorithm at
-additive ones, 2-adic and real local images), and as the dimension gap of
-the two descent groups computed from quartic torsor solvability.  The
-statistics layer reproduces the family's divisor densities and mixed
-moments against their exact per-prime model.
+condition sizes (closed forms at the odd primes, multiplicative and
+additive, each checked against Tate's algorithm; 2-adic and real local
+images), and as the dimension gap of the two descent groups computed from
+quartic torsor solvability.  The statistics layer reproduces the family's
+divisor densities and mixed moments against their exact per-prime model.
 """
 
 from .core_arith import (

@@ -199,13 +199,13 @@ def stream_records(config: RunConfig):
         keep = sample_keys(X, config.includeSquareDisc, config.sample, config.seed)
     tasks = [(B, None if keep is None else keep.get(B, ())) for B in window_columns(X)]
     column = functools.partial(_column_records, X, config.with_descent, config.includeSquareDisc)
-    threads = _resolve_threads(config)
-    if threads == 1:
+    workers = min(_resolve_threads(config), len(tasks))  # no idle worker
+    if workers <= 1:
         yield from map(column, tasks)
         return
     import multiprocessing as mp
 
-    with mp.get_context("fork").Pool(threads) as pool:
+    with mp.get_context("fork").Pool(workers) as pool:
         yield from pool.imap(column, tasks)  # each column as soon as it is done
 
 

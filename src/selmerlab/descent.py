@@ -572,8 +572,8 @@ _CURVE_MEMO: dict = {}
 
 
 def _images_at(A: int, B: int, v) -> tuple[int, int]:
-    """(W, W^) at the place v: the closed form at inf, _dual_images at odd p,
-    and at 2 _dual_images memoized.
+    """(W, W^) at the place v: the real solvability test of each side's
+    class -1 at inf, _dual_images at odd p, and at 2 _dual_images memoized.
 
     The run at 2 names N, the number of 2-adic digits of A and B it read;
     every curve that agrees with (A, B) mod 2^N replays it branch for branch
@@ -587,8 +587,10 @@ def _images_at(A: int, B: int, v) -> tuple[int, int]:
     and a lookup tries the few N's of its bucket.  A singular curve matches
     no entry and raises ValueError from _dual_images.
     """
+    if v == INF_PLACE:
+        return 1 | _real_solvable(-1, -2 * A, A * A - 4 * B) << 1, 1 | _real_solvable(-1, A, B) << 1
     if v != 2:
-        return _exhaustive_masks(A, B, [v])[v] if v == INF_PLACE else _dual_images(A, B, v)[:2]
+        return _dual_images(A, B, v)[:2]
     D = A * A - 4 * B
     key = ((B & -B).bit_length(), (D & -D).bit_length())
     bucket = _CURVE_MEMO.get(key)

@@ -1,18 +1,19 @@
-"""Reduction classification, Tate's algorithm at odd primes, and the
-assembly of the Tamagawa-ratio exponent from local factors.
+"""Reduction classification, the local factors, and the assembly of the
+Tamagawa-ratio exponent from them.
 
 At an odd prime exactly one of three things happens to y^2 = x^3+Ax^2+Bx:
 good reduction (p divides neither B nor A^2-4B), multiplicative reduction
 (p divides exactly one of them), or additive reduction (p divides both).
 For multiplicative primes the local factor has a closed form; for additive
 primes it is 2 c'_p / c_p from the Tamagawa numbers of the two isogenous
-curves.  Per curve, c_p comes from a full implementation of Tate's
-algorithm (odd p only; the model is integral and the algorithm rescales if
-it ever meets a non-minimal model).  On the family's reduced models the
-ratio also has a closed form, `additive_factor`, read off Tate's branches:
-a few valuations and Legendre symbols; Tate stays its oracle.  The place 2
-is handled by 2-adic local images from the descent machinery, never by
-Tate at 2, and the real place has a closed form.
+curves, which on the family's reduced models also has a closed form,
+`additive_factor`, read off the branches of Tate's algorithm: a few
+valuations and Legendre symbols.  Tate's algorithm itself (odd p only;
+`tate_local_data`, which rescales if it ever meets a non-minimal model) is
+the reference both closed forms are checked against, by `verify`'s
+factor-table suite and by the tests.  The place 2 is handled by 2-adic
+local images from the descent machinery, never by Tate at 2, and the real
+place has a closed form.
 
 At 2 the two images are found together, by descent._dual_images, the one
 duality loop that also gives the descent its local images at every finite
@@ -33,9 +34,8 @@ that good places contribute 0 and the total is the Tamagawa-ratio exponent.
 B (A^2-4B).  `column_ledger` gives the same totals for a whole B column by
 sieving its odd places over the residue classes of A (Pomerance, The
 quadratic sieve factoring algorithm, 1984: values of a polynomial are
-sieved by its roots mod p), with `additive_factor` at the additive places;
-place 2 keeps its per-curve call.  `tamagawa_exponent`, which sampled runs
-and `verify` read, runs Tate at each additive place.
+sieved by its roots mod p); place 2 keeps its per-curve call.  Both read
+`additive_factor` at the additive places, so neither runs Tate.
 """
 
 from __future__ import annotations
@@ -298,26 +298,12 @@ def _entry(place, size: int, additive: bool = False) -> LedgerEntry:
     return LedgerEntry(place, size, size.bit_length() - 2, additive)
 
 
-def _additive_size(A: int, B: int, p: int) -> int:
-    """Local condition size 2 c'_p / c_p at an odd additive prime p, from the
-    Tamagawa numbers of the curve and of its isogenous companion; the ratio
-    is asserted, not assumed, to be 1, 2 or 4."""
-    cp = tamagawa_number(A, B, p)
-    cpd = tamagawa_number(-2 * A, A * A - 4 * B, p)
-    num = 2 * cpd
-    if num % cp:
-        raise AssertionError(f"additive ratio 2*{cpd}/{cp} at p={p} is not integral")
-    size = num // cp
-    if size not in (1, 2, 4):
-        raise AssertionError(f"additive local size {size} at p={p} out of range")
-    return size
-
-
 def additive_factor(A: int, B: int, p: int) -> int:
     """Local condition size 2 c'_p / c_p at an odd prime p dividing A and B,
     in closed form; the model must be nonsingular and reduced (not p^2 | A
-    with p^4 | B), or ValueError.  `_additive_size` runs Tate's algorithm on
-    both curves for the same size and is its oracle.
+    with p^4 | B), or ValueError.  Both ledgers read it; Tate's algorithm
+    on both curves (`tamagawa_number`) gives the same size and is its
+    reference in the tests.
 
     Since x^3 + A x^2 + B x = x^3 (mod p), Tate's algorithm (Silverman,
     Advanced Topics, IV.9) starts with t = 0 and a6 = 0.  Write b = v_p(B),
@@ -370,17 +356,16 @@ def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
     """Ledger of local factors whose exponents sum to the ratio exponent t(A, B).
 
     The odd places are those of descent.relevant_places.  One that divides
-    both B and A^2-4B is additive and uses 2 c'_p / c_p with both Tamagawa
-    numbers computed independently (the ratio is asserted, not assumed, to
-    give a power of 2); the others are multiplicative and use the closed-form
-    table.  Place 2 uses the 2-adic local images and the real place its
-    closed form.
+    both B and A^2-4B is additive and reads 2 c'_p / c_p from
+    `additive_factor`, as `column_ledger` does; the others are
+    multiplicative and use the closed-form table.  Place 2 uses the 2-adic
+    local images and the real place its closed form.
     """
     A, B, D = c.A, c.B, c.dualB
     entries = []
     for p in relevant_places(A, B)[2:]:  # the odd primes of B (A^2 - 4B), ascending
         additive = B % p == 0 and D % p == 0
-        size = _additive_size(A, B, p) if additive else mult_factor(A, B, p)
+        size = additive_factor(A, B, p) if additive else mult_factor(A, B, p)
         entries.append(_entry(p, size, additive))
     entries.append(_entry(2, factor_at_two(A, B)))
     entries.append(_entry(INF_PLACE, factor_at_infinity(A, B)))

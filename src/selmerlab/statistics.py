@@ -302,13 +302,19 @@ def _root_classes(p: int, b: int) -> tuple[int, ...]:
     return (r,) if r == 0 else tuple(sorted((r, p - r)))
 
 
-def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: int = 4) -> dict:
+# the odd primes whose residue densities family_scan counts, and the highest
+# power of g1 and of g2 in its power sums
+_DENSITY_PRIMES = (3, 5, 7, 11, 13)
+_KMAX = 4
+
+
+def family_scan(X: int, z: int = 100) -> dict:
     """Exact divisor statistics of the full window in one vectorized pass.
 
     Returns the member count, the count of square-discriminant members, the
     density counts {p: (#p|B, #p|A^2-4B, #both)} over all members for the
-    odd primes p in `density_primes`, and exact integer power sums of
-    (g1, g2) with cut z over the non-square members.
+    odd primes p in _DENSITY_PRIMES, and exact integer power sums
+    g1^i g2^j (i, j <= _KMAX) with cut z over the non-square members.
 
     No discriminant is formed.  In column B, an odd prime p divides A^2 - 4B
     exactly when A lies in one of the (at most two) root classes
@@ -329,8 +335,8 @@ def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: in
     import numpy as np
 
     zprimes = _odd_primes_below(z)
-    sums = {(i, j): 0 for i in range(kmax + 1) for j in range(kmax + 1)}
-    density = {p: [0, 0, 0] for p in density_primes}
+    sums = {(i, j): 0 for i in range(_KMAX + 1) for j in range(_KMAX + 1)}
+    density = {p: [0, 0, 0] for p in _DENSITY_PRIMES}
     n_total = 0
     n_square = 0
     for B in window_columns(X):
@@ -345,7 +351,7 @@ def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: in
         nb = 2 * int(np.count_nonzero(mask)) - zero
         n_total += nb
         n_square += len(square)
-        for p in density_primes:
+        for p in _DENSITY_PRIMES:
             cD = 2 * sum(int(np.count_nonzero(mask[r::p])) for r in _root_classes(p, B % p)) - zero * (B % p == 0)
             density[p][1] += cD
             if B % p == 0:
@@ -363,9 +369,9 @@ def family_scan(X: int, z: int = 100, density_primes=(3, 5, 7, 11, 13), kmax: in
         hist = np.bincount(g1row[mask]).tolist()
         g0 = int(g1row[0])
         g2val = sum(1 for p in zprimes if B % p == 0)
-        rowpow = [2 * sum(c * g**i for g, c in enumerate(hist)) - zero * g0**i for i in range(kmax + 1)]
-        for i in range(kmax + 1):
-            for j in range(kmax + 1):
+        rowpow = [2 * sum(c * g**i for g, c in enumerate(hist)) - zero * g0**i for i in range(_KMAX + 1)]
+        for i in range(_KMAX + 1):
+            for j in range(_KMAX + 1):
                 sums[(i, j)] += rowpow[i] * g2val**j
     return {
         "X": X,

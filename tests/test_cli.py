@@ -481,16 +481,15 @@ def test_threads_zero_means_cpu_count():
     assert _resolve_threads(RunConfig(xmax=10, threads=0)) >= 1
 
 
-def _count_factor_calls(monkeypatch):
-    """Rebind core_arith.factor, in every selmerlab namespace that binds it,
-    to a wrapper that counts its calls; returns the one-element counter."""
-    from selmerlab import core_arith
+def _count_calls(monkeypatch, original):
+    """Rebind the function `original`, in every selmerlab namespace that
+    binds it, to a wrapper that counts its calls; returns the one-element
+    counter."""
+    calls = [0]
 
-    original, calls = core_arith.factor, [0]
-
-    def counting(n):
+    def counting(*args):
         calls[0] += 1
-        return original(n)
+        return original(*args)
 
     for name, mod in list(sys.modules.items()):
         if name == "selmerlab" or name.startswith("selmerlab."):
@@ -503,7 +502,9 @@ def _count_factor_calls(monkeypatch):
 def test_factor_call_budget(e60_sample, monkeypatch):
     # B (A^2-4B) is factored once per curve; each descent side factors only
     # its kernel, to enumerate the candidate classes
-    calls = _count_factor_calls(monkeypatch)
+    from selmerlab import core_arith
+
+    calls = _count_calls(monkeypatch, core_arith.factor)
 
     def total(run):
         calls[0] = 0
@@ -518,6 +519,58 @@ def test_factor_call_budget(e60_sample, monkeypatch):
     calls[0] = 0
     assert run_verification(20, report=lambda line: None)
     assert calls[0] == 3 * sum(1 for _ in enumerate_window(FamilyWindow(20)))
+
+
+def test_tate_call_budget(e60_sample, monkeypatch):
+    # every ledger reads additive_factor, so Tate runs only in verify's
+    # factor_table_vs_tate suite: once on each curve of the pair at every
+    # multiplicative odd place
+    calls = _count_calls(monkeypatch, local_analysis.tate_local_data)
+    for c in e60_sample:
+        cli.curve_record(c, True)
+    assert calls[0] == 0
+    assert any(e.additive for c in e60_sample for e in local_analysis.tamagawa_exponent(c).entries)
+    for argv in (
+        ["--xmax", "300", "--sample", "500", "--seed", "1", "--with-descent"],
+        ["--xmax", "100"],
+    ):
+        assert main(["compute", "--threads", "1"] + argv) == 0
+        assert calls[0] == 0, argv
+    assert run_verification(20, report=lambda line: None)
+    mult = sum(
+        local_analysis.classify_reduction(c.A, c.B, p).is_multiplicative
+        for c in enumerate_window(FamilyWindow(20))
+        for p in relevant_places(c.A, c.B)[2:]
+    )
+    assert calls[0] == 2 * mult > 0
+
+
+def test_pool_starts_no_more_workers_than_columns(monkeypatch, capsys):
+    # a fake fork context records the pool size and maps in this process
+    import multiprocessing
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=Pool))
+    assert main(["compute", "--xmax", "4", "--threads", "64"]) == 0
+    pooled = capsys.readouterr().out
+    assert len(sizes) == 1 and 1 < sizes[0] <= len(window_columns(4)), sizes
+    assert main(["compute", "--xmax", "4", "--threads", "1"]) == 0
+    assert capsys.readouterr().out == pooled
+    assert len(sizes) == 1  # the serial run started no pool
 
 
 def test_io_failure_exit_code(tmp_path):

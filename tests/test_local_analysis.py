@@ -417,7 +417,8 @@ def test_curve_record_reads_g1_g2_off_the_ledger(e60_sample):
 
 
 def _ledger_rows(B, As):
-    # the per-curve oracle: (t_total, g1, g2, n_additive) of curve_record
+    # the per-curve route: (t_total, g1, g2, n_additive) of curve_record, whose
+    # odd places come from factoring B (A^2-4B), not from the sieve
     recs = (dict(zip(RECORD_FIELDS, curve_record(CurvePair(A, B)))) for A in As)
     return [(r["t_total"], r["g1"], r["g2"], r["n_additive"]) for r in recs]
 
@@ -523,14 +524,24 @@ _OUTCOMES = {
 }
 
 
+def _tate_size(A, B, p):
+    # 2 c'_p / c_p from Tate's algorithm on the curve and on its companion;
+    # the ratio is asserted, not assumed, to be 1, 2 or 4
+    cp, cpd = tamagawa_number(A, B, p), tamagawa_number(-2 * A, A * A - 4 * B, p)
+    assert 2 * cpd % cp == 0, f"additive ratio 2*{cpd}/{cp} at p={p} is not integral"
+    size = 2 * cpd // cp
+    assert size in (1, 2, 4), f"additive local size {size} at p={p} out of range"
+    return size
+
+
 def _checked_outcomes(pairs):
-    # additive_factor against the Tate oracle on each (A, B, p) and on its
+    # additive_factor against Tate's algorithm on each (A, B, p) and on its
     # companion (-2A, A^2-4B, p); the (branch, size) outcomes seen
     seen = set()
     for A, B, p in pairs:
         for a, b in ((A, B), (-2 * A, A * A - 4 * B)):
             size = local_analysis.additive_factor(a, b, p)
-            assert size == local_analysis._additive_size(a, b, p), (a, b, p)
+            assert size == _tate_size(a, b, p), (a, b, p)
             seen.add((_branch(a, b, p), size))
     return seen
 
@@ -616,7 +627,7 @@ def test_a_key_without_two_over_p_fails_on_in_star_fibres():
     for modulus, clash in ((8, False), (4, True)):
         table = {}
         for A, B, p in fibres:
-            table.setdefault(_naive_key(A, B, p, modulus), set()).add(local_analysis._additive_size(A, B, p))
+            table.setdefault(_naive_key(A, B, p, modulus), set()).add(_tate_size(A, B, p))
         assert any(len(sizes) > 1 for sizes in table.values()) == clash, modulus
 
 

@@ -10,6 +10,7 @@ from selmerlab.cli import histogram_lines
 from selmerlab.curve_family import FamilyWindow, density_rho, enumerate_window
 from selmerlab.local_analysis import tamagawa_exponent
 from selmerlab.statistics import (
+    _DENSITY_PRIMES,
     MomentReport,
     PrimeModel,
     cdf_distance,
@@ -217,14 +218,16 @@ def _reference_family_scan(X, z, density_primes):
 # X = 2 and 4 bring in B = -1 (A = 0 has the square discriminant 4) and
 # B = 1 (A = +-2 singular); at X = 1000 the columns B = +-16 exclude A = 0.
 @pytest.mark.parametrize("X", [0, 1, 2, 4, 16, 255, 256, 300, 1000, 1296, 6561])
-@pytest.mark.parametrize("density_primes", [(3, 5, 7, 11, 13), (3, 11, 13)])
+@pytest.mark.parametrize("density_primes", [_DENSITY_PRIMES, (3, 11, 13)])
 def test_family_scan_matches_discriminant_scan(X, density_primes):
+    # the reference counts the given density primes, the scan always counts
+    # _DENSITY_PRIMES; everything else is compared whole
     for z in (3, 4, 10, 30, 100):
         ref = _reference_family_scan(X, z, density_primes)
-        for kmax in (0, 2, 4):
-            # a power sum does not depend on kmax; the reference runs once at 4
-            sums = {(i, j): v for (i, j), v in ref["power_sums"].items() if i <= kmax and j <= kmax}
-            assert family_scan(X, z, density_primes, kmax) == {**ref, "power_sums": sums}
+        scan = family_scan(X, z)
+        counts = scan["density_counts"]
+        assert tuple(counts) == _DENSITY_PRIMES
+        assert {**scan, "density_counts": {p: counts[p] for p in density_primes}} == ref
 
 
 def test_empirical_zero_degree_is_one():
