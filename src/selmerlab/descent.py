@@ -31,19 +31,17 @@ Precision exhaustion raises; it never silently guesses.  Valuations come
 from core_arith._vp, the one valuation loop outside the scan's inline one.
 The scan also names how many p-adic digits of the chart's coefficients its
 decisions read, so every chart that agrees with it to that many digits gets
-the same verdict by the same search.  That count keys two memos, both per
-process.  The chart memo (`_CHART_MEMO`): a chart is normalized to
-g = (c0, 0, c2, 0, c4), and g is scanned once.  Its verdict is stored under
-(p, starts, v_p(c0)), then n, then (c0, c2, c4) mod p^n, and every later
-chart whose g agrees mod p^n replays it, whoever asks: the duality loop's
-probes at 2 and at odd p <= 13, and the exhaustive images.  The structural
-decider above 13 is not memoized.  The curve memo (`_CURVE_MEMO`) at 2: a
-probe at 2 (`_torsor_solvable_at`) names the 2-adic digits of its torsor
-coefficients it read, which are integer polynomials in A and B, so the
-duality loop names N, the digits of A and B that fixed every branch it took,
-and any curve that agrees with (A, B) mod 2^N has the same two images
-(`_images_at`).  The ledger's factor_at_two and the descent both read place
-2 through it.
+the same verdict by the same search.  That count keys the chart memo
+(`_CHART_MEMO`, per process): a chart is normalized to g = (c0, 0, c2, 0,
+c4), and g is scanned once.  Its verdict is stored under (p, starts,
+v_p(c0)), then n, then (c0, c2, c4) mod p^n, and every later chart whose g
+agrees mod p^n replays it, whoever asks: the duality loop's probes at 2 and
+at odd p <= 13, and the exhaustive images.  The structural decider above 13
+is not memoized.  At 2 the count also certifies a whole curve: the chart
+coefficients are integer polynomials in A and B, so the duality loop names
+N, the digits of A that fixed every branch it took once B is fixed, and
+every A' = A (mod 2^N) of the same B column has the same two images
+(`_dual_images`); the column ledger fills place 2 class by class.
 
 Square classes have one encoding, used by every module.  Q_v*/(Q_v*)^2 is
 F_2^n and a class is an int index (`_class_index`): at the real place bit 0
@@ -57,7 +55,7 @@ an ordinary place, since real solvability of a class depends only on its sign.
 
 At a finite place the two masks are found together by one duality loop
 (`_dual_images`, over the Hilbert pairing tables `_ORTH` and `_ORTH_ODD`),
-which serves compute, the descent and the ledger's place 2.  Testing every
+which serves compute, the descent and both ledgers' place 2.  Testing every
 class on each side (`_local_image_tags`, `_exhaustive_masks`) is the
 reference that `local_image`, `_selmer` without masks and verify use, so
 duality is checked there, not assumed.
@@ -407,9 +405,9 @@ def _chart_scan(f, p: int, starts=None) -> tuple[bool, int]:
 
 def _torsor_solvable_at(d: int, a: int, b: int, p: int) -> tuple[bool, int]:
     """Q_p solvability of the torsor, and at p = 2 the number N of 2-adic
-    digits of a and b it read (0 at odd p): the chart coefficients are
-    integer polynomials in a and b, so every (a', b') = (a, b) (mod 2^N)
-    runs the same search to the same verdict."""
+    digits of its chart coefficients (b d, a d^2, d^3) it read (0 at odd p):
+    every (a', b') whose charts agree with these mod 2^N, such as (a, b)
+    (mod 2^N), runs the same search to the same verdict."""
     if d == 1:
         return True, 0  # (u, v, w) = (1, 0, 1)
     # chart v = 1 (v a unit, u = x), then chart u = 1 (v = x); y = d*w absorbs
@@ -519,7 +517,8 @@ _ORTH_ODD = tuple(_orth_table(lambda x, y, e=eps: _hilbert_odd(x, y, e), 4) for 
 def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
     """(W, W^, N) at a finite place v: the phi image W (torsor coefficients
     (-2A, A^2-4B)) and the dual image W^ (coefficients (A, B)) as masks, and
-    at v = 2 the number N of 2-adic digits of A and B read (0 at odd v).
+    at v = 2 the number N of 2-adic digits of A that fix every branch taken
+    here once B is fixed (0 at odd v).
 
     W and W^ are exact orthogonal complements under the Hilbert symbol
     (local Tate duality; Schaefer, Class groups and Selmer groups, J. Number
@@ -530,11 +529,11 @@ def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
     Probing stops once the confirmed sizes multiply to the full size; if the
     candidates run out first, AssertionError is raised.
 
-    At 2 the free classes read v2 + 3 digits of B and of A^2-4B, and each
-    certified probe (_torsor_solvable_at) names the digits of its torsor
-    coefficients, integer polynomials in A and B, that it read.  N is the
-    largest count, so (A mod 2^N, B mod 2^N) fixes every branch taken here.
-    No memo is read here: this is the oracle that _images_at replays.
+    At 2 the free class of D = A^2-4B reads v2(D) + 3 digits of D, fixed by
+    A mod 2^(v2(D) + 2).  A probe of class d names the n digits of its chart
+    coefficients (b d, a d^2, d^3) it read: on the phi side, (a, b) = (-2A,
+    D), that is A mod 2^(n - 1 - v2(d)); on the dual side b = B is fixed,
+    and a d^2 = A d^2 needs A mod 2^(n - 2 v2(d)).  N is the largest.
     """
     D = A * A - 4 * B
     if B * D == 0:
@@ -544,7 +543,7 @@ def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
     sides = ((-2 * A, D), (A, B))
     got = [1 | 1 << _class_index(D, v), 1 | 1 << _class_index(B, v)]  # confirmed subgroups
     out = [0, 0]  # the cosets of got confirmed outside each image
-    n = max(_vp(B, 2), _vp(D, 2)) + 3 if two else 0
+    n = _vp(D, 2) + 2 if two else 0  # at least 2, which covers a probe's D mod 2 (= A mod 2)
     if got[0] & ~orth[got[1]]:
         raise AssertionError(f"free classes at {v} are not orthogonal at ({A}, {B})")
     reps = _class_reps(v)
@@ -557,8 +556,8 @@ def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
             raise AssertionError(f"images at {v} for ({A}, {B}) ran out of candidates before |W| |W^| = {full}")
         t = (open_ & -open_).bit_length() - 1
         found, read = _torsor_solvable_at(reps[t], *sides[i], v)
-        if read > n:
-            n = read
+        if two:  # the digits of A the probe read; v2(d) is bit 2 of t
+            n = max(n, read - ((t >> 1 & 2) if i else 1 + (t >> 2)))
         if found:
             got[i] |= _TIMES[t][got[i]]
             out[i] = _mul_sets(out[i], got[i])
@@ -567,43 +566,12 @@ def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
     return got[0], got[1], n
 
 
-# (v2(B) + 1, v2(A^2-4B) + 1) -> {N: {(A mod 2^N, B mod 2^N): W}}, per process
-_CURVE_MEMO: dict = {}
-
-
 def _images_at(A: int, B: int, v) -> tuple[int, int]:
     """(W, W^) at the place v: the real solvability test of each side's
-    class -1 at inf, _dual_images at odd p, and at 2 _dual_images memoized.
-
-    The run at 2 names N, the number of 2-adic digits of A and B it read;
-    every curve that agrees with (A, B) mod 2^N replays it branch for branch
-    to the same images.  So W is stored under (A mod 2^N, B mod 2^N), and a
-    hit is a certified replay, not a guess.  W^ is _ORTH[W], since the loop
-    confirms only mutually orthogonal classes until |W| |W^| = 8, so an
-    entry is one small int (storing the pair cost 0.7 MB more RSS at
-    X = 10^3).  N varies from curve to curve, and no bound fixed in advance
-    (such as v2(B^2 (A^2-4B)) + 3) is proven to cover it.  Entries are
-    bucketed by the 2-adic valuations of B and A^2-4B, which N digits fix,
-    and a lookup tries the few N's of its bucket.  A singular curve matches
-    no entry and raises ValueError from _dual_images.
-    """
+    class -1 at inf, _dual_images at a finite place."""
     if v == INF_PLACE:
         return 1 | _real_solvable(-1, -2 * A, A * A - 4 * B) << 1, 1 | _real_solvable(-1, A, B) << 1
-    if v != 2:
-        return _dual_images(A, B, v)[:2]
-    D = A * A - 4 * B
-    key = ((B & -B).bit_length(), (D & -D).bit_length())
-    bucket = _CURVE_MEMO.get(key)
-    if bucket:
-        for n, table in bucket.items():
-            mask = (1 << n) - 1
-            w = table.get((A & mask, B & mask))
-            if w:
-                return w, _ORTH[w]
-    w, what, n = _dual_images(A, B, 2)
-    mask = (1 << n) - 1
-    _CURVE_MEMO.setdefault(key, {}).setdefault(n, {})[A & mask, B & mask] = w
-    return w, what
+    return _dual_images(A, B, v)[:2]
 
 
 def _local_image_tags(a: int, b: int, v) -> int:
@@ -647,10 +615,10 @@ def relevant_places(A: int, B: int) -> list:
     return [INF_PLACE, 2] + odd
 
 
-def local_masks(A: int, B: int, places) -> dict:
+def local_masks(A: int, B: int, places, w2: int | None = None) -> dict:
     """{v: (phi mask, phihat mask)}: both sides' local images at each place
-    (_images_at)."""
-    return {v: _images_at(A, B, v) for v in places}
+    (_images_at), at 2 (w2, _ORTH[w2]) if the caller has the phi image w2."""
+    return {v: (w2, _ORTH[w2]) if v == 2 and w2 is not None else _images_at(A, B, v) for v in places}
 
 
 def _exhaustive_masks(A: int, B: int, places) -> dict:

@@ -23,8 +23,9 @@ symbol (Schaefer, Class groups and Selmer groups, J. Number Theory 56,
 1996), so |W| |W^| = 8 and a class confirmed on one side bounds the other:
 only classes orthogonal to it remain candidates there.  Torsors are still
 probed by certified scans; duality only chooses which probes are needed.
-The ledger reads place 2 through descent._images_at, which replays the loop
-from a memo keyed on the 2-adic digits it read (see the descent module).
+The loop also names N, the 2-adic digits of A that fixed every branch it
+took once B is fixed, so inside a B column one run settles the whole class
+A mod 2^N (see the descent module).
 
 Every local size is |H^1| of the local condition group at that place, a
 power of 2 between 1 and 8; the ledger stores exponent = log2(size) - 1 so
@@ -34,8 +35,9 @@ that good places contribute 0 and the total is the Tamagawa-ratio exponent.
 B (A^2-4B).  `column_ledger` gives the same totals for a whole B column by
 sieving its odd places over the residue classes of A (Pomerance, The
 quadratic sieve factoring algorithm, 1984: values of a polynomial are
-sieved by its roots mod p); place 2 keeps its per-curve call.  Both read
-`additive_factor` at the additive places, so neither runs Tate.
+sieved by its roots mod p) and place 2 over the 2-adic classes of A that
+the duality loop certifies.  Both read `additive_factor` at the additive
+places, so neither runs Tate.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from math import isqrt
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
 from .core_arith import _vp, factor, is_prime, jacobi, ord_p
 from .curve_family import CurvePair
-from .descent import INF_PLACE, _images_at, relevant_places
+from .descent import INF_PLACE, _dual_images, _images_at, relevant_places
 from .statistics import _odd_primes_below, _root_classes
 
 __all__ = [
@@ -251,8 +253,8 @@ def factor_at_infinity(A: int, B: int) -> int:
 
 def factor_at_two(A: int, B: int) -> int:
     """2-adic local condition size in {1, 2, 4, 8}: the size of the phi
-    image, from descent._images_at, whose memo the descent reads too.  The
-    exhaustive image is local_image(A, B, 2, "phi")."""
+    image, from one run of the duality loop (descent._images_at), the
+    per-curve accessor.  The exhaustive image is local_image(A, B, 2, "phi")."""
     return _images_at(A, B, 2)[0].bit_count()
 
 
@@ -352,14 +354,15 @@ def additive_factor(A: int, B: int, p: int) -> int:
     raise ValueError(f"non-reduced pair (A, B) = ({A}, {B})")
 
 
-def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
+def tamagawa_exponent(c: CurvePair, w2: int | None = None) -> LocalFactorLedger:
     """Ledger of local factors whose exponents sum to the ratio exponent t(A, B).
 
     The odd places are those of descent.relevant_places.  One that divides
     both B and A^2-4B is additive and reads 2 c'_p / c_p from
     `additive_factor`, as `column_ledger` does; the others are
-    multiplicative and use the closed-form table.  Place 2 uses the 2-adic
-    local images and the real place its closed form.
+    multiplicative and use the closed-form table.  Place 2 is the size of
+    the phi image w2 when the caller has it (and hands it to the descent
+    too), else factor_at_two; the real place has its closed form.
     """
     A, B, D = c.A, c.B, c.dualB
     entries = []
@@ -367,15 +370,36 @@ def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
         additive = B % p == 0 and D % p == 0
         size = additive_factor(A, B, p) if additive else mult_factor(A, B, p)
         entries.append(_entry(p, size, additive))
-    entries.append(_entry(2, factor_at_two(A, B)))
+    entries.append(_entry(2, factor_at_two(A, B) if w2 is None else w2.bit_count()))
     entries.append(_entry(INF_PLACE, factor_at_infinity(A, B)))
     return LocalFactorLedger(tuple(entries), sum(e.exponent for e in entries))
 
 
+def _place_two_sieve(B: int, lo: int, width: int):
+    """The phi image at 2 of (A, B) for lo <= A < lo + width, as a function
+    called for ascending A's: the first A of a class that no run has settled
+    runs _dual_images(A, B, 2), whose N digits of A fix its every branch in
+    this column, and its image fills every later A' = A (mod 2^N) in one
+    slice assignment.  A run that raised settles nothing."""
+    images = [0] * width  # 0: not settled (an image always holds class 1)
+
+    def image_at_two(A: int) -> int:
+        i = A - lo
+        w = images[i]
+        if not w:
+            w, _, n = _dual_images(A, B, 2)
+            step = 1 << n
+            images[i::step] = [w] * len(range(i, width, step))
+        return w
+
+    return image_at_two
+
+
 def column_ledger(B: int, As) -> list:
-    """(t_total, g1, g2, n_additive) of each curve (A, B) of one column, for
-    ascending A's, with the odd places found by one sieve instead of by
-    factoring each curve.
+    """(t_total, g1, g2, n_additive, w2) of each curve (A, B) of one column,
+    for ascending A's, with the odd places found by one sieve instead of by
+    factoring each curve, and place 2 by one run per 2-adic class of A; w2
+    is the phi image at 2 (a class mask), which the descent can read.
 
     Entry i belongs to As[i]: that tuple, or the ValueError or RuntimeError
     its ledger raised (for an A that is no family member, the one CurvePair
@@ -392,7 +416,8 @@ def column_ledger(B: int, As) -> list:
     - the cofactor: what is left of |D| once its 2s are gone has no prime
       factor up to isqrt(max |D|), so it is 1 or one prime q with q || D
       (q does not divide B), which adds +1 to t and to g1.
-    - place 2 is factor_at_two per curve; the real place has its closed form.
+    - place 2 by 2-adic classes of A (_place_two_sieve); the real place has
+      its closed form.
     """
     As = list(As)
     if not As:
@@ -443,6 +468,7 @@ def column_ledger(B: int, As) -> list:
                     t[i] += 1
     g2 = len(bprimes)
     b_positive = B > 0  # the real place gives 0 if B > 0 and (A < 0 or A^2 < 4B), else -1
+    image_at_two = _place_two_sieve(B, lo, width)
     out = []
     for A in As:
         i = A - lo
@@ -453,13 +479,14 @@ def column_ledger(B: int, As) -> list:
             if i in non_members:
                 CurvePair(A, B)  # raises the ValueError that says why
             total = t[i] + cofactor + sum(additive_factor(A, B, p).bit_length() - 2 for p in adds)
-            total += factor_at_two(A, B).bit_length() - 2
+            w2 = image_at_two(A)
         except (ValueError, RuntimeError) as exc:
             out.append(exc)
             continue
+        total += w2.bit_count().bit_length() - 2
         if not (b_positive and (A < 0 or A * A < 4 * B)):
             total -= 1
-        out.append((total, g1[i] + cofactor, g2, len(adds)))
+        out.append((total, g1[i] + cofactor, g2, len(adds), w2))
     return out
 
 

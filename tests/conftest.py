@@ -28,9 +28,8 @@ class NeverStores(dict):
 
 @pytest.fixture
 def scan_oracle(monkeypatch):
-    """Every place-2 size and every chart verdict from a fresh scan: the
-    curve memo starts empty and the chart memo stores nothing.  Without it a
-    chart that agrees with an earlier one to its digit count is a memo hit,
-    and a test of the count checks the memo against itself."""
-    monkeypatch.setattr(descent, "_CURVE_MEMO", {})
+    """Every chart verdict, and so every place-2 image, from a fresh scan:
+    the chart memo stores nothing.  Without it a chart that agrees with an
+    earlier one to its digit count is a memo hit, and a test of the count
+    checks the memo against itself."""
     monkeypatch.setattr(descent, "_CHART_MEMO", NeverStores())

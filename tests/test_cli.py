@@ -26,7 +26,7 @@ from selmerlab.cli import (
     stream_records,
     write_records,
 )
-from selmerlab.curve_family import FamilyWindow, column_count, enumerate_window, window_columns
+from selmerlab.curve_family import FamilyWindow, column_count, column_members, enumerate_window, window_columns
 from selmerlab.descent import SolverPrecisionError, descent_exponent, relevant_places
 
 
@@ -267,18 +267,27 @@ def test_no_include_square_disc_shrinks_the_family(capsys):
     assert main(["compute", "--xmax", "4", "--sample", "29", "--no-include-square-disc"]) == 0
 
 
+def _fail_place_two_at(monkeypatch, A0, B0):
+    """The duality loop at 2 raises for (A0, B0), wherever it runs: in the
+    column sieve (full windows) and in the per-curve accessor (sampled runs,
+    verify)."""
+    honest = descent._dual_images
+
+    def flaky(A, B, v):
+        if (A, B, v) == (A0, B0, 2):
+            raise SolverPrecisionError("injected precision exhaustion")
+        return honest(A, B, v)
+
+    monkeypatch.setattr(descent, "_dual_images", flaky)
+    monkeypatch.setattr(local_analysis, "_dual_images", flaky)
+
+
 @pytest.mark.parametrize("extra", [[], ["--sample", "34"]], ids=["full", "sample"])
 def test_compute_exits_1_after_skipping_curves(extra, tmp_path, capsys, monkeypatch):
-    # the place-2 factor is called by the column ledger (full window) and by
-    # the per-curve ledger (sampled runs; 34 is all of E(4)) alike
-    honest = local_analysis.factor_at_two
-
-    def flaky(A, B):
-        if (A, B) == (1, 2):
-            raise SolverPrecisionError("injected precision exhaustion")
-        return honest(A, B)
-
-    monkeypatch.setattr(local_analysis, "factor_at_two", flaky)
+    # place 2 is run by the column sieve (full window; (1, 2) is the first A
+    # of its class in column 2) and by the per-curve ledger (sampled runs; 34
+    # is all of E(4)) alike
+    _fail_place_two_at(monkeypatch, 1, 2)
     out = tmp_path / "records.csv"
     assert main(["compute", "--xmax", "4", "--threads", "1", "--out", str(out)] + extra) == 1
     assert len(out.read_text().splitlines()) == 1 + 33  # header and every other member of E(4)
@@ -286,23 +295,44 @@ def test_compute_exits_1_after_skipping_curves(extra, tmp_path, capsys, monkeypa
     assert "skipped 1 curves:" in err and "(1, 2): injected precision exhaustion" in err
 
 
-def _fail_place_two_at_3_2(monkeypatch):
-    honest = local_analysis.factor_at_two
-
-    def flaky(A, B):
-        if (A, B) == (3, 2):
-            raise SolverPrecisionError("injected precision exhaustion")
-        return honest(A, B)
-
-    monkeypatch.setattr(local_analysis, "factor_at_two", flaky)
-
-
 def test_stats_exits_1_after_skipping_curves(capsys, monkeypatch):
-    _fail_place_two_at_3_2(monkeypatch)
+    # in column 2 of E(20) the sieve runs place 2 for the class A = 3 (mod 8)
+    # at its first A, -13, and fills the rest of the class from that run
+    _fail_place_two_at(monkeypatch, -13, 2)
     assert main(["stats", "--xmax", "20", "--threads", "1"]) == 1
     out, err = capsys.readouterr()
     assert "moment k1=0 k2=0" in out and "cdf_distance" not in out  # no t-distribution from a partial window
-    assert "skipped 1 curves:" in err and "(3, 2): injected precision exhaustion" in err
+    assert "skipped 1 curves:" in err and "(-13, 2): injected precision exhaustion" in err
+
+
+def test_a_failing_class_run_skips_only_its_curve(tmp_path, capsys, monkeypatch):
+    # E(100): the first A of column -3 is the first of its 2-adic class (A =
+    # -100 mod 16, 12 class-mates), so the sieve runs place 2 there; when that
+    # run raises, that curve alone is skipped, and each class-mate runs its
+    # own loop to the same record
+    B = -3
+    As = list(column_members(B, 100))
+    A0, n = As[0], descent._dual_images(As[0], B, 2)[2]
+    mates = [A for A in As[1:] if (A - A0) % (1 << n) == 0]
+    assert len(mates) >= 5, (A0, n, mates)
+    clean = tmp_path / "clean.csv"
+    assert main(["compute", "--xmax", "100", "--threads", "1", "--out", str(clean)]) == 0
+    runs = []
+    honest = descent._dual_images
+
+    def recording(A, B, v):
+        runs.append((A, B, v))
+        return honest(A, B, v)
+
+    monkeypatch.setattr(descent, "_dual_images", recording)
+    _fail_place_two_at(monkeypatch, A0, B)
+    out = tmp_path / "records.csv"
+    assert main(["compute", "--xmax", "100", "--threads", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "skipped 1 curves:" in err and f"({A0}, {B}): injected precision exhaustion" in err
+    lines = clean.read_text().splitlines()
+    assert out.read_text().splitlines() == [line for line in lines if not line.startswith(f"{A0},{B},")]
+    assert any((A, B, 2) in runs for A in mates)  # a class-mate ran its own loop
 
 
 def test_stats_without_t_values_exits_1(tmp_path, capsys):
@@ -319,7 +349,7 @@ def test_stats_without_t_values_exits_1(tmp_path, capsys):
 def test_verify_exits_1_after_skipping_curves(capsys, monkeypatch):
     assert main(["verify", "--xmax", "20"]) == 0
     clean = capsys.readouterr().out
-    _fail_place_two_at_3_2(monkeypatch)
+    _fail_place_two_at(monkeypatch, 3, 2)
     assert main(["verify", "--xmax", "20"]) == 1
     out, err = capsys.readouterr()
     # the other curves are still verified, and every suite passes on them
@@ -448,7 +478,7 @@ def test_verify_empty_window():
 def test_output_record_consistency_guard():
     t = descent_exponent(1, 3)
     with pytest.raises(AssertionError, match=rf"product formula violated at \(1, 3\): ledger {t + 1} != descent {t}"):
-        cli._record(1, 3, (t + 1, 0, 0, 0), relevant_places(1, 3))
+        cli._record(1, 3, (t + 1, 0, 0, 0, None), relevant_places(1, 3))
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from selmerlab import descent, local_analysis
-from selmerlab.cli import sample_keys
+from selmerlab.cli import _column_records, curve_record, sample_keys
 from selmerlab.core_arith import _vp, is_prime, jacobi, primes_below, squarefree_part
-from selmerlab.curve_family import FamilyWindow, enumerate_window
+from selmerlab.curve_family import CurvePair, column_members, window_columns
 from selmerlab.descent import (
     INF_PLACE,
     SelmerSet,
@@ -347,11 +347,11 @@ def test_root_exit_digit_count_is_a_certificate(p, scan_oracle):
 
 
 def _charts_met(monkeypatch):
-    """Every (f, p, starts) _chart_scan is called with, in order, from empty
-    memos: place 2 over E(10^3) through factor_at_two, then both sides'
-    exhaustive local images (_local_image_tags on each side) at every place
-    of a 400-curve sample at X = 10^3, whose odd p <= 13 are scanned."""
-    monkeypatch.setattr(descent, "_CURVE_MEMO", {})
+    """Every (f, p, starts) _chart_scan is called with, in order, from an
+    empty chart memo: place 2 over E(10^3) through the column sieve, then
+    both sides' exhaustive local images (_local_image_tags on each side) at
+    every place of a 400-curve sample at X = 10^3, whose odd p <= 13 are
+    scanned."""
     monkeypatch.setattr(descent, "_CHART_MEMO", {})
     calls = []
     scan = descent._chart_scan
@@ -362,8 +362,8 @@ def _charts_met(monkeypatch):
         return found, n
 
     monkeypatch.setattr(descent, "_chart_scan", recording)
-    for c in enumerate_window(FamilyWindow(1000)):
-        local_analysis.factor_at_two(c.A, c.B)
+    for B in window_columns(1000):
+        local_analysis.column_ledger(B, list(column_members(B, 1000)))
     for B, As in sample_keys(1000, True, 400, 13).items():
         for A in As:
             _exhaustive_masks(A, B, relevant_places(A, B))
@@ -371,7 +371,7 @@ def _charts_met(monkeypatch):
 
 
 def test_chart_memo_replays_a_fresh_scan(monkeypatch):
-    # the memo's verdict on every chart the curve-memo misses and the descent
+    # the memo's verdict on every chart the column sieve and the descent
     # meet equals a fresh _zp_scan of its normal chart; a memo keyed on one
     # digit fewer than the scan read answers some chart wrongly
     calls = _charts_met(monkeypatch)
@@ -560,29 +560,40 @@ def test_duality_masks_equal_exhaustive_masks(e60_sample):
         assert local_masks(A, B, places) == _exhaustive_masks(A, B, places), (A, B)
 
 
-def test_descent_reads_place_two_from_the_ledgers_memo(monkeypatch):
-    # factor_at_two and local_masks share one memo at 2: once the ledger has
-    # seen a curve, the descent scans no torsor chart at 2 (every probe at 2
-    # scans one), and its masks are still each side's exhaustive images
-    scans = []
-    scan = descent._chart_scan
+def test_descent_reads_place_two_from_the_ledger(monkeypatch, scan_oracle):
+    # with the descent, a sampled curve runs the duality loop at 2 once, for
+    # the ledger and the descent alike, and a full-window column runs it once
+    # per 2-adic class, as without the descent; the descent's masks with the
+    # ledger's image at 2 are each side's exhaustive images.  (A chart-memo
+    # hit names the stored chart's digit count, so the class counts of two
+    # passes are equal only with the memo off.)
+    runs = []
+    loop = descent._dual_images
 
-    def recording(f, p, starts=None):
-        scans.append(p)
-        return scan(f, p, starts)
+    def recording(A, B, v):
+        runs.append(v)
+        return loop(A, B, v)
 
-    monkeypatch.setattr(descent, "_chart_scan", recording)
+    monkeypatch.setattr(descent, "_dual_images", recording)
+    monkeypatch.setattr(local_analysis, "_dual_images", recording)
     n = 0
     for B, As in sample_keys(1000, True, 400, 15).items():
         for A in As:
+            runs.clear()
+            curve_record(CurvePair(A, B), with_descent=True)
+            assert runs.count(2) == 1, (A, B)
             places = relevant_places(A, B)
-            local_analysis.factor_at_two(A, B)
-            scans.clear()
-            masks = local_masks(A, B, places)
-            assert 2 not in scans, (A, B)
+            masks = local_masks(A, B, places, loop(A, B, 2)[0])
             assert masks == _exhaustive_masks(A, B, places), (A, B)
             n += 1
     assert n == 400
+    for B in (-7, 16, 24):
+        counts = []
+        for with_descent in (False, True):
+            runs.clear()
+            _column_records(100, with_descent, True, (B, None))
+            counts.append(runs.count(2))
+        assert counts[0] == counts[1] < len(list(column_members(B, 100))), (B, counts)
 
 
 def test_duality_loop_probes_only_open_classes(e60_sample, monkeypatch):

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from selmerlab import descent, local_analysis
 from selmerlab.cli import RECORD_FIELDS, curve_record
@@ -167,26 +167,34 @@ def test_factor_at_infinity_matches_real_image(e60_sample):
 
 
 def _scan_size(A, B):
-    """(size of the phi image at 2, the digits N it read) from the duality
-    loop, which reads no memo."""
+    """(size of the phi image at 2, the digits N of A it read) from the
+    duality loop, which reads no memo of its own."""
     w, _, n = descent._dual_images(A, B, 2)
     return w.bit_count(), n
 
 
-def _assert_factor_at_two_exact(pairs, image=True):
-    """factor_at_two from an empty memo against the scan on every pair, and
-    against the exhaustively tested image unless image is False; the number
-    of pairs and of entries the memo stored.  The caller uses scan_oracle, so
-    the memo starts empty and every chart is a fresh scan."""
-    memo = descent._CURVE_MEMO
+def _assert_factor_at_two_exact(pairs):
+    """factor_at_two against the exhaustively tested image on every pair;
+    the number of pairs.  The caller uses scan_oracle, so every chart is a
+    fresh scan."""
     n = 0
     for A, B in pairs:
-        size = factor_at_two(A, B)
-        assert size == _scan_size(A, B)[0], (A, B)
-        if image:
-            assert size == len(local_image(A, B, 2, "phi")), (A, B)
+        assert factor_at_two(A, B) == len(local_image(A, B, 2, "phi")), (A, B)
         n += 1
-    return n, sum(len(table) for bucket in memo.values() for table in bucket.values())
+    return n
+
+
+def _assert_sieve_exact(B, As, image=False):
+    """The column ledger's phi image at 2 against a run of the duality loop
+    on each curve (factor_at_two's), and its size against the exhaustively
+    tested image if image is True; the number of curves."""
+    n = 0
+    for A, row in zip(As, local_analysis.column_ledger(B, As)):
+        assert row[4] == descent._dual_images(A, B, 2)[0], (A, B)
+        if image:
+            assert row[4].bit_count() == len(local_image(A, B, 2, "phi")), (A, B)
+        n += 1
+    return n
 
 
 def test_factor_at_two_matches_full_image(scan_oracle):
@@ -194,7 +202,7 @@ def test_factor_at_two_matches_full_image(scan_oracle):
     # every curve of E(300)
     assert factor_at_two(0, 1) == 8
     pairs = ((c.A, c.B) for c in enumerate_window(FamilyWindow(300)))
-    assert _assert_factor_at_two_exact(pairs)[0] == 20126
+    assert _assert_factor_at_two_exact(pairs) == 20126
 
 
 def test_factor_at_two_exact_at_high_valuations(scan_oracle):
@@ -213,17 +221,38 @@ def test_factor_at_two_exact_at_high_valuations(scan_oracle):
 
 @pytest.mark.parametrize("B", [16, -16, 48, -48, 64, -64, 96, -96])
 def test_factor_at_two_exact_on_deep_columns(B, scan_oracle):
-    # whole columns at X = 10^4: every 2-adic class of A to 2^14.  The memo
-    # stores from 555 entries (B = -16) to 7,830 (B = 64) for 15,000 curves.
-    n, stored = _assert_factor_at_two_exact((A, B) for A in column_members(B, 10**4))
-    assert n == 15000 and stored < 8000
+    # whole columns at X = 10^4, every 2-adic class of A to 2^14: the sieve
+    # against the per-curve loop and the exhaustive image
+    assert _assert_sieve_exact(B, list(column_members(B, 10**4)), image=True) == 15000
 
 
-def test_memo_replays_the_scan_on_the_x1000_window(scan_oracle):
-    pairs = ((c.A, c.B) for c in enumerate_window(FamilyWindow(1000)))
-    n, stored = _assert_factor_at_two_exact(pairs, image=False)
-    # 12,880 entries: about 9 in 10 curves are replays, not scans
-    assert n == 123052 and stored < n // 8
+def test_sieve_replays_the_scan_on_the_x1000_window(scan_oracle, monkeypatch):
+    # every curve of E(10^3); 7,152 runs of the loop at 2 settle all 123,052
+    runs = []
+    loop = descent._dual_images
+
+    def counted(A, B, v):
+        runs.append(v)
+        return loop(A, B, v)
+
+    monkeypatch.setattr(local_analysis, "_dual_images", counted)
+    n = sum(_assert_sieve_exact(B, list(column_members(B, 1000))) for B in window_columns(1000))
+    assert n == 123052 and len(runs) < n // 12
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(1, 10**4), st.integers(0, 14), st.sampled_from((1, -1)), st.integers(-(10**12), 10**12),
+    st.integers(1, 256),
+)
+def test_sieve_matches_the_loop_on_hypothesis_runs(scan_oracle, b, kb, sign, lo, width):
+    # a run of width consecutive A from lo in the column B = +-b 2^kb; the
+    # fixture only keeps the chart memo empty, so it holds across examples
+    B = sign * b << kb
+    image_at_two = local_analysis._place_two_sieve(B, lo, width)
+    for A in range(lo, lo + width):
+        if A * A != 4 * B:
+            assert image_at_two(A) == descent._dual_images(A, B, 2)[0], (A, B)
 
 
 def test_hilbert_symbol_table():
@@ -250,10 +279,7 @@ def test_hilbert_symbol_table():
 
 def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch, scan_oracle):
     # a probe that denies one solvable class leaves the confirmed images short
-    # of |W| |W^| = 8, so the candidates run out: never a wrong size.  The
-    # memo starts empty, so every curve reaches the probes, and a run that
-    # raised stores nothing.
-    memo = descent._CURVE_MEMO
+    # of |W| |W^| = 8, so the candidates run out: never a wrong size
     honest = descent._torsor_solvable_at
     for c in [CurvePair(0, 1)] + e60_sample[:20]:
         lied = []
@@ -268,31 +294,30 @@ def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch, scan_oracl
         monkeypatch.setattr(descent, "_torsor_solvable_at", probe)
         with pytest.raises(AssertionError):
             factor_at_two(c.A, c.B)
-        assert lied and memo == {}
+        assert lied
     monkeypatch.setattr(descent, "_torsor_solvable_at", lambda d, a, b, p: (d == 1, 0))
     with pytest.raises(AssertionError):
         factor_at_two(3, 2)
-    assert memo == {}
 
 
 def test_certificate_digits_fix_the_size(scan_oracle):
-    # moves by multiples of 2^N keep the size (0 of 9,000 change); moves by an
-    # odd multiple of 2^(N-1) change it on some curves, so the count is not a
-    # digit too generous everywhere, and a count one digit short fails here
+    # inside a column, moves of A by multiples of 2^N keep the image (0 of
+    # 9,000 change); moves by an odd multiple of 2^(N-1) change the size on
+    # some curves (107 of 3,000), so N is not a digit too generous
+    # everywhere, and a count one digit short fails here
     rng = random.Random(20261018)
     curves = rng.sample([(c.A, c.B) for c in enumerate_window(FamilyWindow(300))], 3000)
     changed = 0
     for A, B in curves:
-        size, n = _scan_size(A, B)
+        w, _, n = descent._dual_images(A, B, 2)
         for _ in range(3):
-            j, l = rng.randint(-4, 4), rng.randint(-4, 4)
-            A2, B2 = A + (j << n), B + (l << n)
-            if B2 * (A2 * A2 - 4 * B2):
-                assert _scan_size(A2, B2)[0] == size, (A, B, j, l, n)
-        A2, B2 = A + (rng.choice((-1, 1)) << n - 1), B + (rng.choice((-1, 0, 1)) << n - 1)
-        if B2 * (A2 * A2 - 4 * B2):
-            changed += _scan_size(A2, B2)[0] != size
-    assert changed > 50  # 66 of the 3,000
+            A2 = A + (rng.randint(-4, 4) << n)
+            if A2 * A2 != 4 * B:
+                assert descent._dual_images(A2, B, 2)[0] == w, (A, B, A2, n)
+        A2 = A + (rng.choice((-1, 1)) << n - 1)
+        if A2 * A2 != 4 * B:
+            changed += _scan_size(A2, B)[0] != w.bit_count()
+    assert changed > 50, changed
 
 
 def _scaled_sizes(A, B):
@@ -418,9 +443,10 @@ def test_curve_record_reads_g1_g2_off_the_ledger(e60_sample):
 
 def _ledger_rows(B, As):
     # the per-curve route: (t_total, g1, g2, n_additive) of curve_record, whose
-    # odd places come from factoring B (A^2-4B), not from the sieve
+    # odd places come from factoring B (A^2-4B), not from the sieve, and the
+    # phi image at 2 from one run of the loop per curve, not per class
     recs = (dict(zip(RECORD_FIELDS, curve_record(CurvePair(A, B)))) for A in As)
-    return [(r["t_total"], r["g1"], r["g2"], r["n_additive"]) for r in recs]
+    return [(r["t_total"], r["g1"], r["g2"], r["n_additive"], descent._images_at(r["A"], B, 2)[0]) for r in recs]
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,17 +487,17 @@ def test_column_ledger_errors_stay_with_their_curve(monkeypatch):
     rows = local_analysis.column_ledger(1, As)
     assert [type(r) for r in rows].count(ValueError) == 2 and isinstance(rows[1], ValueError)
     assert [r for r in rows if not isinstance(r, Exception)] == _ledger_rows(1, [-3, 0, 1, 5])
-    honest = local_analysis.factor_at_two
+    honest = descent._dual_images
 
-    def flaky(A, B):
-        if A == 0:
+    def flaky(A, B, v):
+        if A == 0:  # the first even A, so the sieve runs the loop there
             raise descent.SolverPrecisionError("injected")
-        return honest(A, B)
+        return honest(A, B, v)
 
     def shown(rows):
         return [str(r) if isinstance(r, Exception) else r for r in rows]
 
-    monkeypatch.setattr(local_analysis, "factor_at_two", flaky)
+    monkeypatch.setattr(local_analysis, "_dual_images", flaky)
     again = shown(local_analysis.column_ledger(1, As))
     assert again[2] == "injected" and again[:2] + again[3:] == shown(rows[:2] + rows[3:])
 
