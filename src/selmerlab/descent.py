@@ -16,10 +16,11 @@ y^2 = (integral quartic in one variable) with x, y in Z_p.  Once the chart
 v = 1 has failed, the chart u = 1 is needed only on x in pZ_p, since a point
 with both coordinates units lies on the first chart.  At odd p that part has
 a closed form: f(x) = d^3 (mod p^2) there for a unit d, and v_p(f) = 3 when
-p | d, so it has a point iff d is a nonzero square mod p.  At p = 2 it is
-searched.  Small p (and always p = 2) use an exhaustive residue search with
-exact Hensel certificates.  A residue class x = x0 (mod p^k) fixes f(x)
-modulo p^P with P = min(k + v_p(f'(x0)), 2k), by the Taylor expansion of the
+p | d, so it has a point iff d is a nonzero square mod p.  At p = 2 the chart
+u = 1 is searched as f(2t) over all of Z_2, the one domain every scan covers.
+Small p (and always p = 2) use an exhaustive residue search with exact
+Hensel certificates.  A residue class x = x0 (mod p^k) fixes f(x) modulo
+p^P with P = min(k + v_p(f'(x0)), 2k), by the Taylor expansion of the
 integral polynomial f about x0, so the search drops a class as soon as the
 valuation and the unit class of f are pinned at that precision, not only at
 p^k.  Larger odd p use the same recursion driven by the mod-p shape of the
@@ -28,19 +29,20 @@ character sum already forces a square value (complete for p >= 17), so only
 multiple roots are descended into, and the search runs in polylog(p).  The
 two deciders agree by construction and are cross-checked in the test suite.
 Precision exhaustion raises; it never silently guesses.  Valuations come
-from core_arith._vp, the one valuation loop outside the scan's inline one.
-The scan also names how many p-adic digits of the chart's coefficients its
-decisions read, so every chart that agrees with it to that many digits gets
-the same verdict by the same search.  That count keys the chart memo
+from core_arith._vp, the one valuation loop.  The scan also names how many
+p-adic digits of the chart's coefficients its decisions read, so every chart
+that agrees with it to that many digits runs the same search, gets the same
+verdict and names the same count.  That count keys the chart memo
 (`_CHART_MEMO`, per process): a chart is normalized to g = (c0, 0, c2, 0,
-c4), and g is scanned once.  Its verdict is stored under (p, starts,
-v_p(c0)), then n, then (c0, c2, c4) mod p^n, and every later chart whose g
-agrees mod p^n replays it, whoever asks: the duality loop's probes at 2 and
-at odd p <= 13, and the exhaustive images.  The structural decider above 13
-is not memoized.  At 2 the count also certifies a whole curve: the chart
-coefficients are integer polynomials in A and B, so the duality loop names
-N, the digits of A that fixed every branch it took once B is fixed, and
-every A' = A (mod 2^N) of the same B column has the same two images
+c4), and g is scanned once.  Its verdict is stored under (p, v_p(c0)), then
+n, then (c0, c2, c4) mod p^n, and every later chart whose g agrees mod p^n
+replays it, whoever asks: the duality loop's probes at 2 and at odd p <= 13,
+and the exhaustive images.  A hit returns exactly what a fresh scan would,
+so the memo is a cache that no caller can observe.  The structural decider
+above 13 is not memoized.  At 2 the count also certifies a whole curve: the
+chart coefficients are integer polynomials in A and B, so the duality loop
+names N, the digits of A that fixed every branch it took once B is fixed,
+and every A' = A (mod 2^N) of the same B column has the same two images
 (`_dual_images`); the column ledger fills place 2 class by class.
 
 Square classes have one encoding, used by every module.  Q_v*/(Q_v*)^2 is
@@ -199,15 +201,14 @@ def _shift_scale(f, r: int, p: int):
     return tuple(c * p**k for k, c in enumerate(taylor))
 
 
-def _zp_scan(f, p: int, kmax: int, starts=None) -> tuple[bool, int]:
+def _zp_scan(f, p: int, kmax: int) -> tuple[bool, int]:
     """Exhaustive certified search for a Z_p point of y^2 = f(x), and the
     number n of p-adic digits of f's coefficients it read.
 
-    The search covers x = x0 (mod p) for the residues x0 in `starts`
-    (default: all of Z_p).  Residue classes x = x0 (mod p^k) are refined
-    until an exact value f(x0) is a p-adic square (giving a point with that
-    literal x0), a Hensel certificate for a nearby root of f fires (a point
-    with y = 0), or the class is provably empty.  Exceeding kmax raises.
+    Residue classes x = x0 (mod p^k) are refined until a Hensel certificate
+    for a root of f fires (a point with y = 0), a value f(x0) is a p-adic
+    square (a point with that literal x0), or the class is provably empty.
+    Exceeding kmax raises.
 
     A class is empty once the valuation v and the unit class of f are the
     same at every point of it.  Since f has integer coefficients, Taylor
@@ -217,50 +218,40 @@ def _zp_scan(f, p: int, kmax: int, starts=None) -> tuple[bool, int]:
     dropped when v < P and either v is odd or the unit part is pinned to a
     non-square, which takes P - v >= 1 digits at odd p and >= 3 at p = 2.
 
-    Each decision at a node reads f(x0) and f'(x0) to a precision it can
-    name, and x0 is a fixed integer, so f's coefficients mod p^n fix them.
-    With w = v_p(f'(x0)) a node reads v + 3 digits at even v (v + 1 at odd
-    p) and v + 1 at odd v, which fix v and the square test, and the v + 1
-    digits of f'(x0) already keep w >= ceil(v/2), so Hensel does not fire.
-    P needs w + 1 digits of f'(x0) when w < k and k otherwise, and the node
-    has read k already: at k = 1 trivially, and deeper its parent class
-    (P', v') was kept, either with v' >= P' >= k - 1, so that v >= k - 1
-    and the node read v + 1 or more, or at p = 2 with an even v' < P' <=
-    v' + 2, so that v = v' >= k - 3 and the node read v + 3.
-    An exact zero or a Hensel exit reads 2w + 1 (f is separable, so w is
-    finite at a root): every f that agrees there mod p^(2w+1) has a point by
-    one of the three exits.  n is the most any visited node read, so every f
-    that agrees with this one mod p^n runs the same search to the same
-    verdict.
+    Each node takes v = v_p(f(x0)) and w = v_p(f'(x0)) (v infinite at an
+    exact root, w finite there since f is separable) and tests, in this
+    order, Hensel (v >= 2w + 1), then the square exit, then the drop.  Each
+    decision reads f(x0) and f'(x0) to a precision it can name, and x0 is a
+    fixed integer, so f's coefficients mod p^n fix them.  Hensel reads 2w +
+    1 digits, which fix w and v >= 2w + 1.  Otherwise v <= 2w, and the node
+    reads v + 3 digits at even v (v + 1 at odd p) and v + 1 at odd v: they
+    fix v and the square test, and the v + 1 digits of f'(x0) keep w >=
+    v/2, so Hensel stays off.  P needs w + 1 digits of f'(x0) when w < k
+    and k otherwise, and the node has read k already: at k = 1 trivially,
+    and deeper its parent class (P', v') was kept, either with v' >= P' >=
+    k - 1, so that v >= k - 1 and the node read v + 1 or more, or at p = 2
+    with an even v' < P' <= v' + 2, so that v = v' >= k - 3 and the node
+    read v + 3.  Every node's read depends only on what it fixes, so every f
+    that agrees with this one mod p^n, n the most any visited node read,
+    runs the same search, leaves it at the same node by the same exit and
+    names the same n.
     """
     while len(f) < 5:
         f = tuple(f) + (0,)
     c0, c1, c2, c3, c4 = f
     d0, d1, d2, d3 = c1, 2 * c2, 3 * c3, 4 * c4
-    two = p == 2
-    need = 3 if two else 1
+    need = 3 if p == 2 else 1
     n = 0
-    stack = [(x0, 1, p) for x0 in reversed(range(p) if starts is None else starts)]
+    stack = [(x0, 1, p) for x0 in reversed(range(p))]
     while stack:
         x0, k, q = stack.pop()  # q = p**k
         c = (((c4 * x0 + c3) * x0 + c2) * x0 + c1) * x0 + c0
-        if c == 0:  # an exact root, simple since f is separable
-            return True, max(n, 2 * _vp(((d3 * x0 + d2) * x0 + d1) * x0 + d0, p) + 1)
-        if two:
-            v = (c & -c).bit_length() - 1
-            if not v & 1 and (c >> v) & 7 == 1:
-                return True, max(n, v + 3)
-        else:
-            v, u = 0, c
-            while u % p == 0:
-                u //= p
-                v += 1
-            if not v & 1 and jacobi(u % p, p) == 1:
-                return True, max(n, v + 1)
-        fp = ((d3 * x0 + d2) * x0 + d1) * x0 + d0
-        w = (fp & -fp).bit_length() - 1 if two and fp else _vp(fp, p)
+        v = _vp(c, p)
+        w = _vp(((d3 * x0 + d2) * x0 + d1) * x0 + d0, p)
         if v >= 2 * w + 1:
             return True, max(n, 2 * w + 1)  # Hensel: a root of f within p^(v - w) of x0, so y = 0
+        if not v & 1 and ((c >> v) & 7 == 1 if p == 2 else jacobi(c // p**v % p, p) == 1):
+            return True, max(n, v + need)
         read = v + 1 if v & 1 else v + need  # digits of f(x0), and of f'(x0) to k
         if read > n:
             n = read
@@ -366,12 +357,12 @@ def _disc_vp(g, p: int) -> int:
     return _vp(16 * c4 * c0, p) + 2 * _vp(c2 * c2 - 4 * c4 * c0, p)
 
 
-# (p, starts, v_p(c0)) -> {n: {(c0, c2, c4) mod p^n: found}} for the normal
-# charts (c0, 0, c2, 0, c4) that _zp_scan searched, per process
+# (p, v_p(c0)) -> {n: {(c0, c2, c4) mod p^n: found}} for the normal charts
+# (c0, 0, c2, 0, c4) that _zp_scan searched, per process
 _CHART_MEMO: dict = {}
 
 
-def _chart_scan(f, p: int, starts=None) -> tuple[bool, int]:
+def _chart_scan(f, p: int) -> tuple[bool, int]:
     """The scan's verdict on a biquadratic chart and the p-adic digits of its
     coefficients the verdict read (see _zp_scan): e + 1 digits fix e, and n
     digits of f / p^s are n + s digits of f.  The budget kmax = v_p(disc) + 6
@@ -379,17 +370,16 @@ def _chart_scan(f, p: int, starts=None) -> tuple[bool, int]:
     those keep v_p(disc) >= K - 5.
 
     The normal chart g = f / p^s is scanned once per process: every chart
-    whose g agrees with it mod p^n, for the n digits its scan read, gets the
-    same verdict, so the verdict is looked up in _CHART_MEMO, and n, which
-    certifies it for that whole class, is the count.  (A fresh scan of such
-    a chart may exit at a root by another branch and name more digits.)  The
-    first node, x0 = 0, reads more than v_p(c0) digits, so n > v_p(c0) and
-    v_p(c0) picks the bucket; a lookup tries the few n's stored there.  A
-    scan that raised stores nothing."""
+    whose g agrees with it mod p^n, for the n digits its scan read, runs the
+    same search and names the same n, so the verdict is looked up in
+    _CHART_MEMO and a hit returns what a fresh scan would.  The first node,
+    x0 = 0, reads more than v_p(c0) digits, so n > v_p(c0) and v_p(c0) picks
+    the bucket; a lookup tries the few n's stored there.  A scan that raised
+    stores nothing."""
     e, g = _normal_chart(f, p)
     c0, _, c2, _, c4 = g
     s = e // 2 * 2
-    key = (p, starts, _vp(c0, p))
+    key = (p, _vp(c0, p))
     bucket = _CHART_MEMO.get(key)
     if bucket:
         for n, table in bucket.items():
@@ -397,7 +387,7 @@ def _chart_scan(f, p: int, starts=None) -> tuple[bool, int]:
             found = table.get((c0 % q, c2 % q, c4 % q))
             if found is not None:
                 return found, max(e + 1, n + s)
-    found, n = _zp_scan(g, p, _disc_vp(g, p) + 6, starts)
+    found, n = _zp_scan(g, p, _disc_vp(g, p) + 6)
     q = p**n
     _CHART_MEMO.setdefault(key, {}).setdefault(n, {})[c0 % q, c2 % q, c4 % q] = found
     return found, max(e + 1, n + s)
@@ -407,20 +397,23 @@ def _torsor_solvable_at(d: int, a: int, b: int, p: int) -> tuple[bool, int]:
     """Q_p solvability of the torsor, and at p = 2 the number N of 2-adic
     digits of its chart coefficients (b d, a d^2, d^3) it read (0 at odd p):
     every (a', b') whose charts agree with these mod 2^N, such as (a, b)
-    (mod 2^N), runs the same search to the same verdict."""
+    (mod 2^N), runs the same search to the same verdict and names the same
+    N.  The second chart at 2 is scanned as f(2t) = (d^3, 0, 4 a d^2, 0, 16
+    b d) over Z_2; (b d, a d^2, d^3) mod 2^N fix its coefficients mod 2^N,
+    so its count serves for them unchanged."""
     if d == 1:
         return True, 0  # (u, v, w) = (1, 0, 1)
     # chart v = 1 (v a unit, u = x), then chart u = 1 (v = x); y = d*w absorbs
     # the class.  A point with u and v both units is (u/v, 1) in the first
     # chart, so once that chart has failed the second needs only x in pZ_p.
     # At odd p, f = d^3 (mod p^2) there for a unit d and v_p(f) = 3 when p | d;
-    # at 2 it is searched.
+    # at 2 it is searched as f(2t).
     if p != 2:
         return _chart_solvable((b * d, 0, a * d * d, 0, d**3), p) or jacobi(d % p, p) == 1, 0
     found, n = _chart_scan((b * d, 0, a * d * d, 0, d**3), 2)
     if found:
         return True, n
-    found, m = _chart_scan((d**3, 0, a * d * d, 0, b * d), 2, starts=(0,))
+    found, m = _chart_scan((d**3, 0, 4 * a * d * d, 0, 16 * b * d), 2)
     return found, max(n, m)
 
 

@@ -28,8 +28,9 @@ class NeverStores(dict):
 
 @pytest.fixture
 def scan_oracle(monkeypatch):
-    """Every chart verdict, and so every place-2 image, from a fresh scan:
-    the chart memo stores nothing.  Without it a chart that agrees with an
-    earlier one to its digit count is a memo hit, and a test of the count
-    checks the memo against itself."""
+    """Every chart verdict from a fresh scan: the chart memo stores nothing.
+    A memo hit returns what a fresh scan returns, so this changes no answer.
+    It exists so that certificate tests scan each moved chart instead of
+    replaying the chart it was moved from, which would check the memo
+    against itself."""
     monkeypatch.setattr(descent, "_CHART_MEMO", NeverStores())

@@ -212,13 +212,8 @@ def test_pruned_scan_matches_precision_k_reference():
 
 
 def _pzp_chart_solvable(f, p):
-    """Whether y^2 = f(x) has a point with x in pZ_p: the scan from x0 = 0 up
-    to p = 13, above it the structural decider on the chart f(p t), with the
-    normalization and budget _chart_solvable gives it."""
-    if p <= 13:
-        return _chart_scan(f, p, starts=(0,))[0]
-    f, kmax = _scan_input(f, p)  # kmax = v_p(disc) + 6; the budget is v_p(disc) + 10
-    return _zp_solvable_structural(_shift_scale(f, 0, p), p, kmax + 4)
+    """Whether y^2 = f(x) has a point with x in pZ_p: the chart f(p t) over Z_p."""
+    return _chart_solvable(_shift_scale(f, 0, p), p)
 
 
 def test_second_chart_needs_only_pzp_after_first_fails(scan_oracle):
@@ -282,27 +277,30 @@ def _moved(rng, f, shift, odd=False):
 
 def test_chart_digit_count_is_a_certificate(scan_oracle):
     # every chart that agrees with f mod 2^n, for the n digits _chart_scan
-    # names at 2, gets f's verdict; with one digit fewer some verdicts change
+    # names at 2, gets f's verdict and names the same n; with one digit fewer
+    # some verdicts change.  f is a torsor chart or its scaling f(2t), the
+    # chart u = 1 searched on 2Z_2.
     rng = random.Random(1406)
     tested = changed = 0
     while tested < 1500:
         f = _random_chart(rng, 2, rng.random() < 0.5)
         if f is None:
             continue
-        starts = rng.choice((None, (0,)))
-        found, n = _chart_scan(f, 2, starts)
+        if rng.random() < 0.5:
+            f = _shift_scale(f, 0, 2)
+        found, n = _chart_scan(f, 2)
         for _ in range(3):
             g = _moved(rng, f, n)
             if g[0] and g[4] and g[2] ** 2 != 4 * g[0] * g[4]:
-                assert _chart_scan(g, 2, starts)[0] == found, (f, g, starts, n)
+                assert _chart_scan(g, 2) == (found, n), (f, g, n)
         g = _moved(rng, f, n - 1, odd=True)
         if g[0] and g[4] and g[2] ** 2 != 4 * g[0] * g[4]:
             try:
-                changed += _chart_scan(g, 2, starts)[0] != found
+                changed += _chart_scan(g, 2)[0] != found
             except SolverPrecisionError:
                 changed += 1
         tested += 1
-    assert changed > 300, changed  # 389 of the 1,500
+    assert changed > 300, changed  # 427 of the 1,500
 
 
 def _rooted_chart(rng, p):
@@ -320,46 +318,49 @@ def _rooted_chart(rng, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_root_exit_digit_count_is_a_certificate(p, scan_oracle):
-    # the scan's exits at a root x0 of f (exact, or by Hensel) read 2w + 1
+    # the scan's Hensel exit at a root x0 of f (exact or nearby) reads 2w + 1
     # digits of f(x0), w = v_p(f'(x0)); random torsor charts rarely reach
-    # them.  Moving c0 moves f(x0) and nothing else: by multiples of p^n the
-    # verdict stays, by multiples of p^(n-1) it changes on some charts.  With
-    # the exits cut to 2w, moves by p^n change the verdict at odd p.
+    # it.  Moving c0 moves f(x0) and nothing else: by multiples of p^n the
+    # verdict and n stay, by multiples of p^(n-1) the verdict changes on
+    # some charts.  With the exit cut to 2w, moves by p^n change the verdict
+    # at odd p; with the square exit tested before Hensel, they change n.
+    # f is a chart or its scaling f(p t), as the chart u = 1 is searched.
     rng = random.Random(p)
     tested = changed = 0
     while tested < 600:
         f = _rooted_chart(rng, p)
         if f is None:
             continue
-        starts = rng.choice((None, (0,)))
-        found, n = _chart_scan(f, p, starts)
+        if rng.random() < 0.5:
+            f = _shift_scale(f, 0, p)
+        found, n = _chart_scan(f, p)
         c0, _, c2, _, c4 = f
         for j in (1, -1, 2, 3):
             for shift in (n, n - 1):
                 g = (c0 + j * p**shift, 0, c2, 0, c4)
                 if g[0] and c2 * c2 != 4 * g[0] * c4:
                     if shift == n:
-                        assert _chart_scan(g, p, starts)[0] == found, (f, g, starts, n)
+                        assert _chart_scan(g, p) == (found, n), (f, g, n)
                     else:
-                        changed += _chart_scan(g, p, starts)[0] != found
+                        changed += _chart_scan(g, p)[0] != found
         tested += 1
-    assert changed > 300, changed  # 375 to 723 of about 2,400 moves by p^(n-1)
+    assert changed > 300, changed  # 404 to 722 of about 2,400 moves by p^(n-1)
 
 
 def _charts_met(monkeypatch):
-    """Every (f, p, starts) _chart_scan is called with, in order, from an
-    empty chart memo: place 2 over E(10^3) through the column sieve, then
-    both sides' exhaustive local images (_local_image_tags on each side) at
-    every place of a 400-curve sample at X = 10^3, whose odd p <= 13 are
-    scanned."""
+    """Every (f, p, (found, count)) _chart_scan is called with and returns,
+    in order, from an empty chart memo: place 2 over E(10^3) through the
+    column sieve, then both sides' exhaustive local images
+    (_local_image_tags on each side) at every place of a 400-curve sample at
+    X = 10^3, whose odd p <= 13 are scanned."""
     monkeypatch.setattr(descent, "_CHART_MEMO", {})
     calls = []
     scan = descent._chart_scan
 
-    def recording(f, p, starts=None):
-        found, n = scan(f, p, starts)
-        calls.append((f, p, starts, found))
-        return found, n
+    def recording(f, p):
+        got = scan(f, p)
+        calls.append((f, p, got))
+        return got
 
     monkeypatch.setattr(descent, "_chart_scan", recording)
     for B in window_columns(1000):
@@ -371,21 +372,21 @@ def _charts_met(monkeypatch):
 
 
 def test_chart_memo_replays_a_fresh_scan(monkeypatch):
-    # the memo's verdict on every chart the column sieve and the descent
-    # meet equals a fresh _zp_scan of its normal chart; a memo keyed on one
-    # digit fewer than the scan read answers some chart wrongly
+    # the memo's verdict and digit count on every chart the column sieve and
+    # the descent meet equal a fresh _zp_scan's of its normal chart; a memo
+    # keyed on one digit fewer than the scan read answers some chart wrongly
     calls = _charts_met(monkeypatch)
     fresh = {}
-    short = {}  # (p, starts, v_p(c0)) -> {n - 1: {(c0, c2, c4) mod p^(n-1): found}}
+    short = {}  # (p, v_p(c0)) -> {n - 1: {(c0, c2, c4) mod p^(n-1): found}}
     wrong = 0
-    for f, p, starts, found in calls:
-        _, g = _normal_chart(f, p)
-        if (g, p, starts) not in fresh:
-            fresh[g, p, starts] = _zp_scan(g, p, _disc_vp(g, p) + 6, starts)
-        want, n = fresh[g, p, starts]
-        assert found == want, (f, p, starts)
+    for f, p, got in calls:
+        e, g = _normal_chart(f, p)
+        if (g, p) not in fresh:
+            fresh[g, p] = _zp_scan(g, p, _disc_vp(g, p) + 6)
+        want, n = fresh[g, p]
+        assert got == (want, max(e + 1, n + e // 2 * 2)), (f, p, got)
         c0, _, c2, _, c4 = g  # the memo's lookup, with each count cut by one
-        bucket = short.setdefault((p, starts, _vp(c0, p)), {})
+        bucket = short.setdefault((p, _vp(c0, p)), {})
         for m, table in bucket.items():
             q = p**m
             hit = table.get((c0 % q, c2 % q, c4 % q))
@@ -396,7 +397,7 @@ def test_chart_memo_replays_a_fresh_scan(monkeypatch):
             q = p ** (n - 1)
             bucket.setdefault(n - 1, {})[c0 % q, c2 % q, c4 % q] = want
     scanned = sum(len(table) for bucket in descent._CHART_MEMO.values() for table in bucket.values())
-    odd = sum(p != 2 for _, p, _, _ in calls)
+    odd = sum(p != 2 for _, p, _ in calls)
     assert len(calls) > 5 * scanned and odd > 1000, (len(calls), scanned, odd)
     assert wrong, wrong
 
@@ -560,13 +561,13 @@ def test_duality_masks_equal_exhaustive_masks(e60_sample):
         assert local_masks(A, B, places) == _exhaustive_masks(A, B, places), (A, B)
 
 
-def test_descent_reads_place_two_from_the_ledger(monkeypatch, scan_oracle):
+def test_descent_reads_place_two_from_the_ledger(monkeypatch, request):
     # with the descent, a sampled curve runs the duality loop at 2 once, for
     # the ledger and the descent alike, and a full-window column runs it once
     # per 2-adic class, as without the descent; the descent's masks with the
-    # ledger's image at 2 are each side's exhaustive images.  (A chart-memo
-    # hit names the stored chart's digit count, so the class counts of two
-    # passes are equal only with the memo off.)
+    # ledger's image at 2 are each side's exhaustive images.  A chart-memo
+    # hit names what a fresh scan names, so a column's class runs are the
+    # same from an empty memo, a warm one and one that never stores.
     runs = []
     loop = descent._dual_images
 
@@ -594,6 +595,18 @@ def test_descent_reads_place_two_from_the_ledger(monkeypatch, scan_oracle):
             _column_records(100, with_descent, True, (B, None))
             counts.append(runs.count(2))
         assert counts[0] == counts[1] < len(list(column_members(B, 100))), (B, counts)
+    monkeypatch.setattr(descent, "_CHART_MEMO", {})
+    passes = []
+    for memo in ("empty", "warm", "never stores"):
+        if memo == "never stores":
+            request.getfixturevalue("scan_oracle")
+        counts = []
+        for B in (-7, 16, 24):
+            runs.clear()
+            _column_records(100, False, True, (B, None))
+            counts.append(runs.count(2))
+        passes.append(counts)
+    assert passes[0] == passes[1] == passes[2], passes
 
 
 def test_duality_loop_probes_only_open_classes(e60_sample, monkeypatch):
