@@ -6,8 +6,9 @@ p has p^2 | A and p^4 | B simultaneously (A = 0 counts as divisible by every
 p^2).  Enumeration is lexicographic in (B, A) and deterministic.
 
 The column filter is written once, in `_column_rule`; `column_members`
-iterates it, `column_count` and `column_unrank` count it in closed form, and
-`statistics.family_scan` masks it.  `is_member` tests a single pair.
+iterates it, `column_count` and `column_unrank` count it in closed form,
+`statistics.family_scan` masks it, and `local_analysis.column_ledger` reads
+its non-members from it.  `is_member` tests a single pair.
 """
 
 from __future__ import annotations

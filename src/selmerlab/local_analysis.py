@@ -36,8 +36,9 @@ B (A^2-4B).  `column_ledger` gives the same totals for a whole B column by
 sieving its odd places over the residue classes of A (Pomerance, The
 quadratic sieve factoring algorithm, 1984: values of a polynomial are
 sieved by its roots mod p) and place 2 over the 2-adic classes of A that
-the duality loop certifies.  Both read `additive_factor` at the additive
-places, so neither runs Tate.
+the duality loop certifies.  Both read each rule from the one function
+that states it: `mult_factor` or `classify_reduction`, `additive_factor`
+(so neither runs Tate) and `factor_at_infinity`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from math import isqrt
 
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
 from .core_arith import _vp, factor, is_prime, jacobi, ord_p
-from .curve_family import CurvePair
+from .curve_family import CurvePair, _column_rule
 from .descent import INF_PLACE, _dual_images, _images_at, relevant_places
 from .statistics import _odd_primes_below, _root_classes
 
@@ -404,20 +405,21 @@ def column_ledger(B: int, As) -> list:
     Entry i belongs to As[i]: that tuple, or the ValueError or RuntimeError
     its ledger raised (for an A that is no family member, the one CurvePair
     raises).  g1 and g2 count the odd primes of A^2-4B and of B, n_additive
-    those of both.  With D = A^2 - 4B, over the span of the A's:
+    those of both.  The sieve finds which A share a place, and each rule is
+    read from the function that states it.  With D = A^2 - 4B, over the A's:
+    - members: the singular A and moduli of curve_family._column_rule.
     - odd p | B (read off the sieve's prime list): p divides D exactly when
-      p | A.  Those A are additive at p and get additive_factor, the closed
-      form of 2 c'_p / c_p (no Tate run); every other A gets -1 if v_p(B) is
-      odd or (A/p) = 1, from one Legendre symbol per residue class of A mod p.
+      p | A.  Those A are additive at p and read `additive_factor`; every
+      other residue class a mod p reads `mult_factor(a, B, p)` once.
     - odd p not dividing B, up to isqrt(max |D|): p divides D exactly on the
       root classes A = r with r^2 = 4B (mod p) (statistics._root_classes).
       Each hit divides p out of its running |D|; it gets +1 if v_p(D) is odd
-      or the reduction is split, where (-2AB/p) = (-2r/p) since 4B = r^2.
+      or `classify_reduction` calls the class split.
     - the cofactor: what is left of |D| once its 2s are gone has no prime
       factor up to isqrt(max |D|), so it is 1 or one prime q with q || D
       (q does not divide B), which adds +1 to t and to g1.
-    - place 2 by 2-adic classes of A (_place_two_sieve); the real place has
-      its closed form.
+    - place 2 by 2-adic classes of A (_place_two_sieve); the real place from
+      `factor_at_infinity`.
     """
     As = list(As)
     if not As:
@@ -431,17 +433,14 @@ def column_ledger(B: int, As) -> list:
     g1 = [0] * width
     additive = {}  # index -> the odd primes of gcd(A, B), ascending
     bprimes = [p for p in ps if B % p == 0]
-    # the A of no family member, where CurvePair raises: singular, or p^2 | A
-    # with p^4 | B (so additive_factor only sees reduced models)
-    r = isqrt(B) if B > 0 else 0
-    non_members = {A - lo for A in (-2 * r, 2 * r) if r * r == B and 0 <= A - lo < width}
-    for p in [2] + bprimes:
-        if B % p**4 == 0:
-            non_members.update(range(-lo % (p * p), width, p * p))
+    # the A of no family member, where CurvePair raises
+    moduli, singular, _ = _column_rule(B, max(-lo, lo + width - 1))
+    non_members = {A - lo for A in singular if 0 <= A - lo < width}
+    for m in moduli:
+        non_members.update(range(-lo % m, width, m))
     for p in bprimes:
-        odd_vb = _vp(B, p) & 1
-        for a in range(1, p):
-            if odd_vb or jacobi(a, p) == 1:
+        for a in range(1, p):  # a nonsingular representative, multiplicative at p
+            if mult_factor(a, B, p) == 1:
                 for i in range((a - lo) % p, width, p):
                     t[i] -= 1
         for i in range(-lo % p, width, p):
@@ -456,7 +455,8 @@ def column_ledger(B: int, As) -> list:
         if b == 0:
             continue
         for r in _root_classes(p, b):
-            split = jacobi(-2 * r % p, p) == 1
+            a = r if r * r != 4 * B else r + p  # at most one of r, r + p is singular
+            split = classify_reduction(a, B, p) is ReductionType.MULT_SPLIT
             for i in range((r - lo) % p, width, p):
                 n, v = rem[i], 0
                 while n % p == 0:
@@ -467,7 +467,6 @@ def column_ledger(B: int, As) -> list:
                 if v & 1 or split:
                     t[i] += 1
     g2 = len(bprimes)
-    b_positive = B > 0  # the real place gives 0 if B > 0 and (A < 0 or A^2 < 4B), else -1
     image_at_two = _place_two_sieve(B, lo, width)
     out = []
     for A in As:
@@ -483,9 +482,7 @@ def column_ledger(B: int, As) -> list:
         except (ValueError, RuntimeError) as exc:
             out.append(exc)
             continue
-        total += w2.bit_count().bit_length() - 2
-        if not (b_positive and (A < 0 or A * A < 4 * B)):
-            total -= 1
+        total += w2.bit_count().bit_length() - 2 + factor_at_infinity(A, B).bit_length() - 2
         out.append((total, g1[i] + cofactor, g2, len(adds), w2))
     return out
 

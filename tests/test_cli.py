@@ -253,7 +253,7 @@ def test_no_include_square_disc_drops_flagged_rows(extra, tmp_path):
         out = tmp_path / f"{flag}.csv"
         argv = ["compute", "--xmax", "60", "--threads", "1", flag, "--out", str(out)]
         assert main(argv + extra) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert rows
         flagged[flag] = sum(r["square_disc_flag"] == "1" for r in rows)
     assert flagged["--no-include-square-disc"] == 0
@@ -361,7 +361,7 @@ def test_compute_csv_roundtrip(tmp_path):
     out = tmp_path / "records.csv"
     code = main(["compute", "--xmax", "30", "--with-descent", "--out", str(out), "--threads", "1"])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) > 100
     assert list(rows[0].keys()) == list(RECORD_FIELDS)
     for r in rows:

@@ -227,7 +227,7 @@ def test_factor_at_two_exact_on_deep_columns(B, scan_oracle):
 
 
 def test_sieve_replays_the_scan_on_the_x1000_window(scan_oracle, monkeypatch):
-    # every curve of E(10^3); 7,152 runs of the loop at 2 settle all 123,052
+    # every curve of E(10^3); 6,986 runs of the loop at 2 settle all 123,052
     runs = []
     loop = descent._dual_images
 
@@ -504,8 +504,10 @@ def test_column_ledger_errors_stay_with_their_curve(monkeypatch):
 
 def test_column_ledger_gives_non_members_the_curve_pair_error():
     # p^2 | A with p^4 | B is no family member: column_ledger(81, [9]) once
-    # returned a row for (9, 81), and at 2 for (4, 16)
-    for B, A in ((81, 9), (-81, 0), (16, 4), (1, 2)):
+    # returned a row for (9, 81), and at 2 for (4, 16).  B = +-1296 = +-2^4 3^4
+    # carries both moduli 4 and 9, so each of them must be read; (72, 1296) is
+    # singular as well
+    for B, A in ((81, 9), (-81, 0), (16, 4), (1, 2), (1296, 4), (1296, 18), (1296, 72), (-1296, 54)):
         rows = local_analysis.column_ledger(B, [A - 1, A, A + 1])
         with pytest.raises(ValueError) as want:
             CurvePair(A, B)
