@@ -9,10 +9,10 @@ identical for any thread count.  A full-window column (`compute` without
 column builds each record with `curve_record` from the per-curve ledger,
 whose odd places also give g1, g2 and the descent's place list.
 `--with-descent` runs the descent per curve (`descent.local_masks`: one
-duality loop finds both sides' images at each finite place; place 2 is the
-ledger's, found once per curve or per 2-adic class), and `_record`,
-the one function that turns a ledger row into its record tuple, asserts
-that the descent's t equals the ledger total.  `verify` visits each
+duality loop finds both sides' images at each finite place, 2 included),
+and `_record`, the one function that turns a ledger row into its record
+tuple, asserts that the descent's t equals the ledger total, so at 2 it
+checks the ledger's own route, the class sieve too.  `verify` visits each
 curve once and every per-curve suite reads its ledger and its exhaustive
 images (every class tested on each side), so its duality suites test
 duality instead of assuming it.
@@ -51,7 +51,7 @@ from .curve_family import (
     enumerate_window,
     window_columns,
 )
-from .descent import INF_PLACE, _images_at, local_masks, relevant_places, selmer_phi, selmer_phihat
+from .descent import INF_PLACE, local_masks, relevant_places, selmer_phi, selmer_phihat
 from .local_analysis import column_ledger, tamagawa_exponent
 
 __all__ = ["RunConfig", "main", "entrypoint", "run_verification", "curve_record"]
@@ -109,24 +109,23 @@ def _odd_place_counts(c: CurvePair, odd) -> tuple[int, int, int]:
 
 def curve_record(c: CurvePair, with_descent: bool = False) -> tuple:
     """The record of one curve from its ledger, whose places the descent
-    reads; with the descent, the phi image at 2 is found once, for both."""
-    w2 = _images_at(c.A, c.B, 2)[0] if with_descent else None
-    ledger = tamagawa_exponent(c, w2)
+    reads."""
+    ledger = tamagawa_exponent(c)
     odd = ledger.entries[:-2]  # then 2 and inf
     g1, g2, _ = _odd_place_counts(c, odd)
     places = [INF_PLACE, 2] + [e.place for e in odd] if with_descent else None
-    return _record(c.A, c.B, (ledger.total, g1, g2, sum(e.additive for e in odd), w2), places)
+    return _record(c.A, c.B, (ledger.total, g1, g2, sum(e.additive for e in odd)), places)
 
 
 def _record(A: int, B: int, row: tuple, places: list | None = None) -> tuple:
     """The record tuple (RECORD_FIELDS order) of a ledger row (t_total, g1,
-    g2, n_additive, w2), w2 the ledger's phi image at 2 or None.  Given the
-    curve's places, the descent runs over them, reading place 2 from w2, and
-    its t must equal the ledger's (the product formula)."""
-    t_total, g1, g2, n_add, w2 = row
+    g2, n_additive).  Given the curve's places, the descent runs over them
+    with its own local images, and its t must equal the ledger's (the
+    product formula)."""
+    t_total, g1, g2, n_add = row
     t_descent = dim_phi = dim_phihat = None
     if places is not None:
-        masks = local_masks(A, B, places, w2)
+        masks = local_masks(A, B, places)
         dim_phi, dim_phihat = selmer_phi(A, B, masks).dim, selmer_phihat(A, B, masks).dim
         t_descent = dim_phi - dim_phihat
         if t_descent != t_total:
@@ -433,7 +432,7 @@ def run_verification(xmax: int, sample: int | None = None, seed: int = 0, report
                     fails["factor_table_vs_tate"].append((A, B, e.place))
 
         # decomposition bound
-        parts = decompose_total(c, ledger)
+        parts = decompose_total(ledger)
         g1, g2, repeated = _odd_place_counts(c, odd)
         lhs = abs(ledger.total - (g1 - g2) - parts["t_add"] - parts["e2"] - parts["einf"])
         checked["decomposition_bound"] += 1

@@ -608,10 +608,10 @@ def relevant_places(A: int, B: int) -> list:
     return [INF_PLACE, 2] + odd
 
 
-def local_masks(A: int, B: int, places, w2: int | None = None) -> dict:
+def local_masks(A: int, B: int, places) -> dict:
     """{v: (phi mask, phihat mask)}: both sides' local images at each place
-    (_images_at), at 2 (w2, _ORTH[w2]) if the caller has the phi image w2."""
-    return {v: (w2, _ORTH[w2]) if v == 2 and w2 is not None else _images_at(A, B, v) for v in places}
+    (_images_at), found by the descent itself at 2 as at every other place."""
+    return {v: _images_at(A, B, v) for v in places}
 
 
 def _exhaustive_masks(A: int, B: int, places) -> dict:

@@ -160,11 +160,11 @@ def _multiple_root_cubic(c0: int, c1: int, c2: int, p: int) -> int | None:
     return (-g[1] * pow(2, -1, p)) % p
 
 
-def tate_local_data(A: int, B: int, p: int, a6: int = 0) -> tuple[str, int, int]:
+def tate_local_data(A: int, B: int, p: int) -> tuple[str, int, int]:
     """(Kodaira symbol, Tamagawa number, ord_p of the minimal discriminant)
-    for y^2 = x^3 + A x^2 + B x + a6 at an odd prime p."""
+    for y^2 = x^3 + A x^2 + B x at an odd prime p (a6 = 0 until translated)."""
     _check_odd_prime(p)
-    a2, a4 = A, B
+    a2, a4, a6 = A, B, 0
     while True:
         b2, b4, b6 = 4 * a2, 2 * a4, 4 * a6
         b8 = 4 * a2 * a6 - a4 * a4
@@ -355,15 +355,15 @@ def additive_factor(A: int, B: int, p: int) -> int:
     raise ValueError(f"non-reduced pair (A, B) = ({A}, {B})")
 
 
-def tamagawa_exponent(c: CurvePair, w2: int | None = None) -> LocalFactorLedger:
+def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
     """Ledger of local factors whose exponents sum to the ratio exponent t(A, B).
 
     The odd places are those of descent.relevant_places.  One that divides
     both B and A^2-4B is additive and reads 2 c'_p / c_p from
     `additive_factor`, as `column_ledger` does; the others are
-    multiplicative and use the closed-form table.  Place 2 is the size of
-    the phi image w2 when the caller has it (and hands it to the descent
-    too), else factor_at_two; the real place has its closed form.
+    multiplicative and use the closed-form table.  Place 2 reads
+    factor_at_two and the real place its closed form; the descent finds its
+    own images at 2, so `--with-descent` checks this ledger's.
     """
     A, B, D = c.A, c.B, c.dualB
     entries = []
@@ -371,7 +371,7 @@ def tamagawa_exponent(c: CurvePair, w2: int | None = None) -> LocalFactorLedger:
         additive = B % p == 0 and D % p == 0
         size = additive_factor(A, B, p) if additive else mult_factor(A, B, p)
         entries.append(_entry(p, size, additive))
-    entries.append(_entry(2, factor_at_two(A, B) if w2 is None else w2.bit_count()))
+    entries.append(_entry(2, factor_at_two(A, B)))
     entries.append(_entry(INF_PLACE, factor_at_infinity(A, B)))
     return LocalFactorLedger(tuple(entries), sum(e.exponent for e in entries))
 
@@ -397,10 +397,9 @@ def _place_two_sieve(B: int, lo: int, width: int):
 
 
 def column_ledger(B: int, As) -> list:
-    """(t_total, g1, g2, n_additive, w2) of each curve (A, B) of one column,
-    for ascending A's, with the odd places found by one sieve instead of by
-    factoring each curve, and place 2 by one run per 2-adic class of A; w2
-    is the phi image at 2 (a class mask), which the descent can read.
+    """(t_total, g1, g2, n_additive) of each curve (A, B) of one column, for
+    ascending A's, with the odd places found by one sieve instead of by
+    factoring each curve, and place 2 by one run per 2-adic class of A.
 
     Entry i belongs to As[i]: that tuple, or the ValueError or RuntimeError
     its ledger raised (for an A that is no family member, the one CurvePair
@@ -478,20 +477,18 @@ def column_ledger(B: int, As) -> list:
             if i in non_members:
                 CurvePair(A, B)  # raises the ValueError that says why
             total = t[i] + cofactor + sum(additive_factor(A, B, p).bit_length() - 2 for p in adds)
-            w2 = image_at_two(A)
+            total += image_at_two(A).bit_count().bit_length() - 2
         except (ValueError, RuntimeError) as exc:
             out.append(exc)
             continue
-        total += w2.bit_count().bit_length() - 2 + factor_at_infinity(A, B).bit_length() - 2
-        out.append((total, g1[i] + cofactor, g2, len(adds), w2))
+        total += factor_at_infinity(A, B).bit_length() - 2
+        out.append((total, g1[i] + cofactor, g2, len(adds)))
     return out
 
 
-def decompose_total(c: CurvePair, ledger: LocalFactorLedger) -> dict:
-    """Split the ledger total into multiplicative, additive, 2-adic and real parts.
-
-    The reduction kinds are the ones the ledger recorded for c.
-    """
+def decompose_total(ledger: LocalFactorLedger) -> dict:
+    """Split the ledger total into multiplicative, additive, 2-adic and real
+    parts, by the reduction kinds the ledger recorded."""
     t_mult = t_add = 0
     for e in ledger.entries:
         if e.place in (2, INF_PLACE):

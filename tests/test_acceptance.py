@@ -57,7 +57,7 @@ def _mid_column_stats(B: int):
     tvals, fac_fail, dec_fail = [], [], []
     for c in (CurvePair(A, B) for A in column_members(B, X_MID)):
         led = tamagawa_exponent(c)
-        parts = decompose_total(c, led)
+        parts = decompose_total(led)
         for p in places(c.A, c.B)[2:]:
             if classify_reduction(c.A, c.B, p).is_multiplicative:
                 cp = tamagawa_number(c.A, c.B, p)

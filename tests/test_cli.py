@@ -478,7 +478,7 @@ def test_verify_empty_window():
 def test_output_record_consistency_guard():
     t = descent_exponent(1, 3)
     with pytest.raises(AssertionError, match=rf"product formula violated at \(1, 3\): ledger {t + 1} != descent {t}"):
-        cli._record(1, 3, (t + 1, 0, 0, 0, None), relevant_places(1, 3))
+        cli._record(1, 3, (t + 1, 0, 0, 0), relevant_places(1, 3))
 
 
 @pytest.mark.parametrize(
@@ -496,6 +496,22 @@ def test_pipeline_enforces_the_product_formula(flags, tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "selmer_phihat", off_by_one)
     out = tmp_path / "records.csv"
     assert main(["compute", "--with-descent", "--out", str(out)] + flags) == 1
+    assert "verification failure: product formula violated" in capsys.readouterr().err
+
+
+def test_pipeline_checks_the_column_sieve_at_two(tmp_path, capsys, monkeypatch):
+    # a sieve told that the loop read one 2-adic digit of A fewer than it did
+    # fills a class mod 2^(N-1) with one image; the descent finds its own
+    # images at 2, so a full-window run meets a curve whose ledger is wrong
+    loop = local_analysis._dual_images
+
+    def short(A, B, v):
+        w, what, n = loop(A, B, v)
+        return w, what, n - 1
+
+    monkeypatch.setattr(local_analysis, "_dual_images", short)
+    out = tmp_path / "records.csv"
+    assert main(["compute", "--xmax", "30", "--threads", "1", "--with-descent", "--out", str(out)]) == 1
     assert "verification failure: product formula violated" in capsys.readouterr().err
 
 

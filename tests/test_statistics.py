@@ -218,16 +218,14 @@ def _reference_family_scan(X, z, density_primes):
 # X = 2 and 4 bring in B = -1 (A = 0 has the square discriminant 4) and
 # B = 1 (A = +-2 singular); at X = 1000 the columns B = +-16 exclude A = 0.
 @pytest.mark.parametrize("X", [0, 1, 2, 4, 16, 255, 256, 300, 1000, 1296, 6561])
-@pytest.mark.parametrize("density_primes", [_DENSITY_PRIMES, (3, 11, 13)])
+@pytest.mark.parametrize("density_primes", [_DENSITY_PRIMES])
 def test_family_scan_matches_discriminant_scan(X, density_primes):
-    # the reference counts the given density primes, the scan always counts
-    # _DENSITY_PRIMES; everything else is compared whole
+    # the reference counts the scan's density primes, in order, and the scan
+    # is compared whole (one value, so the cases keep their ids)
     for z in (3, 4, 10, 30, 100):
-        ref = _reference_family_scan(X, z, density_primes)
         scan = family_scan(X, z)
-        counts = scan["density_counts"]
-        assert tuple(counts) == _DENSITY_PRIMES
-        assert {**scan, "density_counts": {p: counts[p] for p in density_primes}} == ref
+        assert tuple(scan["density_counts"]) == density_primes
+        assert scan == _reference_family_scan(X, z, density_primes)
 
 
 def test_empirical_zero_degree_is_one():
