@@ -18,7 +18,6 @@ from .core_arith import (
 )
 from .curve_family import (
     CurvePair,
-    FamilyWindow,
     count_window,
     density_delta,
     density_rho,

@@ -43,7 +43,6 @@ from . import statistics as stats
 from .core_arith import is_square
 from .curve_family import (
     CurvePair,
-    FamilyWindow,
     column_count,
     column_members,
     column_unrank,
@@ -365,7 +364,7 @@ def run_verification(xmax: int, sample: int | None = None, seed: int = 0, report
     from .local_analysis import decompose_total, tamagawa_number
 
     if sample is None:
-        curves = enumerate_window(FamilyWindow(xmax))
+        curves = enumerate_window(xmax)
     else:
         keep = sample_keys(xmax, True, sample, seed)
         curves = (CurvePair(A, B) for B, As in keep.items() for A in As)

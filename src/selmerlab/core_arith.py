@@ -50,6 +50,11 @@ def primes_below(n: int) -> list[int]:
     return list(itertools.compress(range(n), sieve))
 
 
+@lru_cache(maxsize=None)
+def _odd_primes_below(z: int) -> tuple[int, ...]:
+    return tuple(p for p in primes_below(z) if p != 2)
+
+
 def _sieve() -> list[int]:
     global _small_primes
     if _small_primes is None:
@@ -291,3 +296,20 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         t = t * c % p
         r = r * b % p
     return r
+
+
+@lru_cache(maxsize=4096)
+def _root_classes(p: int, b: int) -> tuple[int, ...]:
+    """The residues r mod p, ascending, with r^2 = 4b (mod p), for an odd
+    prime p and b = B mod p.
+
+    So p divides A^2 - 4B exactly when A is congruent to one of them: at
+    most two roots, just r = 0 when p | B.  They are r = +-2 sqrt(b), one
+    modular square root each, so no table of size p is built (over every
+    prime below 10^4 such tables would hold about 360 MB).
+    """
+    s = sqrt_mod_p(b, p)
+    if s is None:
+        return ()
+    r = 2 * s % p
+    return (r,) if r == 0 else tuple(sorted((r, p - r)))

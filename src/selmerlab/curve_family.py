@@ -8,14 +8,18 @@ p^2).  Enumeration is lexicographic in (B, A) and deterministic.
 The column filter is written once, in `_column_rule`; `column_members`
 iterates it, `column_count` and `column_unrank` count it in closed form,
 `statistics.family_scan` masks it, and `local_analysis.column_ledger` reads
-its non-members from it.  `is_member` tests a single pair.
+its non-members from it.  `is_member` tests a single pair, and
+`enumerate_window(X)` walks the columns of `window_columns(X)` in order.
+
+`CurvePair(A, B)` takes only A and B: the companion's coefficients and
+whether the two-torsion is all rational are worked out from them.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -23,7 +27,6 @@ from .core_arith import factor, is_prime, is_square
 
 __all__ = [
     "CurvePair",
-    "FamilyWindow",
     "is_member",
     "enumerate_window",
     "count_window",
@@ -45,15 +48,15 @@ class CurvePair:
     """A family member (A, B) with its isogeny-dual data.
 
     dualA, dualB are the coefficients of the companion curve
-    y^2 = x^3 - 2A x^2 + (A^2-4B) x; disc = 16 B^2 (A^2-4B).
+    y^2 = x^3 - 2A x^2 + (A^2-4B) x, and twoTorsionFull says that A^2-4B
+    is a nonzero square; all three are derived from A and B.
     """
 
     A: int
     B: int
-    dualA: int = 0
-    dualB: int = 0
-    disc: int = 0
-    twoTorsionFull: bool = False
+    dualA: int = field(init=False)
+    dualB: int = field(init=False)
+    twoTorsionFull: bool = field(init=False)
 
     def __post_init__(self):
         A, B = self.A, self.B
@@ -64,18 +67,7 @@ class CurvePair:
             raise ValueError(f"non-reduced pair (A, B) = ({A}, {B})")
         object.__setattr__(self, "dualA", -2 * A)
         object.__setattr__(self, "dualB", d)
-        object.__setattr__(self, "disc", 16 * B * B * d)
         object.__setattr__(self, "twoTorsionFull", d > 0 and is_square(d))
-
-
-@dataclass(frozen=True)
-class FamilyWindow:
-    X: int
-    includeSquareDisc: bool = True
-
-    def __post_init__(self):
-        if self.X < 0:
-            raise ValueError("window height must be nonnegative")
 
 
 def _fourth_power_primes(B: int) -> list[int]:
@@ -115,10 +107,13 @@ def dual_coefficients(A: int, B: int) -> tuple[int, int]:
     return (-2 * A, A * A - 4 * B)
 
 
-def enumerate_window(w: FamilyWindow) -> Iterator[CurvePair]:
-    """Yield each member exactly once, ordered lexicographically by (B, A)."""
-    for B in window_columns(w.X):
-        for A in column_members(B, w.X, w.includeSquareDisc):
+def enumerate_window(X: int, include_square_disc: bool = True) -> Iterator[CurvePair]:
+    """Yield each member of the window of height X exactly once, ordered
+    lexicographically by (B, A); X must be nonnegative."""
+    if X < 0:
+        raise ValueError("window height must be nonnegative")
+    for B in window_columns(X):
+        for A in column_members(B, X, include_square_disc):
             yield CurvePair(A, B)
 
 

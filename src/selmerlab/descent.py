@@ -66,7 +66,7 @@ duality is checked there, not assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from ._polymod import pmod_trim, quadratic_roots, roots_mod_p
@@ -128,23 +128,27 @@ class TorsorQuartic:
 
 @dataclass(frozen=True)
 class SelmerSet:
-    """A finite subgroup of square classes with its F_2-dimension."""
+    """A finite subgroup of square classes with its F_2-dimension.
+
+    The classes must hold 1 and be closed under multiplication mod squares;
+    a finite such set of square classes is an F_2-space, so its size is a
+    power of 2 and dim = log2(len(classes)).
+    """
 
     side: Side
     classes: frozenset[int]
-    dim: int
+    dim: int = field(init=False)
 
     def __post_init__(self):
         # classes are squarefree, so the class of x*y is x*y / gcd(x, y)^2
         cl = self.classes
         if 1 not in cl:
             raise ValueError("identity class missing")
-        if len(cl) != 1 << self.dim:
-            raise ValueError("class count is not 2^dim")
         for x in cl:
             for y in cl:
                 if x * y // math.gcd(x, y) ** 2 not in cl:
                     raise ValueError("classes not closed under multiplication mod squares")
+        object.__setattr__(self, "dim", len(cl).bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +563,6 @@ def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
     return got[0], got[1], n
 
 
-def _images_at(A: int, B: int, v) -> tuple[int, int]:
-    """(W, W^) at the place v: the real solvability test of each side's
-    class -1 at inf, _dual_images at a finite place."""
-    if v == INF_PLACE:
-        return 1 | _real_solvable(-1, -2 * A, A * A - 4 * B) << 1, 1 | _real_solvable(-1, A, B) << 1
-    return _dual_images(A, B, v)[:2]
-
-
 def _local_image_tags(a: int, b: int, v) -> int:
     """Mask of the classes whose torsor (with coefficients a, b) is Q_v-solvable.
 
@@ -609,9 +605,16 @@ def relevant_places(A: int, B: int) -> list:
 
 
 def local_masks(A: int, B: int, places) -> dict:
-    """{v: (phi mask, phihat mask)}: both sides' local images at each place
-    (_images_at), found by the descent itself at 2 as at every other place."""
-    return {v: _images_at(A, B, v) for v in places}
+    """{v: (phi mask, phihat mask)}: both sides' local images at each place,
+    from the real solvability of each side's class -1 at inf and from
+    _dual_images at every finite place, 2 included."""
+    out = {}
+    for v in places:
+        if v == INF_PLACE:
+            out[v] = 1 | _real_solvable(-1, -2 * A, A * A - 4 * B) << 1, 1 | _real_solvable(-1, A, B) << 1
+        else:
+            out[v] = _dual_images(A, B, v)[:2]
+    return out
 
 
 def _exhaustive_masks(A: int, B: int, places) -> dict:
@@ -643,7 +646,7 @@ def _selmer(A: int, B: int, side: Side, masks: dict | None = None) -> SelmerSet:
     n = len(classes)
     if n & (n - 1):
         raise AssertionError(f"class count {n} is not a power of two at ({A}, {B})")
-    return SelmerSet(side, frozenset(classes), n.bit_length() - 1)
+    return SelmerSet(side, frozenset(classes))
 
 
 def selmer_phi(A: int, B: int, masks: dict | None = None) -> SelmerSet:

@@ -28,8 +28,9 @@ took once B is fixed, so inside a B column one run settles the whole class
 A mod 2^N (see the descent module).
 
 Every local size is |H^1| of the local condition group at that place, a
-power of 2 between 1 and 8; the ledger stores exponent = log2(size) - 1 so
-that good places contribute 0 and the total is the Tamagawa-ratio exponent.
+power of 2 between 1 and 8; the ledger stores each place's size, and reads
+its exponent log2(size) - 1, so that good places contribute 0 and the
+total, the sum of the exponents, is the Tamagawa-ratio exponent.
 
 `tamagawa_exponent` builds one curve's ledger from the factorization of
 B (A^2-4B).  `column_ledger` gives the same totals for a whole B column by
@@ -49,10 +50,9 @@ from dataclasses import dataclass
 from math import isqrt
 
 from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
-from .core_arith import _vp, factor, is_prime, jacobi, ord_p
+from .core_arith import _odd_primes_below, _root_classes, _vp, factor, is_prime, jacobi, ord_p
 from .curve_family import CurvePair, _column_rule
-from .descent import INF_PLACE, _dual_images, _images_at, relevant_places
-from .statistics import _odd_primes_below, _root_classes
+from .descent import INF_PLACE, _dual_images, relevant_places
 
 __all__ = [
     "ReductionType",
@@ -162,7 +162,19 @@ def _multiple_root_cubic(c0: int, c1: int, c2: int, p: int) -> int | None:
 
 def tate_local_data(A: int, B: int, p: int) -> tuple[str, int, int]:
     """(Kodaira symbol, Tamagawa number, ord_p of the minimal discriminant)
-    for y^2 = x^3 + A x^2 + B x at an odd prime p (a6 = 0 until translated)."""
+    for y^2 = x^3 + A x^2 + B x at an odd prime p.
+
+    Only the exits this family reaches are written: I0, I_n, III, I0*, I_n*
+    and III*.  a6 = 0 at every additive step: there the cubic is x^3 mod p,
+    so the translation is by 0; the scaled cubic T (T^2 + (a2/p) T +
+    a4/p^2) has a triple root only at 0; and rescaling keeps a6 = 0.  So
+    v(a6) never ends the search, and II, IV, IV* and II* (Silverman,
+    Advanced Topics, IV.9, steps 3, 5, 8 and 10) cannot occur.  Likewise
+    c_p is even at an additive fibre, while those four types have c_p = 1
+    or 3: E_0(Q_p), an extension of the additive group F_p by the pro-p
+    group E_1(Q_p), has no point of order 2, so the 2-torsion point (0, 0)
+    lies outside it.  At p = 2 these fibres do occur, so this is odd p
+    only."""
     _check_odd_prime(p)
     a2, a4, a6 = A, B, 0
     while True:
@@ -180,13 +192,9 @@ def tate_local_data(A: int, B: int, p: int) -> tuple[str, int, int]:
         if a2 % p:
             split = jacobi(a2 % p, p) == 1
             return f"I{n}", (n if split else (2 if n % 2 == 0 else 1)), n
-        if _vp(a6, p) < 2:
-            return "II", 1, n
         if _vp(4 * a2 * a6 - a4 * a4, p) < 3:
             return "III", 2, n
-        if _vp(a6, p) < 3:
-            return "IV", (3 if jacobi((a6 // p**2) % p, p) == 1 else 1), n
-        # now v(a2) >= 1, v(a4) >= 2, v(a6) >= 3
+        # now v(a2) >= 1, v(a4) >= 2, a6 = 0
         al, be, ga = a2 // p, a4 // p**2, a6 // p**3
         t0 = _multiple_root_cubic(ga % p, be % p, al % p, p)
         if t0 is None:
@@ -216,16 +224,11 @@ def tate_local_data(A: int, B: int, p: int) -> tuple[str, int, int]:
                 if m > n:
                     raise RuntimeError("runaway fiber subloop; non-integral input?")
         else:
-            # triple root
-            if _vp(a6, p) == 4:
-                q = a6 // p**4
-                return "IV*", (3 if jacobi(q % p, p) == 1 else 1), n
+            # triple root, at t0 = 0, so a6 = 0 still
             if _vp(a4, p) == 3:
                 return "III*", 2, n
-            if _vp(a6, p) == 5:
-                return "II*", 1, n
             # non-minimal at p: rescale (x, y) -> (p^2 x, p^3 y) and restart
-            assert a2 % p**2 == 0 and a4 % p**4 == 0 and a6 % p**6 == 0
+            assert a2 % p**2 == 0 and a4 % p**4 == 0 and a6 == 0
             a2, a4, a6 = a2 // p**2, a4 // p**4, a6 // p**6
 
 
@@ -254,17 +257,21 @@ def factor_at_infinity(A: int, B: int) -> int:
 
 def factor_at_two(A: int, B: int) -> int:
     """2-adic local condition size in {1, 2, 4, 8}: the size of the phi
-    image, from one run of the duality loop (descent._images_at), the
-    per-curve accessor.  The exhaustive image is local_image(A, B, 2, "phi")."""
-    return _images_at(A, B, 2)[0].bit_count()
+    image, from one run of the duality loop (descent._dual_images).  The
+    exhaustive image is local_image(A, B, 2, "phi")."""
+    return _dual_images(A, B, 2)[0].bit_count()
 
 
 @dataclass(frozen=True)
 class LedgerEntry:
     place: object  # an odd prime, 2, or "inf"
     size: int
-    exponent: int
     additive: bool = False  # additive reduction at an odd prime
+
+    @property
+    def exponent(self) -> int:
+        """log2(size) - 1, so that a place of size 2 contributes 0."""
+        return self.size.bit_length() - 2
 
 
 @dataclass(frozen=True)
@@ -272,33 +279,27 @@ class LocalFactorLedger:
     """Per-place local condition sizes and their base-2 exponents.
 
     Entries cover every odd prime of bad reduction (ascending), then the
-    places 2 and infinity; exponent = log2(size) - 1 and total is their sum.
+    places 2 and infinity; total is the sum of their exponents.  Each size
+    must be one the place allows.
     """
 
     entries: tuple[LedgerEntry, ...]
-    total: int
 
     def __post_init__(self):
-        tot = 0
         for e in self.entries:
             allowed = {1, 2} if e.place == INF_PLACE else ({1, 2, 4, 8} if e.place == 2 else {1, 2, 4})
             if e.size not in allowed:
                 raise ValueError(f"size {e.size} not allowed at place {e.place}")
-            if e.exponent != e.size.bit_length() - 2:
-                raise ValueError("exponent is not log2(size) - 1")
-            tot += e.exponent
-        if tot != self.total:
-            raise ValueError("total does not match the exponent sum")
+
+    @property
+    def total(self) -> int:
+        return sum(e.exponent for e in self.entries)
 
     def exponent_at(self, place) -> int:
         for e in self.entries:
             if e.place == place:
                 return e.exponent
         return 0
-
-
-def _entry(place, size: int, additive: bool = False) -> LedgerEntry:
-    return LedgerEntry(place, size, size.bit_length() - 2, additive)
 
 
 def additive_factor(A: int, B: int, p: int) -> int:
@@ -370,10 +371,10 @@ def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
     for p in relevant_places(A, B)[2:]:  # the odd primes of B (A^2 - 4B), ascending
         additive = B % p == 0 and D % p == 0
         size = additive_factor(A, B, p) if additive else mult_factor(A, B, p)
-        entries.append(_entry(p, size, additive))
-    entries.append(_entry(2, factor_at_two(A, B)))
-    entries.append(_entry(INF_PLACE, factor_at_infinity(A, B)))
-    return LocalFactorLedger(tuple(entries), sum(e.exponent for e in entries))
+        entries.append(LedgerEntry(p, size, additive))
+    entries.append(LedgerEntry(2, factor_at_two(A, B)))
+    entries.append(LedgerEntry(INF_PLACE, factor_at_infinity(A, B)))
+    return LocalFactorLedger(tuple(entries))
 
 
 def _place_two_sieve(B: int, lo: int, width: int):
@@ -411,7 +412,7 @@ def column_ledger(B: int, As) -> list:
       p | A.  Those A are additive at p and read `additive_factor`; every
       other residue class a mod p reads `mult_factor(a, B, p)` once.
     - odd p not dividing B, up to isqrt(max |D|): p divides D exactly on the
-      root classes A = r with r^2 = 4B (mod p) (statistics._root_classes).
+      root classes A = r with r^2 = 4B (mod p) (core_arith._root_classes).
       Each hit divides p out of its running |D|; it gets +1 if v_p(D) is odd
       or `classify_reduction` calls the class split.
     - the cofactor: what is left of |D| once its 2s are gone has no prime

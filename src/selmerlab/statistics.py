@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .core_arith import factor, primes_below, sqrt_mod_p
+from .core_arith import _odd_primes_below, _root_classes, factor
 from .curve_family import _column_rule, density_rho, window_columns
 
 __all__ = [
@@ -44,11 +44,6 @@ __all__ = [
     "family_scan",
     "normal_cdf",
 ]
-
-
-@lru_cache(maxsize=None)
-def _odd_primes_below(z: int) -> tuple[int, ...]:
-    return tuple(p for p in primes_below(z) if p != 2)
 
 
 def _count_odd_prime_divisors(n: int, z) -> int:
@@ -80,31 +75,24 @@ def rho_sum(z: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PrimeModel:
-    """Joint per-prime divisibility model up to the cut z."""
+    """Joint per-prime divisibility model up to the cut z.
+
+    perPrime holds one row (p, both, only1, only2, neither) per odd prime
+    p < z: the probabilities that p divides both of A^2-4B and B, only one
+    of them (rho(p) - both each), or neither.
+    """
 
     z: int
-    perPrime: tuple[tuple[int, Fraction, Fraction, Fraction, Fraction], ...]
+    perPrime: tuple[tuple[int, Fraction, Fraction, Fraction, Fraction], ...] = field(init=False)
 
-    @classmethod
-    def build(cls, z: int) -> "PrimeModel":
+    def __post_init__(self):
         rows = []
-        for p in _odd_primes_below(z):
+        for p in _odd_primes_below(self.z):
             rho = density_rho(p)
             both = Fraction(p**4 - 1, p**6 - 1)
             only = rho - both
-            neither = 1 - 2 * rho + both
-            rows.append((p, both, only, only, neither))
-        return cls(z, tuple(rows))
-
-    def __post_init__(self):
-        for p, both, o1, o2, neither in self.perPrime:
-            rho = density_rho(p)
-            if both != Fraction(p**4 - 1, p**6 - 1) or both + o1 != rho or both + o2 != rho:
-                raise ValueError(f"inconsistent row at p={p}")
-            if both + o1 + o2 + neither != 1:
-                raise ValueError(f"probabilities at p={p} do not sum to 1")
-            if not all(0 <= q <= 1 for q in (both, o1, o2, neither)):
-                raise ValueError(f"probability out of range at p={p}")
+            rows.append((p, both, only, only, 1 - 2 * rho + both))
+        object.__setattr__(self, "perPrime", tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -183,7 +171,7 @@ def _model_centered_table(z: int, kmax: int) -> dict:
     """
     degrees = _degrees(kmax)
     total = dict.fromkeys(degrees, Fraction(0))
-    for row in PrimeModel.build(z).perPrime:
+    for row in PrimeModel(z).perPrime:
         d, kappa = _scaled_cumulants(row, kmax)
         for (i, j), k in kappa.items():
             if i + j >= 2:
@@ -283,23 +271,6 @@ def cdf_distance(values, X: int) -> float:
 # ---------------------------------------------------------------------------
 # vectorized whole-family scan (one pass per B column)
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=4096)
-def _root_classes(p: int, b: int) -> tuple[int, ...]:
-    """The residues r mod p, ascending, with r^2 = 4b (mod p), for an odd
-    prime p and b = B mod p.
-
-    So p divides A^2 - 4B exactly when A is congruent to one of them: at
-    most two roots, just r = 0 when p | B.  They are r = +-2 sqrt(b), one
-    modular square root each, so no table of size p is built (over every
-    prime below 10^4 such tables would hold about 360 MB).
-    """
-    s = sqrt_mod_p(b, p)
-    if s is None:
-        return ()
-    r = 2 * s % p
-    return (r,) if r == 0 else tuple(sorted((r, p - r)))
 
 
 # the odd primes whose residue densities family_scan counts, and the highest

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from selmerlab import descent
-from selmerlab.curve_family import FamilyWindow, enumerate_window
+from selmerlab.curve_family import enumerate_window
 
 
 @pytest.fixture(scope="session")
 def e60():
-    return list(enumerate_window(FamilyWindow(60)))
+    return list(enumerate_window(60))
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import pytest
 
 from selmerlab.cli import RECORD_FIELDS, RunConfig, histogram_lines, main, stream_records
 from selmerlab.core_arith import squarefree_part
-from selmerlab.curve_family import FamilyWindow, count_window, density_rho, enumerate_window
+from selmerlab.curve_family import count_window, density_rho, enumerate_window
 from selmerlab.descent import (
     INF_PLACE,
     descent_exponent,
@@ -100,7 +100,7 @@ def mid_family():
 
 @pytest.fixture(scope="session")
 def mid_sample():
-    curves = list(enumerate_window(FamilyWindow(X_MID)))
+    curves = list(enumerate_window(X_MID))
     sample = random.Random(SEED).sample(curves, 1000)
     sample.sort(key=lambda c: (c.B, c.A))
     return sample
@@ -143,7 +143,7 @@ def test_criterion_01_count(big_scan):
     t0 = time.time()
     count, predicted = count_window(X_BIG)
     elapsed = time.time() - t0
-    small = len(list(enumerate_window(FamilyWindow(4))))
+    small = len(list(enumerate_window(4)))
     ok = abs(count / predicted - 1) < 0.02 and small == 34 and elapsed < 60
     ok = ok and big_scan["n_total"] == count
     _gate(

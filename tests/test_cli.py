@@ -5,7 +5,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -26,7 +28,7 @@ from selmerlab.cli import (
     stream_records,
     write_records,
 )
-from selmerlab.curve_family import FamilyWindow, column_count, column_members, enumerate_window, window_columns
+from selmerlab.curve_family import column_count, column_members, enumerate_window, window_columns
 from selmerlab.descent import SolverPrecisionError, descent_exponent, relevant_places
 
 
@@ -161,7 +163,7 @@ def test_sample_of_whole_family_matches_full_window():
 
 @functools.lru_cache(maxsize=None)
 def _window_keys(X, include_square_disc):
-    return [(c.B, c.A) for c in enumerate_window(FamilyWindow(X, include_square_disc))]
+    return [(c.B, c.A) for c in enumerate_window(X, include_square_disc)]
 
 
 def _reference_sample_keys(X, include_square_disc, n, seed):
@@ -564,7 +566,7 @@ def test_factor_call_budget(e60_sample, monkeypatch):
     assert total(lambda c: descent_exponent(c.A, c.B)) == 3 * n
     calls[0] = 0
     assert run_verification(20, report=lambda line: None)
-    assert calls[0] == 3 * sum(1 for _ in enumerate_window(FamilyWindow(20)))
+    assert calls[0] == 3 * sum(1 for _ in enumerate_window(20))
 
 
 def test_tate_call_budget(e60_sample, monkeypatch):
@@ -585,7 +587,7 @@ def test_tate_call_budget(e60_sample, monkeypatch):
     assert run_verification(20, report=lambda line: None)
     mult = sum(
         local_analysis.classify_reduction(c.A, c.B, p).is_multiplicative
-        for c in enumerate_window(FamilyWindow(20))
+        for c in enumerate_window(20)
         for p in relevant_places(c.A, c.B)[2:]
     )
     assert calls[0] == 2 * mult > 0
@@ -711,3 +713,19 @@ def test_product_formula_through_the_additive_closed_form(tmp_path, capsys):
     argv = ["compute", "--xmax", "300", "--with-descent", "--threads", "2", "--out", str(tmp_path / "r.csv")]
     assert main(argv) == 0
     assert capsys.readouterr().err == "wrote 20126 records\n"
+
+
+def test_compute_and_enumerate_leave_numpy_unimported():
+    # importing numpy costs about 0.1 s of setup; only family_scan (stats,
+    # verify) needs it
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; from selmerlab.cli import main; "
+        "assert main(['compute', '--xmax', '30', '--threads', '1']) == 0; "
+        "assert main(['compute', '--xmax', '300', '--sample', '50', '--seed', '1', '--with-descent', '--threads', '1']) == 0; "
+        "assert main(['enumerate', '--xmax', '30']) == 0; "
+        "assert 'numpy' not in sys.modules, 'numpy imported'"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

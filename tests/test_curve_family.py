@@ -6,7 +6,6 @@ import pytest
 from selmerlab.core_arith import is_square, primes_below
 from selmerlab.curve_family import (
     CurvePair,
-    FamilyWindow,
     column_count,
     column_members,
     column_unrank,
@@ -29,13 +28,36 @@ def test_membership_examples():
 
 
 def test_enumerate_counts():
-    assert len(list(enumerate_window(FamilyWindow(4)))) == 34
-    assert len(list(enumerate_window(FamilyWindow(1)))) == 6
-    assert list(enumerate_window(FamilyWindow(0))) == []
+    assert len(list(enumerate_window(4))) == 34
+    assert len(list(enumerate_window(1))) == 6
+    assert list(enumerate_window(0)) == []
+    with pytest.raises(ValueError):
+        list(enumerate_window(-1))
+
+
+def test_constructors_take_only_their_inputs():
+    # a derived field is worked out by its class; passing one is a TypeError
+    from selmerlab.descent import SelmerSet
+    from selmerlab.local_analysis import LedgerEntry, LocalFactorLedger
+    from selmerlab.statistics import PrimeModel
+
+    for make in (
+        lambda: CurvePair(1, 3, dualA=-2),
+        lambda: CurvePair(1, 3, dualB=5),
+        lambda: CurvePair(1, 3, disc=7),
+        lambda: CurvePair(1, 3, twoTorsionFull=True),
+        lambda: LedgerEntry(3, 4, exponent=1),
+        lambda: LocalFactorLedger((LedgerEntry(3, 4),), total=1),
+        lambda: SelmerSet("phi", frozenset({1}), dim=0),
+        lambda: PrimeModel(20, perPrime=()),
+        lambda: enumerate_window(4, includeSquareDisc=False),
+    ):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_enumerate_order_and_uniqueness():
-    curves = list(enumerate_window(FamilyWindow(30)))
+    curves = list(enumerate_window(30))
     keys = [(c.B, c.A) for c in curves]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
@@ -46,14 +68,14 @@ def test_enumerate_order_and_uniqueness():
 def test_enumerate_matches_membership_bruteforce():
     X = 30
     brute = {(A, B) for B in range(-X, X + 1) for A in range(-X, X + 1) if is_member(A, B, X)}
-    got = {(c.A, c.B) for c in enumerate_window(FamilyWindow(X))}
+    got = {(c.A, c.B) for c in enumerate_window(X)}
     assert got == brute
 
 
 @pytest.mark.parametrize("X", [1, 4, 17, 60, 121, 300])
 def test_count_window_matches_enumeration(X):
     count, predicted = count_window(X)
-    assert count == len(list(enumerate_window(FamilyWindow(X))))
+    assert count == len(list(enumerate_window(X)))
     assert predicted == pytest.approx(4 * X**1.5 / (math.pi**6 / 945))
 
 
@@ -99,7 +121,6 @@ def test_column_exclusions_are_exercised():
 def test_curvepair_derived_fields():
     c = CurvePair(1, 3)
     assert (c.dualA, c.dualB) == (-2, -11)
-    assert c.disc == 16 * 9 * (-11)
     assert not c.twoTorsionFull
     assert CurvePair(0, -1).twoTorsionFull  # A^2 - 4B = 4
     with pytest.raises(ValueError):

@@ -413,9 +413,10 @@ def test_spot_curve_selmer_groups():
 
 def test_selmerset_validation():
     with pytest.raises(ValueError):
-        SelmerSet("phi", frozenset({1, 2, 3}), 2)  # not closed / wrong size
+        SelmerSet("phi", frozenset({1, 2, 3}))  # not closed
     with pytest.raises(ValueError):
-        SelmerSet("phi", frozenset({2, -2}), 1)
+        SelmerSet("phi", frozenset({2, -2}))  # no identity
+    assert SelmerSet("phi", frozenset({1, -1, 2, -2})).dim == 2
 
 
 def test_local_images_at_infinity():

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from selmerlab import descent, local_analysis
 from selmerlab.cli import RECORD_FIELDS, curve_record
 from selmerlab.core_arith import is_square, jacobi, ord_p
-from selmerlab.curve_family import CurvePair, FamilyWindow, column_members, enumerate_window, window_columns
+from selmerlab.curve_family import CurvePair, column_members, enumerate_window, window_columns
 from selmerlab.descent import INF_PLACE, descent_exponent, local_image, relevant_places
 from selmerlab.local_analysis import (
     LedgerEntry,
@@ -202,7 +202,7 @@ def test_factor_at_two_matches_full_image(scan_oracle):
     # the two-sided size must agree with the exhaustively tested image on
     # every curve of E(300)
     assert factor_at_two(0, 1) == 8
-    pairs = ((c.A, c.B) for c in enumerate_window(FamilyWindow(300)))
+    pairs = ((c.A, c.B) for c in enumerate_window(300))
     assert _assert_factor_at_two_exact(pairs) == 20126
 
 
@@ -307,7 +307,7 @@ def test_certificate_digits_fix_the_size(scan_oracle):
     # some curves (107 of 3,000), so N is not a digit too generous
     # everywhere, and a count one digit short fails here
     rng = random.Random(20261018)
-    curves = rng.sample([(c.A, c.B) for c in enumerate_window(FamilyWindow(300))], 3000)
+    curves = rng.sample([(c.A, c.B) for c in enumerate_window(300)], 3000)
     changed = 0
     for A, B in curves:
         w, _, n = descent._dual_images(A, B, 2)
@@ -371,9 +371,9 @@ def test_ledger_structure():
     assert by_place[INF_PLACE].size == 2 and by_place[INF_PLACE].exponent == 0
     assert led.total == sum(e.exponent for e in led.entries)
     with pytest.raises(ValueError):
-        LocalFactorLedger((LedgerEntry(3, 8, 2),), 2)
+        LocalFactorLedger((LedgerEntry(3, 8),))
     with pytest.raises(ValueError):
-        LocalFactorLedger((LedgerEntry(3, 4, 0),), 0)
+        LocalFactorLedger((LedgerEntry(INF_PLACE, 4),))
 
 
 def test_exponent_ranges(e60_sample):
@@ -452,7 +452,7 @@ def _ledger_rows(B, As):
 
 @functools.lru_cache(maxsize=None)
 def _window_rows(X):
-    return {(c.A, c.B): _ledger_rows(c.B, [c.A])[0] for c in enumerate_window(FamilyWindow(X))}
+    return {(c.A, c.B): _ledger_rows(c.B, [c.A])[0] for c in enumerate_window(X)}
 
 
 @pytest.mark.parametrize("X", [1, 2, 3, 4, 5, 16, 100, 300])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from selmerlab.cli import histogram_lines
-from selmerlab.curve_family import FamilyWindow, density_rho, enumerate_window
+from selmerlab.curve_family import density_rho, enumerate_window
 from selmerlab.local_analysis import tamagawa_exponent
 from selmerlab.statistics import (
     _DENSITY_PRIMES,
@@ -74,7 +74,7 @@ def test_model_table_entries_do_not_depend_on_degree():
 def _convolved_model_table(z, kmax):
     # reference: the centered moments convolved prime by prime in Fractions
     table = {(i, j): Fraction(int(i == j == 0)) for i in range(kmax + 1) for j in range(kmax + 1 - i)}
-    for p, both, o1, o2, neither in PrimeModel.build(z).perPrime:
+    for p, both, o1, o2, neither in PrimeModel(z).perPrime:
         rho = both + o1
         outcomes = ((neither, -rho, -rho), (o1, 1 - rho, -rho), (o2, -rho, 1 - rho), (both, 1 - rho, 1 - rho))
         step = {(r, s): sum(q * x**r * y**s for q, x, y in outcomes) for (r, s) in table}
@@ -101,7 +101,7 @@ def test_single_prime_low_cumulants_are_its_centered_moments():
     # kappa_1 is its mean, and (d I, d J) scales degree n by d^n
     from selmerlab.statistics import _scaled_cumulants
 
-    for row in PrimeModel.build(60).perPrime:
+    for row in PrimeModel(60).perPrime:
         p, both, o1, o2, neither = row
         rho = both + o1
         outcomes = ((neither, 0, 0), (o1, 1, 0), (o2, 0, 1), (both, 1, 1))
@@ -129,7 +129,7 @@ def test_model_difference_variance_identity():
             - 2 * model_mixed_moment_exact(1, 1, z)
         )
         rhs = Fraction(0)
-        for p, both, o1, o2, neither in PrimeModel.build(z).perPrime:
+        for p, both, o1, o2, neither in PrimeModel(z).perPrime:
             rho = both + o1
             rhs += 2 * rho * (1 - rho) - 2 * (both - rho * rho)
         assert lhs == rhs
@@ -143,13 +143,16 @@ def test_model_degree_limit():
 
 
 def test_prime_model_rows_validate():
-    m = PrimeModel.build(20)
+    m = PrimeModel(20)
     assert [row[0] for row in m.perPrime] == [3, 5, 7, 11, 13, 17, 19]
+    for p, both, o1, o2, neither in m.perPrime:
+        assert both == Fraction(p**4 - 1, p**6 - 1) and both + o1 == both + o2 == density_rho(p)
+        assert both + o1 + o2 + neither == 1 and all(0 <= q <= 1 for q in (both, o1, o2, neither))
 
 
 def test_empirical_matches_scan_exactly():
     X, z = 200, 30
-    curves = list(enumerate_window(FamilyWindow(X)))
+    curves = list(enumerate_window(X))
     scan = family_scan(X, z)
     assert scan["n_total"] == len(curves)
     assert scan["n_square_disc"] == sum(1 for c in curves if c.twoTorsionFull)
@@ -229,7 +232,7 @@ def test_family_scan_matches_discriminant_scan(X, density_primes):
 
 
 def test_empirical_zero_degree_is_one():
-    curves = enumerate_window(FamilyWindow(20))
+    curves = enumerate_window(20)
     rep = empirical_mixed_moment(curves, 0, 0, 10, xmax=20)
     assert rep.empirical == 1.0
 
@@ -311,8 +314,7 @@ def test_normal_cdf_reference_values():
 
 def test_root_classes_are_the_roots_of_r2_minus_4b():
     # every residue b mod every odd prime below 200, against a full sweep of r
-    from selmerlab.core_arith import primes_below
-    from selmerlab.statistics import _root_classes
+    from selmerlab.core_arith import _root_classes, primes_below
 
     for p in primes_below(200)[1:]:
         for b in range(p):
