@@ -11,8 +11,6 @@ divisor densities and mixed moments against their exact per-prime model.
 from .core_arith import (
     FactoredInteger,
     factor,
-    legendre,
-    ord_p,
     signed_squarefree_divisors,
     squarefree_part,
 )
@@ -21,7 +19,6 @@ from .curve_family import (
     count_window,
     density_delta,
     density_rho,
-    dual_coefficients,
     enumerate_window,
     is_member,
 )
@@ -43,7 +40,6 @@ from .local_analysis import (
     classify_reduction,
     factor_at_infinity,
     factor_at_two,
-    kodaira_indices,
     mult_factor,
     tamagawa_exponent,
     tamagawa_number,

@@ -87,11 +87,7 @@ def _pmod_div_exact(a, b, p):
 
 
 def quadratic_roots(c0, c1, c2, p):
-    """Roots in F_p of c2 x^2 + c1 x + c0 (p odd)."""
-    if c2 % p == 0:
-        if c1 % p == 0:
-            return []
-        return [(-c0 * pow(c1, -1, p)) % p]
+    """Roots in F_p of c2 x^2 + c1 x + c0 (p odd, c2 a unit mod p)."""
     disc = (c1 * c1 - 4 * c2 * c0) % p
     r = sqrt_mod_p(disc, p)
     if r is None:

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization, valuations, quadratic residues.
+"""Exact integer arithmetic: factorization, valuations, the Jacobi symbol.
 
 Everything here is pure and deterministic.  Factoring uses trial division
 by a fixed prime sieve, then strong-pseudoprime testing with a proven
@@ -16,8 +16,6 @@ from functools import lru_cache
 __all__ = [
     "FactoredInteger",
     "factor",
-    "ord_p",
-    "legendre",
     "jacobi",
     "squarefree_part",
     "signed_squarefree_divisors",
@@ -160,12 +158,6 @@ class FactoredInteger:
                 raise ValueError("factors must have strictly increasing primes and exponents >= 1")
             last = p
 
-    def reconstruct(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -190,7 +182,8 @@ def factor(n: int) -> FactoredInteger:
 
 def _vp(n: int, p: int) -> int:
     """Largest k with p**k dividing n (p >= 2, unchecked); 0 gets a huge
-    sentinel, since Tate's algorithm compares v(a6) with bounds at a6 = 0."""
+    sentinel, so that an exact zero passes every depth test (the residue
+    scan's Hensel test at a root of f)."""
     if n == 0:
         return 1 << 30
     if p == 2:
@@ -200,15 +193,6 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def ord_p(n: int, p: int) -> int:
-    """Largest k with p**k dividing n (n nonzero, p prime)."""
-    if n == 0:
-        raise ValueError("valuation of 0 is infinite")
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _vp(n, p)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -227,13 +211,6 @@ def jacobi(a: int, n: int) -> int:
             t = -t
         a %= n
     return t if n == 1 else 0
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p: +1, -1, or 0 if p | a."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    return jacobi(a % p, p)
 
 
 def squarefree_part(n: int) -> int:

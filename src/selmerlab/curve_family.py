@@ -34,7 +34,6 @@ __all__ = [
     "column_members",
     "column_count",
     "column_unrank",
-    "dual_coefficients",
     "density_delta",
     "density_rho",
     "ZETA6",
@@ -98,13 +97,6 @@ def is_member(A: int, B: int, X: int) -> bool:
     if A * A - 4 * B == 0:
         return False
     return _is_reduced_model(A, B)
-
-
-def dual_coefficients(A: int, B: int) -> tuple[int, int]:
-    """Coefficients (-2A, A^2-4B) of the degree-2 isogenous companion curve."""
-    if B * (A * A - 4 * B) == 0:
-        raise ValueError("singular input")
-    return (-2 * A, A * A - 4 * B)
 
 
 def enumerate_window(X: int, include_square_disc: bool = True) -> Iterator[CurvePair]:

@@ -11,9 +11,11 @@ curves, which on the family's reduced models also has a closed form,
 valuations and Legendre symbols.  Tate's algorithm itself (odd p only;
 `tate_local_data`, which rescales if it ever meets a non-minimal model) is
 the reference both closed forms are checked against, by `verify`'s
-factor-table suite and by the tests.  The place 2 is handled by 2-adic
-local images from the descent machinery, never by Tate at 2, and the real
-place has a closed form.
+factor-table suite and by the tests.  Since a6 = 0 at each of its root
+steps, every cubic it factors is T (T^2 + a T + b), whose multiple root is
+0 if p | b, else -a/2 if p | a^2 - 4b, else none.  The place 2 is handled
+by 2-adic local images from the descent machinery, never by Tate at 2, and
+the real place has a closed form.
 
 At 2 the two images are found together, by descent._dual_images, the one
 duality loop that also gives the descent its local images at every finite
@@ -49,8 +51,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
-from ._polymod import pmod_gcd, pmod_trim, roots_mod_p
-from .core_arith import _odd_primes_below, _root_classes, _vp, factor, is_prime, jacobi, ord_p
+from ._polymod import quadratic_roots
+from .core_arith import _odd_primes_below, _root_classes, _vp, is_prime, jacobi
 from .curve_family import CurvePair, _column_rule
 from .descent import INF_PLACE, _dual_images, relevant_places
 
@@ -59,7 +61,6 @@ __all__ = [
     "LedgerEntry",
     "LocalFactorLedger",
     "classify_reduction",
-    "kodaira_indices",
     "mult_factor",
     "additive_factor",
     "tamagawa_number",
@@ -69,7 +70,6 @@ __all__ = [
     "tamagawa_exponent",
     "column_ledger",
     "decompose_total",
-    "repeated_prime_count",
 ]
 
 
@@ -109,29 +109,19 @@ def classify_reduction(A: int, B: int, p: int) -> ReductionType:
     return ReductionType.MULT_SPLIT if split else ReductionType.MULT_NONSPLIT
 
 
-def kodaira_indices(A: int, B: int, p: int) -> tuple[int, int]:
-    """Fiber indices (n, n') of the multiplicative pair at p:
-    n = ord_p(A^2-4B) + 2 ord_p(B), n' = 2 ord_p(A^2-4B) + ord_p(B)."""
-    if not classify_reduction(A, B, p).is_multiplicative:
-        raise ValueError(f"reduction at {p} is not multiplicative")
-    vd = ord_p(A * A - 4 * B, p)
-    vb = ord_p(B, p)
-    return vd + 2 * vb, 2 * vd + vb
-
-
 def mult_factor(A: int, B: int, p: int) -> int:
     """Local condition size in {1, 2, 4} at an odd multiplicative prime.
 
-    p | A^2-4B: 4 if ord_p(A^2-4B) is odd or the reduction is split, else 2.
-    p | B:      1 if ord_p(B) is odd or the reduction is split, else 2.
+    p | A^2-4B: 4 if v_p(A^2-4B) is odd or the reduction is split, else 2.
+    p | B:      1 if v_p(B) is odd or the reduction is split, else 2.
     """
     kind = classify_reduction(A, B, p)
     if not kind.is_multiplicative:
         raise ValueError(f"reduction at {p} is not multiplicative")
     split = kind is ReductionType.MULT_SPLIT
     if (A * A - 4 * B) % p == 0:
-        return 4 if (ord_p(A * A - 4 * B, p) % 2 == 1 or split) else 2
-    return 1 if (ord_p(B, p) % 2 == 1 or split) else 2
+        return 4 if (_vp(A * A - 4 * B, p) % 2 == 1 or split) else 2
+    return 1 if (_vp(B, p) % 2 == 1 or split) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -144,31 +134,29 @@ def _translate(a2: int, a4: int, a6: int, t: int) -> tuple[int, int, int]:
     return (a2 + 3 * t, 3 * t * t + 2 * a2 * t + a4, ((t + a2) * t + a4) * t + a6)
 
 
-def _multiple_root_cubic(c0: int, c1: int, c2: int, p: int) -> int | None:
-    """Multiple root in F_p of T^3 + c2 T^2 + c1 T + c0, or None if separable."""
-    f = pmod_trim([c0, c1, c2, 1], p)
-    fp = pmod_trim([c1, 2 * c2, 3], p)
-    if not fp:
-        # char 3 with c2 = c1 = 0: T^3 + c0 = (T + c0)^3 over F_3
-        return (-c0) % p
-    g = pmod_gcd(f, fp, p)
-    if len(g) == 1:
-        return None
-    if len(g) == 2:
-        return (-g[0]) % p
-    # gcd (T - r)^2 from a triple root
-    return (-g[1] * pow(2, -1, p)) % p
+def _multiple_root(a: int, b: int, p: int) -> int | None:
+    """Multiple root in F_p of T (T^2 + a T + b), or None if separable:
+    0 if p | b (then T^2 divides it), else the double root -a/2 of the
+    quadratic factor if p | a^2 - 4b, else none."""
+    if b % p == 0:
+        return 0
+    if (a * a - 4 * b) % p == 0:
+        return -a * pow(2, -1, p) % p
+    return None
 
 
 def tate_local_data(A: int, B: int, p: int) -> tuple[str, int, int]:
-    """(Kodaira symbol, Tamagawa number, ord_p of the minimal discriminant)
+    """(Kodaira symbol, Tamagawa number, v_p of the minimal discriminant)
     for y^2 = x^3 + A x^2 + B x at an odd prime p.
 
     Only the exits this family reaches are written: I0, I_n, III, I0*, I_n*
-    and III*.  a6 = 0 at every additive step: there the cubic is x^3 mod p,
-    so the translation is by 0; the scaled cubic T (T^2 + (a2/p) T +
-    a4/p^2) has a triple root only at 0; and rescaling keeps a6 = 0.  So
-    v(a6) never ends the search, and II, IV, IV* and II* (Silverman,
+    and III*.  a6 = 0 at every root step: the model starts with a6 = 0; at
+    an additive fibre the cubic is x^3 mod p, so the translation is by 0;
+    the scaled cubic T (T^2 + (a2/p) T + a4/p^2) has a triple root only at
+    0; and rescaling keeps a6 = 0.  So each cubic the algorithm factors is
+    T (T^2 + a T + b), whose multiple root `_multiple_root` reads off
+    exactly, and at I0* c_p = 1 + #roots = 2 + #roots of T^2 + a T + b.
+    Nor does v(a6) ever end the search, so II, IV, IV* and II* (Silverman,
     Advanced Topics, IV.9, steps 3, 5, 8 and 10) cannot occur.  Likewise
     c_p is even at an additive fibre, while those four types have c_p = 1
     or 3: E_0(Q_p), an extension of the additive group F_p by the pro-p
@@ -178,15 +166,14 @@ def tate_local_data(A: int, B: int, p: int) -> tuple[str, int, int]:
     _check_odd_prime(p)
     a2, a4, a6 = A, B, 0
     while True:
-        b2, b4, b6 = 4 * a2, 2 * a4, 4 * a6
-        b8 = 4 * a2 * a6 - a4 * a4
-        delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        assert a6 == 0
+        delta = 16 * a4 * a4 * (a2 * a2 - 4 * a4)  # -b2^2 b8 - 8 b4^3 at a6 = 0
         if delta == 0:
             raise ValueError("singular curve")
         n = _vp(delta, p)
         if n == 0:
             return "I0", 1, 0
-        x0 = _multiple_root_cubic(a6 % p, a4 % p, a2 % p, p)
+        x0 = _multiple_root(a2, a4, p)
         assert x0 is not None, "p divides the discriminant but the cubic is separable mod p"
         a2, a4, a6 = _translate(a2, a4, a6, x0)
         if a2 % p:
@@ -195,11 +182,10 @@ def tate_local_data(A: int, B: int, p: int) -> tuple[str, int, int]:
         if _vp(4 * a2 * a6 - a4 * a4, p) < 3:
             return "III", 2, n
         # now v(a2) >= 1, v(a4) >= 2, a6 = 0
-        al, be, ga = a2 // p, a4 // p**2, a6 // p**3
-        t0 = _multiple_root_cubic(ga % p, be % p, al % p, p)
+        al, be = a2 // p, a4 // p**2
+        t0 = _multiple_root(al, be, p)
         if t0 is None:
-            nroots = len(roots_mod_p([ga, be, al, 1], p))
-            return "I0*", 1 + nroots, n
+            return "I0*", 2 + len(quadratic_roots(be, al, 1, p)), n
         third = (-al - 2 * t0) % p
         a2, a4, a6 = _translate(a2, a4, a6, p * t0)
         if third != t0 % p:
@@ -234,8 +220,6 @@ def tate_local_data(A: int, B: int, p: int) -> tuple[str, int, int]:
 
 def tamagawa_number(A: int, B: int, p: int) -> int:
     """Local component index c_p of y^2 = x^3+Ax^2+Bx at an odd prime."""
-    if B * (A * A - 4 * B) == 0:
-        raise ValueError("singular curve")
     return tate_local_data(A, B, p)[1]
 
 
@@ -504,13 +488,3 @@ def decompose_total(ledger: LocalFactorLedger) -> dict:
         "e2": ledger.exponent_at(2),
         "einf": ledger.exponent_at(INF_PLACE),
     }
-
-
-def repeated_prime_count(A: int, B: int) -> int:
-    """#{odd p : p^2 | B or p^2 | A^2-4B}."""
-    ps = set()
-    for n in (B, A * A - 4 * B):
-        for p, e in factor(n).factors:
-            if p != 2 and e >= 2:
-                ps.add(p)
-    return len(ps)

@@ -47,7 +47,7 @@ __all__ = [
 
 
 def _count_odd_prime_divisors(n: int, z) -> int:
-    if z == math.inf or z is None:
+    if z == math.inf:
         return sum(1 for p in factor(n).primes if p != 2)
     return sum(1 for p in _odd_primes_below(int(z)) if n % p == 0)
 

@@ -43,13 +43,13 @@ def _gate(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _mid_column_stats(B: int):
+    from selmerlab.cli import _odd_place_counts
     from selmerlab.curve_family import CurvePair, column_members
     from selmerlab.descent import relevant_places as places
     from selmerlab.local_analysis import (
         classify_reduction,
         decompose_total,
         mult_factor,
-        repeated_prime_count,
         tamagawa_number,
     )
     from selmerlab.statistics import g1, g2
@@ -71,7 +71,7 @@ def _mid_column_stats(B: int):
             - parts["e2"]
             - parts["einf"]
         )
-        if lhs > repeated_prime_count(c.A, c.B):
+        if lhs > _odd_place_counts(c, led.entries[:-2])[2]:
             dec_fail.append((c.A, c.B))
         tvals.append((c.A, c.B, led.total, c.twoTorsionFull))
     return tvals, fac_fail, dec_fail

@@ -297,6 +297,17 @@ def test_compute_exits_1_after_skipping_curves(extra, tmp_path, capsys, monkeypa
     assert "skipped 1 curves:" in err and "(1, 2): injected precision exhaustion" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--with-descent"]], ids=["ledger", "descent"])
+def test_compute_reports_a_curve_past_the_factoring_limit(extra, capsys, monkeypatch):
+    # (2^64, 1) has |A^2 - 4B| > 2^127, past what `factor` takes: the curve
+    # is listed as skipped with the reason, not dropped
+    monkeypatch.setattr(cli, "sample_keys", lambda *args: {1: [2**64]})
+    assert main(["compute", "--xmax", "4", "--sample", "1", "--threads", "1"] + extra) == 1
+    err = capsys.readouterr().err
+    assert "skipped 1 curves:" in err
+    assert "(18446744073709551616, 1): operand magnitude out of supported range" in err
+
+
 def test_stats_exits_1_after_skipping_curves(capsys, monkeypatch):
     # in column 2 of E(20) the sieve runs place 2 for the class A = 3 (mod 8)
     # at its first A, -13, and fills the rest of the class from that run

@@ -12,7 +12,6 @@ from selmerlab.curve_family import (
     count_window,
     density_delta,
     density_rho,
-    dual_coefficients,
     enumerate_window,
     is_member,
 )
@@ -130,15 +129,20 @@ def test_curvepair_derived_fields():
 
 
 def test_dual_coefficients():
-    assert dual_coefficients(0, 1) == (0, -4)
-    assert dual_coefficients(1, 3) == (-2, -11)
+    c = CurvePair(0, 1)
+    assert (c.dualA, c.dualB) == (0, -4)
+    c = CurvePair(1, 3)
+    assert (c.dualA, c.dualB) == (-2, -11)
     with pytest.raises(ValueError):
-        dual_coefficients(2, 1)
+        CurvePair(2, 1)
 
 
 def test_dual_applied_twice_is_scaling():
     for A, B in [(0, 1), (1, 3), (-2, 5), (7, -9)]:
-        A2, B2 = dual_coefficients(*dual_coefficients(A, B))
+        c = CurvePair(A, B)
+        # the companion's companion, (-2A', A'^2 - 4B'); (4, -16) for (-2, 5)
+        # is no reduced pair, so it is worked out by hand
+        A2, B2 = -2 * c.dualA, c.dualA**2 - 4 * c.dualB
         assert (A2, B2) == (4 * A, 16 * B)
         # the scaling (x, y) -> (4x, 8y) carries one model onto the other
         for x in range(-5, 6):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from selmerlab import descent, local_analysis
+from selmerlab._polymod import quadratic_roots
 from selmerlab.cli import RECORD_FIELDS, curve_record
-from selmerlab.core_arith import is_square, jacobi, ord_p
+from selmerlab.core_arith import _vp, factor, is_square, jacobi
 from selmerlab.curve_family import CurvePair, column_members, enumerate_window, window_columns
 from selmerlab.descent import INF_PLACE, descent_exponent, local_image, relevant_places
 from selmerlab.local_analysis import (
@@ -21,9 +22,7 @@ from selmerlab.local_analysis import (
     decompose_total,
     factor_at_infinity,
     factor_at_two,
-    kodaira_indices,
     mult_factor,
-    repeated_prime_count,
     tamagawa_exponent,
     tamagawa_number,
     tate_local_data,
@@ -67,11 +66,12 @@ def test_split_criterion_matches_point_counts():
 
 
 def test_kodaira_indices():
-    assert kodaira_indices(1, 3, 3) == (2, 1)
-    assert kodaira_indices(1, 3, 11) == (1, 2)
-    assert kodaira_indices(1, 18, 3) == (4, 2)
-    with pytest.raises(ValueError):
-        kodaira_indices(1, 3, 5)
+    # the multiplicative pair at p is I_n / I_n' with n = v(D) + 2 v(B) and
+    # n' = 2 v(D) + v(B), D = A^2 - 4B
+    for A, B, p, n, ndual in ((1, 3, 3, 2, 1), (1, 3, 11, 1, 2), (1, 18, 3, 4, 2)):
+        assert tate_local_data(A, B, p)[0] == f"I{n}"
+        assert tate_local_data(-2 * A, A * A - 4 * B, p)[0] == f"I{ndual}"
+    assert tate_local_data(1, 3, 5)[0] == "I0"
 
 
 def test_mult_factor_values():
@@ -98,7 +98,8 @@ def test_tate_symbols_match_index_formulas(e60_sample):
         for p in relevant_places(c.A, c.B)[2:]:
             if not classify_reduction(c.A, c.B, p).is_multiplicative:
                 continue
-            n, ndual = kodaira_indices(c.A, c.B, p)
+            vdisc, vb = _vp(c.dualB, p), _vp(c.B, p)
+            n, ndual = vdisc + 2 * vb, 2 * vdisc + vb
             sym, _, vdelta = tate_local_data(c.A, c.B, p)
             assert sym == f"I{n}" and vdelta == n
             symd, _, vd = tate_local_data(c.dualA, c.dualB, p)
@@ -110,6 +111,22 @@ def test_tate_detects_nonminimal_model():
     sym, c, v = tate_local_data(9 * 1, 81 * 3, 3)  # y^2 = x^3 + 9x^2 + 243x, v3(disc) >= 12
     sym0, c0, v0 = tate_local_data(1, 3, 3)
     assert (sym, c, v) == (sym0, c0, v0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_multiple_root_step_against_brute_force(p):
+    # Tate's root steps meet only f = T (T^2 + a T + b): its multiple root is
+    # the r with f(r) = f'(r) = 0, and on separable f (an I0* fibre) the
+    # count c_p = 1 + #roots of f is 2 + #roots of the quadratic factor
+    for a in range(p):
+        for b in range(p):
+            roots = [r for r in range(p) if (r**3 + a * r * r + b * r) % p == 0]
+            double = [r for r in roots if (3 * r * r + 2 * a * r + b) % p == 0]
+            assert len(double) <= 1
+            got = local_analysis._multiple_root(a, b, p)
+            assert got == (double[0] if double else None), (a, b, p)
+            if got is None:
+                assert 2 + len(quadratic_roots(b, a, 1, p)) == 1 + len(roots), (a, b, p)
 
 
 _FIBER_COMPONENTS = {"II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
@@ -216,7 +233,7 @@ def test_factor_at_two_exact_at_high_valuations(scan_oracle):
         B = rng.choice((1, -1)) * (rng.randint(1, 10**4) | 1) << rng.randint(0, 16)
         if A * A != 4 * B:
             pairs.append((A, B))
-    assert max(ord_p(A, 2) for A, _ in pairs if A) >= 12
+    assert max(_vp(A, 2) for A, _ in pairs if A) >= 12
     _assert_factor_at_two_exact(pairs)
 
 
@@ -259,8 +276,8 @@ def test_sieve_matches_the_loop_on_hypothesis_runs(scan_oracle, b, kb, sign, lo,
 def test_hilbert_symbol_table():
     # the bit form of (x, y)_2 against the classical formula on representatives
     def classical(x, y):
-        a, u = ord_p(x, 2), x >> ord_p(x, 2)
-        b, w = ord_p(y, 2), y >> ord_p(y, 2)
+        a, u = _vp(x, 2), x >> _vp(x, 2)
+        b, w = _vp(y, 2), y >> _vp(y, 2)
         e = (u - 1) // 2 * ((w - 1) // 2) + a * (w * w - 1) // 8 + b * (u * u - 1) // 8
         return e % 2
 
@@ -361,6 +378,22 @@ def test_perfbench_tracer_hooks_resolve():
     assert run.returncode == 0, run.stderr
 
 
+def test_every_export_resolves():
+    # a fresh `import selmerlab` succeeds, and each module's __all__ names
+    # only what the module defines
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import importlib, pkgutil, selmerlab\n"
+        "for m in pkgutil.iter_modules(selmerlab.__path__):\n"
+        "    mod = importlib.import_module('selmerlab.' + m.name)\n"
+        "    stale = [n for n in getattr(mod, '__all__', ()) if not hasattr(mod, n)]\n"
+        "    assert not stale, (m.name, stale)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_ledger_structure():
     led = tamagawa_exponent(CurvePair(1, 3))
     places = [e.place for e in led.entries]
@@ -408,6 +441,7 @@ def test_ledger_records_reduction_kind(e60_sample):
 
 
 def test_decompose_total_and_bound(e60_sample):
+    from selmerlab.cli import _odd_place_counts
     from selmerlab.statistics import g1, g2
 
     for c in e60_sample[:60]:
@@ -415,7 +449,7 @@ def test_decompose_total_and_bound(e60_sample):
         parts = decompose_total(led)
         assert parts["t_mult"] + parts["t_add"] + parts["e2"] + parts["einf"] == led.total
         lhs = abs(led.total - (g1(c.A, c.B) - g2(c.A, c.B)) - parts["t_add"] - parts["e2"] - parts["einf"])
-        assert lhs <= repeated_prime_count(c.A, c.B), (c.A, c.B)
+        assert lhs <= _odd_place_counts(c, led.entries[:-2])[2], (c.A, c.B)
 
 
 def test_additive_ratio_is_power_of_two(e60_sample):
@@ -439,7 +473,9 @@ def test_curve_record_reads_g1_g2_off_the_ledger(e60_sample):
         rec = dict(zip(RECORD_FIELDS, curve_record(c)))
         assert (rec["g1"], rec["g2"]) == (g1(c.A, c.B), g2(c.A, c.B)), (c.A, c.B)
         counts = _odd_place_counts(c, tamagawa_exponent(c).entries[:-2])
-        assert counts == (rec["g1"], rec["g2"], repeated_prime_count(c.A, c.B)), (c.A, c.B)
+        # the odd primes that divide B or A^2-4B twice, from their factorizations
+        repeated = {p for n in (c.B, c.dualB) for p, e in factor(n).factors if p != 2 and e >= 2}
+        assert counts == (rec["g1"], rec["g2"], len(repeated)), (c.A, c.B)
 
 
 def _ledger_rows(B, As):
@@ -525,7 +561,7 @@ _ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 def _branch(A, B, p):
     # the branch of additive_factor's docstring that a reduced (A, B) falls in
-    b, d = ord_p(B, p), ord_p(A * A - 4 * B, p)
+    b, d = _vp(B, p), _vp(A * A - 4 * B, p)
     if b == 1:
         return "III"
     if b == d:
@@ -644,7 +680,7 @@ def _naive_key(A, B, p, modulus):
     # p mod `modulus`, min(v_p(A), 2), v_p(B), whether v_p(D) = 2, v_p(D) mod 2,
     # and the Legendre symbols of the unit parts of A, B and D = A^2 - 4B
     D = A * A - 4 * B
-    vs = [ord_p(n, p) for n in (A, B, D)]
+    vs = [_vp(n, p) for n in (A, B, D)]
     units = tuple(jacobi(n // p**v, p) for n, v in zip((A, B, D), vs))
     return (p % modulus, min(vs[0], 2), vs[1], vs[2] == 2, vs[2] % 2) + units
 
