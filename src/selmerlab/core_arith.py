@@ -1,10 +1,13 @@
-"""Exact integer arithmetic: factorization, valuations, the Jacobi symbol.
+"""Exact integer arithmetic: factorization, valuations, the Jacobi symbol,
+square roots and quadratic roots modulo an odd prime.
 
 Everything here is pure and deterministic.  Factoring uses trial division
 by a fixed prime sieve, then strong-pseudoprime testing with a proven
 witness set and Brent's cycle-finding variant of Pollard rho with an
 incrementing polynomial constant, so repeated runs (and concurrent
-callers) always see identical output.
+callers) always see identical output.  The roots of a quadratic mod p
+(`quadratic_roots`, from one modular square root) count Tate's I0*
+components and give the descent's structural solver its roots.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "is_prime",
     "primes_below",
     "sqrt_mod_p",
+    "quadratic_roots",
     "is_square",
 ]
 
@@ -273,6 +277,16 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         t = t * c % p
         r = r * b % p
     return r
+
+
+def quadratic_roots(c0, c1, c2, p):
+    """Roots in F_p, ascending, of c2 x^2 + c1 x + c0 (p odd, c2 a unit mod p)."""
+    disc = (c1 * c1 - 4 * c2 * c0) % p
+    r = sqrt_mod_p(disc, p)
+    if r is None:
+        return []
+    inv = pow(2 * c2, -1, p)
+    return sorted({(-c1 + r) * inv % p, (-c1 - r) * inv % p})
 
 
 @lru_cache(maxsize=4096)

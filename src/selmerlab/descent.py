@@ -27,7 +27,10 @@ p^k.  Larger odd p use the same recursion driven by the mod-p shape of the
 quartic: when the reduction is not a constant times a square the incomplete
 character sum already forces a square value (complete for p >= 17), so only
 multiple roots are descended into, and the search runs in polylog(p).  The
-two deciders agree by construction and are cross-checked in the test suite.
+quartics it meets are even (no x or x^3 term) or have degree <= 2 mod p
+after dividing out their content, so each root it needs is a root of a
+quadratic in x or in x^2, in closed form (`_roots_mod_p`).  The two
+deciders agree by construction and are cross-checked in the test suite.
 Precision exhaustion raises; it never silently guesses.  Valuations come
 from core_arith._vp, the one valuation loop.  The scan also names how many
 p-adic digits of the chart's coefficients its decisions read, so every chart
@@ -69,14 +72,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from ._polymod import pmod_trim, quadratic_roots, roots_mod_p
 from .core_arith import (
     _vp,
     factor,
     is_prime,
     is_square,
     jacobi,
+    quadratic_roots,
     signed_squarefree_divisors,
+    sqrt_mod_p,
     squarefree_part,
 )
 
@@ -271,26 +275,49 @@ def _zp_scan(f, p: int, kmax: int) -> tuple[bool, int]:
     return False, n
 
 
+def _trim(f, p):
+    """f mod p as a list without zero leading coefficients."""
+    f = [c % p for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _roots_mod_p(h, p):
+    """The distinct roots in F_p, ascending, of an integer polynomial h that
+    is linear or quadratic mod p or an even quartic mod p, the only shapes
+    _zp_solvable_structural meets: a quartic's are +-sqrt of the roots of a
+    quadratic in x^2."""
+    h = _trim(h, p)
+    if len(h) == 2:
+        return [-h[0] * pow(h[1], -1, p) % p]
+    if len(h) == 3:
+        return quadratic_roots(h[0], h[1], h[2], p)
+    assert len(h) == 5 and h[1] == h[3] == 0, f"no closed-form roots for {h} mod {p}"
+    roots = set()
+    for y in quadratic_roots(h[0], h[2], h[4], p):
+        r = sqrt_mod_p(y, p)
+        if r is not None:
+            roots |= {r, -r % p}
+    return sorted(roots)
+
+
 def _as_const_times_square(fb, p):
-    """Write a nonzero polynomial over F_p as c * h(x)^2 (h monic, deg <= 2), or None."""
+    """Write a nonzero polynomial over F_p (trimmed, degree <= 2 or an even
+    quartic) as c * h(x)^2 with h monic, or None."""
     deg = len(fb) - 1
     if deg == 0:
         return fb[0], [1]
     if deg % 2:
         return None
     c = fb[-1]
-    cinv = pow(c, -1, p)
-    inv2 = pow(2, -1, p)
+    inv = pow(2 * c, -1, p)
     if deg == 2:
-        s = fb[1] * cinv * inv2 % p
-        if fb[0] % p == c * s * s % p:
-            return c, [s, 1]
-        return None
-    s = fb[3] * cinv * inv2 % p
-    t = (fb[2] * cinv - s * s) % p * inv2 % p
-    if fb[1] % p == 2 * c * s * t % p and fb[0] % p == c * t * t % p:
-        return c, [t, s, 1]
-    return None
+        s = fb[1] * inv % p
+        return (c, [s, 1]) if fb[0] == c * s * s % p else None
+    assert fb[1] == fb[3] == 0, f"odd quartic {fb} mod {p}"
+    t = fb[2] * inv % p  # c (x^2 + t)^2
+    return (c, [t, 0, 1]) if fb[0] == c * t * t % p else None
 
 
 def _zp_solvable_structural(f, p: int, budget: int) -> bool:
@@ -301,6 +328,22 @@ def _zp_solvable_structural(f, p: int, budget: int) -> bool:
     roots of the square part can carry solutions and the search recurses into
     x = r + p t; y = 0 points at irrational p-adic roots are caught by
     simple-root lifting.
+
+    Only two shapes need roots.  Write v for the least valuation of f's
+    coefficients f_k, and call f even when f_1 = f_3 = 0.  Every f met here
+    is even or has v(f_3) >= v + 1 and v(f_4) >= v + 2, so f / p^v mod p,
+    whose roots the v = 1 step takes and whose shape the v = 0 step reads,
+    is an even quartic or has degree <= 2, and `_roots_mod_p` solves both in
+    closed form.  Proof: a chart (c0, 0, c2, 0, c4) is even, and dividing
+    by p^(2 floor(v/2)) shifts every valuation alike.  The shifts take a
+    multiple root r of f / p^v mod p, v = 0 or 1, to g(t) = f(r + p t), with
+    g_k = p^k f^(k)(r) / k!.  At r = 0, g_k = p^k f_k, so an even f stays
+    even.  Otherwise r is a root of multiplicity exactly 2: an even f / p^v
+    with a nonzero multiple root r has one at -r != r too, so it is
+    c (x^2 - r^2)^2 (mod p) with c a unit, and the other kind has degree
+    <= 2 mod p and is not 0.  So v(g_2) = v + 2, hence v(g) <= v + 2, while
+    g_3 = p^3 (f_3 + 4 r f_4) and g_4 = p^4 f_4 have v(g_3) >= v + 3 and
+    v(g_4) >= v + 4: g keeps the bounds.
     """
     if budget < 0:
         raise SolverPrecisionError(f"structural solver at p={p} exceeded its recursion budget")
@@ -310,17 +353,16 @@ def _zp_solvable_structural(f, p: int, budget: int) -> bool:
         return _zp_solvable_structural(tuple(c // p**e for c in f), p, budget - 1)
     if v == 1:
         h = tuple(c // p for c in f)
-        if len(pmod_trim(h, p)) <= 1:
+        if len(_trim(h, p)) <= 1:
             return False  # f(x) has odd valuation 1 for every x
         hprime = _poly_deriv(h)
-        for r in roots_mod_p(list(h), p):
+        for r in _roots_mod_p(h, p):
             if _poly_eval(hprime, r) % p != 0:
                 return True  # simple root of h lifts to an exact zero of f
             if _zp_solvable_structural(_shift_scale(f, r, p), p, budget - 1):
                 return True
         return False
-    fb = pmod_trim(f, p)
-    decomp = _as_const_times_square(fb, p)
+    decomp = _as_const_times_square(_trim(f, p), p)
     if decomp is None:
         return True  # some residue already gives a nonzero square value
     c, h = decomp
@@ -328,8 +370,7 @@ def _zp_solvable_structural(f, p: int, budget: int) -> bool:
         return True  # any x off the roots of h works
     if len(h) == 1:
         return False  # constant non-square: value class pinned everywhere
-    roots = [(-h[0]) % p] if len(h) == 2 else quadratic_roots(h[0], h[1], 1, p)
-    return any(_zp_solvable_structural(_shift_scale(f, r, p), p, budget - 1) for r in roots)
+    return any(_zp_solvable_structural(_shift_scale(f, r, p), p, budget - 1) for r in _roots_mod_p(h, p))
 
 
 def _chart_solvable(f, p: int) -> bool:

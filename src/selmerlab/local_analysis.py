@@ -51,8 +51,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
-from ._polymod import quadratic_roots
-from .core_arith import _odd_primes_below, _root_classes, _vp, is_prime, jacobi
+from .core_arith import _odd_primes_below, _root_classes, _vp, is_prime, jacobi, quadratic_roots
 from .curve_family import CurvePair, _column_rule
 from .descent import INF_PLACE, _dual_images, relevant_places
 
@@ -320,7 +319,7 @@ def additive_factor(A: int, B: int, p: int) -> int:
     if vb == 1:
         return 2
     D = A * A - 4 * B
-    if D == 0:
+    if B * D == 0:
         raise ValueError("singular curve")
     vd = _vp(D, p)
 

@@ -21,7 +21,9 @@ from selmerlab.descent import (
     _exhaustive_masks,
     _local_image_tags,
     _normal_chart,
+    _poly_eval,
     _real_solvable,
+    _roots_mod_p,
     _shift_scale,
     _side_coefficients,
     _torsor_solvable_at,
@@ -111,6 +113,77 @@ def test_structural_matches_scan_on_random_charts(scan_oracle):
             _, g = _normal_chart(f, p)  # the normalization and budget of _chart_solvable
             assert _zp_solvable_structural(g, p, _disc_vp(g, p) + 10) == _chart_scan(f, p)[0], (f, p)
     assert n > 300
+
+
+def test_roots_mod_p_matches_brute_force():
+    # the structural solver's two shapes, degree <= 2 and even quartics mod p,
+    # with integer lifts and x^3, x^4 terms that vanish mod p, against every
+    # residue; the pinned quartic's roots were once read as [68, 99, 133, 209]
+    assert _roots_mod_p((115, 0, 45, 0, 77), 277) == [68, 99, 178, 209]
+    rng = random.Random(27)
+    ps = [p for p in primes_below(62) if p >= 17]
+    for _ in range(4000):
+        p = rng.choice(ps)
+        shape = rng.randrange(4)
+        if shape == 0:
+            h = (rng.randrange(p), rng.randrange(1, p))
+        elif shape == 1:
+            h = (rng.randrange(p), rng.randrange(p), rng.randrange(1, p), p * rng.randint(-3, 3), p * rng.randint(-3, 3))
+        elif shape == 2:
+            h = (rng.randrange(p), 0, rng.randrange(1, p))
+        else:
+            h = (rng.randrange(p), 0, rng.randrange(p), 0, rng.randrange(1, p))
+        h = tuple(c + p * rng.randint(-5, 5) for c in h)
+        assert _roots_mod_p(h, p) == [x for x in range(p) if _poly_eval(h, x) % p == 0], (h, p)
+    with pytest.raises(AssertionError):
+        _roots_mod_p((1, 1, 0, 1), 17)  # a cubic: no closed form here
+    with pytest.raises(AssertionError):
+        _roots_mod_p((1, 0, 0, 1, 1), 17)  # a quartic with an x^3 term
+
+
+@pytest.mark.parametrize("p", [10009, 10007])
+def test_roots_mod_p_on_built_roots(p):
+    # c (x^2 - a^2)(x^2 - b^2) and c (x - a)(x - b) at a large p, where a
+    # sweep of F_p would be slow: p = 1 (mod 8) runs Tonelli-Shanks' loop,
+    # p = 3 (mod 4) its closed-form square root; a quartic factor x^2 - n
+    # with n a non-residue adds no root
+    rng = random.Random(p)
+    n = next(n for n in range(2, p) if jacobi(n, p) == -1)
+    for _ in range(300):
+        a, b = rng.sample(range(1, (p + 1) // 2), 2)
+        c = rng.randrange(1, p)
+        quartic = (c * a * a * b * b, 0, -c * (a * a + b * b), 0, c)
+        assert _roots_mod_p(quartic, p) == sorted({a, p - a, b, p - b}), (a, b, c)
+        assert _roots_mod_p((-c * n * b * b, 0, c * (n + b * b), 0, -c), p) == sorted({b, p - b}), (b, c)
+        assert _roots_mod_p((c * a * b, -c * (a + b), c), p) == sorted({a, b}), (a, b, c)
+
+
+@pytest.mark.parametrize(
+    "A, B, p, masks", [(323, 83521, 17, (5, 5)), (-4675, 14161, 17, (15, 1)), (-24288, 529, 23, (15, 1))]
+)
+def test_structural_shifted_roots_match_the_scan(A, B, p, masks, monkeypatch, scan_oracle):
+    # these curves' charts at p ask _roots_mod_p for all three shapes the
+    # structural solver meets: even quartics, even quadratics and, in a chart
+    # shifted to a nonzero root, a quadratic with an x term.  The scan at p
+    # (_SCAN_MAX_P raised past it) is the reference for both sides' images,
+    # from the duality loop and from testing every class; a root finder that
+    # drops the last shape's roots fails at (323, 83521, 17)
+    shapes = set()
+    honest = descent._roots_mod_p
+
+    def spy(h, q):
+        t = descent._trim(h, q)
+        shapes.add((len(t) - 1, not any(t[1::2])))
+        return honest(h, q)
+
+    monkeypatch.setattr(descent, "_roots_mod_p", spy)
+    structural = local_masks(A, B, [p]), _exhaustive_masks(A, B, [p])
+    assert {(4, True), (2, True), (2, False)} <= shapes, shapes
+    monkeypatch.setattr(descent, "_SCAN_MAX_P", 40)
+    shapes.clear()
+    scanned = local_masks(A, B, [p]), _exhaustive_masks(A, B, [p])
+    assert not shapes
+    assert structural == scanned == ({p: masks}, {p: masks})
 
 
 def _reference_scan(f, p, kmax, max_nodes=None):

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from selmerlab import descent, local_analysis
-from selmerlab._polymod import quadratic_roots
 from selmerlab.cli import RECORD_FIELDS, curve_record
-from selmerlab.core_arith import _vp, factor, is_square, jacobi
+from selmerlab.core_arith import _vp, factor, is_square, jacobi, quadratic_roots
 from selmerlab.curve_family import CurvePair, column_members, enumerate_window, window_columns
 from selmerlab.descent import INF_PLACE, descent_exponent, local_image, relevant_places
 from selmerlab.local_analysis import (
@@ -716,3 +715,11 @@ def test_additive_factor_rejects_non_reduced_models():
         local_analysis.additive_factor(9, 81, 3)
     with pytest.raises(ValueError, match="non-reduced"):
         local_analysis.additive_factor(0, 5 * 625, 5)
+
+
+def test_additive_factor_rejects_singular_models():
+    # B = 0 is singular even when D = A^2 is not 0; the check must come
+    # before B's unit part, which would read p^v_p(0)
+    for A in (3, 6):
+        with pytest.raises(ValueError, match="singular curve"):
+            local_analysis.additive_factor(A, 0, 3)
