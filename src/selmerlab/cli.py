@@ -1,13 +1,15 @@
 """Command-line orchestration: enumerate, compute, stats, verify.
 
-Work is partitioned by B columns and mapped over a process pool; each column
-walks `curve_family.column_members` (or its sampled A's), and results are
+Work is partitioned by B columns and mapped over a process pool (under
+`--sample`, only the columns that hold a sampled curve), and results are
 merged back in (B, A) order before writing, so output files are byte
 identical for any thread count.  A full-window column (`compute` without
-`--sample`, and so the t-values of `stats`) gets its ledger columns from
-`local_analysis.column_ledger`, one sieve over the whole column; a sampled
-column builds each record with `curve_record` from the per-curve ledger,
-whose odd places also give g1, g2 and the descent's place list.
+`--sample`, and so the t-values of `stats`) is walked by
+`local_analysis.column_ledger`, which gives every member's ledger row from
+one sieve over the whole column; a sampled column builds each record with
+`curve_record` from the per-curve ledger, whose places, in
+`descent.relevant_places` order, also give g1, g2 and the descent's place
+list.
 `--with-descent` runs the descent per curve (`descent.local_masks`: one
 duality loop finds both sides' images at each finite place, 2 included),
 and `_record`, the one function that turns a ledger row into its record
@@ -44,7 +46,6 @@ from .core_arith import is_square
 from .curve_family import (
     CurvePair,
     column_count,
-    column_members,
     column_unrank,
     count_window,
     enumerate_window,
@@ -110,9 +111,9 @@ def curve_record(c: CurvePair, with_descent: bool = False) -> tuple:
     """The record of one curve from its ledger, whose places the descent
     reads."""
     ledger = tamagawa_exponent(c)
-    odd = ledger.entries[:-2]  # then 2 and inf
+    odd = ledger.entries[2:]  # after inf and 2
     g1, g2, _ = _odd_place_counts(c, odd)
-    places = [INF_PLACE, 2] + [e.place for e in odd] if with_descent else None
+    places = [e.place for e in ledger.entries] if with_descent else None
     return _record(c.A, c.B, (ledger.total, g1, g2, sum(e.additive for e in odd)), places)
 
 
@@ -142,13 +143,12 @@ def _column_records(X: int, with_descent: bool, include_square_disc: bool, task:
     A's (window members, ascending), or None for the whole column."""
     B, As = task
     if As is None:  # the whole column: one sieve for its odd places
-        As = list(column_members(B, X, include_square_disc))
-        rows = column_ledger(B, As)
+        rows = column_ledger(B, X, include_square_disc)
     else:  # each sampled curve reads its own ledger
-        rows = [None] * len(As)
+        rows = [(A, None) for A in As]
     out = []
     skipped = []
-    for A, row in zip(As, rows):
+    for A, row in rows:
         try:
             if isinstance(row, Exception):
                 raise row
@@ -199,7 +199,7 @@ def stream_records(config: RunConfig):
     keep = None
     if config.sample is not None:
         keep = sample_keys(X, config.includeSquareDisc, config.sample, config.seed)
-    tasks = [(B, None if keep is None else keep.get(B, ())) for B in window_columns(X)]
+    tasks = [(B, None) for B in window_columns(X)] if keep is None else list(keep.items())
     column = functools.partial(_column_records, X, config.with_descent, config.includeSquareDisc)
     workers = min(_resolve_threads(config), len(tasks))  # no idle worker
     if workers <= 1:
@@ -389,8 +389,8 @@ def run_verification(xmax: int, sample: int | None = None, seed: int = 0, report
         A, B = c.A, c.B
         try:  # the images are class masks (descent's square-class encoding)
             ledger = tamagawa_exponent(c)
-            odd = ledger.entries[:-2]  # the odd bad places, ascending, then 2 and inf
-            images = _exhaustive_masks(A, B, [INF_PLACE, 2] + [e.place for e in odd])
+            odd = ledger.entries[2:]  # the odd bad places, ascending, after inf and 2
+            images = _exhaustive_masks(A, B, [e.place for e in ledger.entries])
         except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
             skipped.append((A, B, str(exc)))
             continue

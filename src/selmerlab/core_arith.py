@@ -37,8 +37,6 @@ _MAGNITUDE_LIMIT = 1 << 127
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_small_primes: list[int] | None = None
-
 
 def primes_below(n: int) -> list[int]:
     """All primes < n by a byte sieve."""
@@ -55,13 +53,6 @@ def primes_below(n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _odd_primes_below(z: int) -> tuple[int, ...]:
     return tuple(p for p in primes_below(z) if p != 2)
-
-
-def _sieve() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = primes_below(_SIEVE_LIMIT)
-    return _small_primes
 
 
 @lru_cache(maxsize=1 << 16)
@@ -121,7 +112,11 @@ def _pollard_brent(n: int, c: int) -> int:
 
 
 def _factor_positive(m: int, out: dict[int, int]) -> None:
-    for p in _sieve():
+    e = (m & -m).bit_length() - 1  # the power of 2, then the odd primes below the sieve bound
+    if e:
+        out[2] = out.get(2, 0) + e
+        m >>= e
+    for p in _odd_primes_below(_SIEVE_LIMIT):
         if p * p > m:
             break
         if m % p == 0:

@@ -6,9 +6,9 @@ p has p^2 | A and p^4 | B simultaneously (A = 0 counts as divisible by every
 p^2).  Enumeration is lexicographic in (B, A) and deterministic.
 
 The column filter is written once, in `_column_rule`; `column_members`
-iterates it, `column_count` and `column_unrank` count it in closed form,
-`statistics.family_scan` masks it, and `local_analysis.column_ledger` reads
-its non-members from it.  `is_member` tests a single pair, and
+iterates it (`local_analysis.column_ledger` walks that iterator),
+`column_count` and `column_unrank` count it in closed form, and
+`statistics.family_scan` masks it.  `is_member` tests a single pair, and
 `enumerate_window(X)` walks the columns of `window_columns(X)` in order.
 
 `CurvePair(A, B)` takes only A and B: the companion's coefficients and

@@ -641,8 +641,7 @@ def _side_coefficients(A: int, B: int, side: Side) -> tuple[int, int]:
 
 def relevant_places(A: int, B: int) -> list:
     """Places where a torsor over this curve can fail: inf, 2, odd p | B (A^2-4B)."""
-    odd = sorted(p for p in factor(B * (A * A - 4 * B)).primes if p != 2)
-    return [INF_PLACE, 2] + odd
+    return [INF_PLACE, 2, *(p for p in factor(B * (A * A - 4 * B)).primes if p != 2)]  # primes ascend
 
 
 def local_masks(A: int, B: int, places) -> dict:

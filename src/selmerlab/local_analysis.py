@@ -35,13 +35,14 @@ its exponent log2(size) - 1, so that good places contribute 0 and the
 total, the sum of the exponents, is the Tamagawa-ratio exponent.
 
 `tamagawa_exponent` builds one curve's ledger from the factorization of
-B (A^2-4B).  `column_ledger` gives the same totals for a whole B column by
-sieving its odd places over the residue classes of A (Pomerance, The
-quadratic sieve factoring algorithm, 1984: values of a polynomial are
-sieved by its roots mod p) and place 2 over the 2-adic classes of A that
-the duality loop certifies.  Both read each rule from the one function
-that states it: `mult_factor` or `classify_reduction`, `additive_factor`
-(so neither runs Tate) and `factor_at_infinity`.
+B (A^2-4B).  `column_ledger` walks a whole B column (curve_family's
+`column_members`) and gives the same totals by sieving its odd places
+over the residue classes of A (Pomerance, The quadratic sieve factoring
+algorithm, 1984: values of a polynomial are sieved by its roots mod p)
+and place 2 over the 2-adic classes of A that the duality loop
+certifies.  Both read each rule from the one function that states it:
+`mult_factor` or `classify_reduction`, `additive_factor` (so neither runs
+Tate) and `factor_at_infinity`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .core_arith import _odd_primes_below, _root_classes, _vp, is_prime, jacobi, quadratic_roots
-from .curve_family import CurvePair, _column_rule
+from .curve_family import CurvePair, column_members
 from .descent import INF_PLACE, _dual_images, relevant_places
 
 __all__ = [
@@ -261,9 +262,9 @@ class LedgerEntry:
 class LocalFactorLedger:
     """Per-place local condition sizes and their base-2 exponents.
 
-    Entries cover every odd prime of bad reduction (ascending), then the
-    places 2 and infinity; total is the sum of their exponents.  Each size
-    must be one the place allows.
+    Entries cover the places of descent.relevant_places in its order:
+    infinity, 2, then every odd prime of bad reduction (ascending); total is
+    the sum of their exponents.  Each size must be one the place allows.
     """
 
     entries: tuple[LedgerEntry, ...]
@@ -342,21 +343,20 @@ def additive_factor(A: int, B: int, p: int) -> int:
 def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
     """Ledger of local factors whose exponents sum to the ratio exponent t(A, B).
 
-    The odd places are those of descent.relevant_places.  One that divides
-    both B and A^2-4B is additive and reads 2 c'_p / c_p from
-    `additive_factor`, as `column_ledger` does; the others are
-    multiplicative and use the closed-form table.  Place 2 reads
-    factor_at_two and the real place its closed form; the descent finds its
-    own images at 2, so `--with-descent` checks this ledger's.
+    Its entries are the places of descent.relevant_places, in that order:
+    the real place with its closed form, place 2 from factor_at_two, then
+    the odd places ascending.  An odd place that divides both B and A^2-4B
+    is additive and reads 2 c'_p / c_p from `additive_factor`, as
+    `column_ledger` does; the others are multiplicative and use the
+    closed-form table.  The descent finds its own images at 2, so
+    `--with-descent` checks this ledger's.
     """
     A, B, D = c.A, c.B, c.dualB
-    entries = []
+    entries = [LedgerEntry(INF_PLACE, factor_at_infinity(A, B)), LedgerEntry(2, factor_at_two(A, B))]
     for p in relevant_places(A, B)[2:]:  # the odd primes of B (A^2 - 4B), ascending
         additive = B % p == 0 and D % p == 0
         size = additive_factor(A, B, p) if additive else mult_factor(A, B, p)
         entries.append(LedgerEntry(p, size, additive))
-    entries.append(LedgerEntry(2, factor_at_two(A, B)))
-    entries.append(LedgerEntry(INF_PLACE, factor_at_infinity(A, B)))
     return LocalFactorLedger(tuple(entries))
 
 
@@ -380,17 +380,17 @@ def _place_two_sieve(B: int, lo: int, width: int):
     return image_at_two
 
 
-def column_ledger(B: int, As) -> list:
-    """(t_total, g1, g2, n_additive) of each curve (A, B) of one column, for
-    ascending A's, with the odd places found by one sieve instead of by
-    factoring each curve, and place 2 by one run per 2-adic class of A.
+def column_ledger(B: int, X: int, include_square_disc: bool = True) -> list:
+    """(A, (t_total, g1, g2, n_additive)) of each member (A, B) of column B
+    at height X, in the order of curve_family.column_members, with the odd
+    places found by one sieve instead of by factoring each curve, and place
+    2 by one run per 2-adic class of A.
 
-    Entry i belongs to As[i]: that tuple, or the ValueError or RuntimeError
-    its ledger raised (for an A that is no family member, the one CurvePair
-    raises).  g1 and g2 count the odd primes of A^2-4B and of B, n_additive
-    those of both.  The sieve finds which A share a place, and each rule is
-    read from the function that states it.  With D = A^2 - 4B, over the A's:
-    - members: the singular A and moduli of curve_family._column_rule.
+    A curve whose ledger raised a ValueError or RuntimeError gets (A, that
+    exception) instead.  g1 and g2 count the odd primes of A^2-4B and of B,
+    n_additive those of both.  The sieve finds which A share a place, and
+    each rule is read from the function that states it.  With D = A^2 - 4B,
+    over the A's:
     - odd p | B (read off the sieve's prime list): p divides D exactly when
       p | A.  Those A are additive at p and read `additive_factor`; every
       other residue class a mod p reads `mult_factor(a, B, p)` once.
@@ -404,7 +404,7 @@ def column_ledger(B: int, As) -> list:
     - place 2 by 2-adic classes of A (_place_two_sieve); the real place from
       `factor_at_infinity`.
     """
-    As = list(As)
+    As = list(column_members(B, X, include_square_disc))
     if not As:
         return []
     lo = As[0]
@@ -416,11 +416,6 @@ def column_ledger(B: int, As) -> list:
     g1 = [0] * width
     additive = {}  # index -> the odd primes of gcd(A, B), ascending
     bprimes = [p for p in ps if B % p == 0]
-    # the A of no family member, where CurvePair raises
-    moduli, singular, _ = _column_rule(B, max(-lo, lo + width - 1))
-    non_members = {A - lo for A in singular if 0 <= A - lo < width}
-    for m in moduli:
-        non_members.update(range(-lo % m, width, m))
     for p in bprimes:
         for a in range(1, p):  # a nonsingular representative, multiplicative at p
             if mult_factor(a, B, p) == 1:
@@ -458,15 +453,13 @@ def column_ledger(B: int, As) -> list:
         cofactor = (n >> (n & -n).bit_length() - 1) > 1  # odd part of the rest
         adds = additive.get(i, ())
         try:
-            if i in non_members:
-                CurvePair(A, B)  # raises the ValueError that says why
             total = t[i] + cofactor + sum(additive_factor(A, B, p).bit_length() - 2 for p in adds)
             total += image_at_two(A).bit_count().bit_length() - 2
         except (ValueError, RuntimeError) as exc:
-            out.append(exc)
+            out.append((A, exc))
             continue
         total += factor_at_infinity(A, B).bit_length() - 2
-        out.append((total, g1[i] + cofactor, g2, len(adds)))
+        out.append((A, (total, g1[i] + cofactor, g2, len(adds))))
     return out
 
 

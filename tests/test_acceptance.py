@@ -71,7 +71,7 @@ def _mid_column_stats(B: int):
             - parts["e2"]
             - parts["einf"]
         )
-        if lhs > _odd_place_counts(c, led.entries[:-2])[2]:
+        if lhs > _odd_place_counts(c, led.entries[2:])[2]:
             dec_fail.append((c.A, c.B))
         tvals.append((c.A, c.B, led.total, c.twoTorsionFull))
     return tvals, fac_fail, dec_fail

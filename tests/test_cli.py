@@ -604,15 +604,17 @@ def test_tate_call_budget(e60_sample, monkeypatch):
     assert calls[0] == 2 * mult > 0
 
 
-def test_pool_starts_no_more_workers_than_columns(monkeypatch, capsys):
-    # a fake fork context records the pool size and maps in this process
+@pytest.fixture
+def fake_pool(monkeypatch):
+    # a fake fork context records each pool's size and tasks and maps in this
+    # process; the fixture's value is the list of (size, tasks) of each pool
     import multiprocessing
 
-    sizes = []
+    pools = []
 
     class Pool:
         def __init__(self, n):
-            sizes.append(n)
+            self.n = n
 
         def __enter__(self):
             return self
@@ -621,15 +623,32 @@ def test_pool_starts_no_more_workers_than_columns(monkeypatch, capsys):
             return False
 
         def imap(self, fn, tasks):
-            return map(fn, tasks)
+            pools.append((self.n, list(tasks)))
+            return map(fn, pools[-1][1])
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=Pool))
+    return pools
+
+
+def test_pool_starts_no_more_workers_than_columns(fake_pool, capsys):
     assert main(["compute", "--xmax", "4", "--threads", "64"]) == 0
     pooled = capsys.readouterr().out
-    assert len(sizes) == 1 and 1 < sizes[0] <= len(window_columns(4)), sizes
+    assert len(fake_pool) == 1 and 1 < fake_pool[0][0] <= len(window_columns(4)), fake_pool
     assert main(["compute", "--xmax", "4", "--threads", "1"]) == 0
     assert capsys.readouterr().out == pooled
-    assert len(sizes) == 1  # the serial run started no pool
+    assert len(fake_pool) == 1  # the serial run started no pool
+
+
+def test_sampled_pool_maps_only_the_sampled_columns(fake_pool, capsys):
+    # 200 columns hold the 5 sampled curves of E(10^4): the pool gets the
+    # sampled columns alone, and no more workers than those
+    argv = ["compute", "--xmax", "10000", "--sample", "5", "--seed", "1"]
+    assert main(argv + ["--threads", "64"]) == 0
+    pooled = capsys.readouterr().out
+    keep = sample_keys(10000, True, 5, 1)
+    assert 1 < len(keep) and [(n, tasks) for n, tasks in fake_pool] == [(len(keep), list(keep.items()))]
+    assert main(argv + ["--threads", "1"]) == 0
+    assert capsys.readouterr().out == pooled and len(fake_pool) == 1
 
 
 def test_io_failure_exit_code(tmp_path):

@@ -437,7 +437,7 @@ def _charts_met(monkeypatch):
 
     monkeypatch.setattr(descent, "_chart_scan", recording)
     for B in window_columns(1000):
-        local_analysis.column_ledger(B, list(column_members(B, 1000)))
+        local_analysis.column_ledger(B, 1000)
     for B, As in sample_keys(1000, True, 400, 13).items():
         for A in As:
             _exhaustive_masks(A, B, relevant_places(A, B))

@@ -396,7 +396,7 @@ def test_every_export_resolves():
 def test_ledger_structure():
     led = tamagawa_exponent(CurvePair(1, 3))
     places = [e.place for e in led.entries]
-    assert places == [3, 11, 2, INF_PLACE]
+    assert places == [INF_PLACE, 2, 3, 11]
     by_place = {e.place: e for e in led.entries}
     assert by_place[3].size == 1 and by_place[3].exponent == -1
     assert by_place[11].size == 4 and by_place[11].exponent == 1
@@ -435,7 +435,7 @@ def test_ledger_records_reduction_kind(e60_sample):
             for e in led.entries
             if e.place not in (2, INF_PLACE)
         ]
-        assert [e.additive for e in led.entries] == kinds + [False, False]
+        assert [e.additive for e in led.entries] == [False, False] + kinds
         assert dict(zip(RECORD_FIELDS, curve_record(c)))["n_additive"] == sum(kinds)
 
 
@@ -448,7 +448,7 @@ def test_decompose_total_and_bound(e60_sample):
         parts = decompose_total(led)
         assert parts["t_mult"] + parts["t_add"] + parts["e2"] + parts["einf"] == led.total
         lhs = abs(led.total - (g1(c.A, c.B) - g2(c.A, c.B)) - parts["t_add"] - parts["e2"] - parts["einf"])
-        assert lhs <= _odd_place_counts(c, led.entries[:-2])[2], (c.A, c.B)
+        assert lhs <= _odd_place_counts(c, led.entries[2:])[2], (c.A, c.B)
 
 
 def test_additive_ratio_is_power_of_two(e60_sample):
@@ -471,7 +471,7 @@ def test_curve_record_reads_g1_g2_off_the_ledger(e60_sample):
     for c in e60_sample:
         rec = dict(zip(RECORD_FIELDS, curve_record(c)))
         assert (rec["g1"], rec["g2"]) == (g1(c.A, c.B), g2(c.A, c.B)), (c.A, c.B)
-        counts = _odd_place_counts(c, tamagawa_exponent(c).entries[:-2])
+        counts = _odd_place_counts(c, tamagawa_exponent(c).entries[2:])
         # the odd primes that divide B or A^2-4B twice, from their factorizations
         repeated = {p for n in (c.B, c.dualB) for p, e in factor(n).factors if p != 2 and e >= 2}
         assert counts == (rec["g1"], rec["g2"], len(repeated)), (c.A, c.B)
@@ -499,56 +499,84 @@ def test_column_ledger_matches_curve_record(X, include):
     n = 0
     for B in window_columns(X):
         As = list(column_members(B, X, include))
-        got = local_analysis.column_ledger(B, As)
-        assert got == [want[A, B] for A in As], B
+        got = local_analysis.column_ledger(B, X, include)
+        assert got == [(A, want[A, B]) for A in As], B
         n += len(As)
     assert n == sum(1 for A, B in want if include or not is_square(A * A - 4 * B))
 
 
 @pytest.mark.parametrize("B", [16, -16, 48, -48, 64, -64, 81, -81, 96, -96])
 def test_column_ledger_on_deep_columns(B):
-    # X = 10^4: a seeded subset of the column and every A with p^2 | A for a
-    # p | B (the deepest additive places the column has)
-    members = list(column_members(B, 10**4))
+    # the whole column at X = 10^4, read at a seeded subset of it and at every
+    # A with p^2 | A for a p | B (the deepest additive places the column has)
+    rows = dict(local_analysis.column_ledger(B, 10**4))
+    members = list(rows)
     ps = [p for p in (2, 3) if B % p == 0]  # every B here is +-2^a 3^b
     deep = {A for A in members if any(A % (p * p) == 0 for p in ps)}
     As = sorted(deep | set(random.Random(B).sample(members, 300)))
-    assert local_analysis.column_ledger(B, As) == _ledger_rows(B, As)
+    assert [rows[A] for A in As] == _ledger_rows(B, As)
 
 
 def test_column_ledger_errors_stay_with_their_curve(monkeypatch):
-    # a singular A gets the ValueError its ledger raises, and an exception in
-    # one curve's place 2 leaves every other curve of the column as it was
-    As = [-3, -2, 0, 1, 2, 5]  # A = +-2 is singular in column B = 1
-    rows = local_analysis.column_ledger(1, As)
-    assert [type(r) for r in rows].count(ValueError) == 2 and isinstance(rows[1], ValueError)
-    assert [r for r in rows if not isinstance(r, Exception)] == _ledger_rows(1, [-3, 0, 1, 5])
+    # an exception in one curve's place 2 stands in for its row and leaves
+    # every other curve of the column as it was
     honest = descent._dual_images
+    ran = []
+
+    def spy(A, B, v):
+        ran.append(A)
+        return honest(A, B, v)
+
+    monkeypatch.setattr(local_analysis, "_dual_images", spy)
+    rows = local_analysis.column_ledger(1, 16)
+    bad = ran[1]  # a later A whose 2-adic class no earlier run settled, so the sieve runs the loop there
 
     def flaky(A, B, v):
-        if A == 0:  # the first even A, so the sieve runs the loop there
+        if A == bad:
             raise descent.SolverPrecisionError("injected")
         return honest(A, B, v)
 
-    def shown(rows):
-        return [str(r) if isinstance(r, Exception) else r for r in rows]
-
     monkeypatch.setattr(local_analysis, "_dual_images", flaky)
-    again = shown(local_analysis.column_ledger(1, As))
-    assert again[2] == "injected" and again[:2] + again[3:] == shown(rows[:2] + rows[3:])
+    again = local_analysis.column_ledger(1, 16)
+    assert [A for A, _ in again] == [A for A, _ in rows]
+    assert [(A, str(r)) for A, r in again if isinstance(r, Exception)] == [(bad, "injected")]
+    assert [r for r in again if r[0] != bad] == [r for r in rows if r[0] != bad]
 
 
-def test_column_ledger_gives_non_members_the_curve_pair_error():
-    # p^2 | A with p^4 | B is no family member: column_ledger(81, [9]) once
-    # returned a row for (9, 81), and at 2 for (4, 16).  B = +-1296 = +-2^4 3^4
-    # carries both moduli 4 and 9, so each of them must be read; (72, 1296) is
-    # singular as well
-    for B, A in ((81, 9), (-81, 0), (16, 4), (1, 2), (1296, 4), (1296, 18), (1296, 72), (-1296, 54)):
-        rows = local_analysis.column_ledger(B, [A - 1, A, A + 1])
-        with pytest.raises(ValueError) as want:
-            CurvePair(A, B)
-        assert isinstance(rows[1], ValueError) and str(rows[1]) == str(want.value), (A, B)
-        assert rows[::2] == _ledger_rows(B, [A - 1, A + 1])
+def test_column_ledger_walks_column_members():
+    # the ledger walks its own column: p^2 | A with p^4 | B is no family
+    # member, so (9, 81) and (4, 16) get no row; B = +-1296 = +-2^4 3^4
+    # carries both moduli 4 and 9, and (72, 1296) is singular as well
+    X = 100
+    for include in (True, False):
+        for B, A in ((81, 9), (-81, 0), (16, 4), (1, 2), (1296, 4), (1296, 18), (1296, 72), (-1296, 54)):
+            rows = local_analysis.column_ledger(B, X, include)
+            As = [a for a, _ in rows]
+            assert As == list(column_members(B, X, include)) and A not in As, (A, B, include)
+            assert [row for _, row in rows] == _ledger_rows(B, As), (B, include)
+
+
+def test_column_ledger_reads_the_column_rule_once(capsys):
+    # compute's full window reads each column's membership rule once, in
+    # column_members, and the ledger reuses that walk.  The spy watches the
+    # rule's code object, so it sees a call through any name bound to it.
+    from selmerlab import curve_family
+    from selmerlab.cli import main
+
+    rule, seen = curve_family._column_rule.__code__, []
+
+    def spy(frame, event, arg):
+        if frame.f_code is rule:
+            seen.append(frame.f_locals["B"])
+
+    before = sys.gettrace()
+    sys.settrace(spy)
+    try:
+        assert main(["compute", "--xmax", "100", "--threads", "1"]) == 0
+    finally:
+        sys.settrace(before)
+    capsys.readouterr()
+    assert seen == window_columns(100)
 
 
 # ---------------------------------------------------------------------------
