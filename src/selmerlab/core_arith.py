@@ -2,12 +2,13 @@
 square roots and quadratic roots modulo an odd prime.
 
 Everything here is pure and deterministic.  Factoring uses trial division
-by a fixed prime sieve, then strong-pseudoprime testing with a proven
-witness set and Brent's cycle-finding variant of Pollard rho with an
-incrementing polynomial constant, so repeated runs (and concurrent
-callers) always see identical output.  The roots of a quadratic mod p
-(`quadratic_roots`, from one modular square root) count Tate's I0*
-components and give the descent's structural solver its roots.
+to sqrt(n), by one cached prime list per power of 2 up to a fixed bound,
+then strong-pseudoprime testing with a proven witness set and Brent's
+cycle-finding variant of Pollard rho with an incrementing polynomial
+constant, so repeated runs (and concurrent callers) always see identical
+output.  The roots of a quadratic mod p (`quadratic_roots`, from one modular
+square root) count Tate's I0* components and give the descent's structural
+solver its roots.
 """
 
 from __future__ import annotations
@@ -112,11 +113,11 @@ def _pollard_brent(n: int, c: int) -> int:
 
 
 def _factor_positive(m: int, out: dict[int, int]) -> None:
-    e = (m & -m).bit_length() - 1  # the power of 2, then the odd primes below the sieve bound
+    e = (m & -m).bit_length() - 1  # the power of 2, then the odd primes up to isqrt(m)
     if e:
         out[2] = out.get(2, 0) + e
         m >>= e
-    for p in _odd_primes_below(_SIEVE_LIMIT):
+    for p in _odd_primes_below(min(1 << math.isqrt(m).bit_length(), _SIEVE_LIMIT)):
         if p * p > m:
             break
         if m % p == 0:

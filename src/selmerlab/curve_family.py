@@ -133,7 +133,7 @@ def column_members(B: int, X: int, include_square_disc: bool = True) -> Iterator
     among them (see `_column_rule`).  The height bound B^2 <= X is the
     caller's, as in `column_count`.
     """
-    moduli, singular, square = _column_rule(B, X)
+    moduli, singular, square = _column_rule(B, X, not include_square_disc)
     skip = set(singular if include_square_disc else singular + square)
     for A in range(-X, X + 1):
         if A not in skip and not (moduli and any(A % m == 0 for m in moduli)):
@@ -175,10 +175,10 @@ def column_unrank(B: int, X: int, include_square_disc: bool, ranks: list[int]) -
     return out
 
 
-def _column_rule(B: int, X: int) -> tuple[list[int], list[int], list[int]]:
+def _column_rule(B: int, X: int, list_square: bool = True) -> tuple[list[int], list[int], list[int]]:
     """The membership rule of column B: its reduction moduli p^2 (p^4 | B),
     and the sorted A in [-X, X] that no modulus divides yet are singular or
-    have a square discriminant.
+    have a square discriminant (a trial division of B, so [] unless list_square).
 
     The singular A are the roots A = +-2 sqrt(B).  A^2 - 4B = s^2 with s > 0
     means (A - s)(A + s) = 4B with both factors even, so A = u + B/u for the
@@ -193,7 +193,7 @@ def _column_rule(B: int, X: int) -> tuple[list[int], list[int], list[int]]:
     r = math.isqrt(B) if B > 0 else 0
     singular = [A for A in (-2 * r, 2 * r) if r * r == B and kept(A)]
     square = set()
-    for d in range(1, math.isqrt(abs(B)) + 1):
+    for d in range(1, math.isqrt(abs(B)) + 1) if list_square else ():
         if B % d == 0:
             for u in (d, -d, B // d, -(B // d)):
                 if B // u > u and kept(u + B // u):
@@ -205,7 +205,7 @@ def _column_counter(B: int, X: int, include_square_disc: bool) -> tuple[list[tup
     # signed inclusion-exclusion terms (product, +-1) over every subset of the
     # moduli (distinct prime squares, so lcm = product; the empty subset is
     # (1, +1)), and the sorted non-members to subtract
-    moduli, singular, square = _column_rule(B, X)
+    moduli, singular, square = _column_rule(B, X, not include_square_disc)
     terms = [(1, 1)]
     for m in moduli:
         terms += [(l * m, -sign) for l, sign in terms]

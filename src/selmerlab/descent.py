@@ -64,19 +64,26 @@ which serves compute, the descent and both ledgers' place 2.  Testing every
 class on each side (`_local_image_tags`, `_exhaustive_masks`) is the
 reference that `local_image`, `_selmer` without masks and verify use, so
 duality is checked there, not assumed.
+
+A Selmer group is the kernel of an F_2-linear map from the span of -1 and
+the kernel's primes to the product of Q_v*/(Q_v*)^2 modulo the images
+(Schaefer 1996; Silverman X.4).  `_selmer` reads each generator's index once
+per place with a proper image m and packs its syndromes, the values of a
+basis of the functionals vanishing on m (`_syndrome_table`), into one int:
+products XOR them, and the group is the products of syndrome 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Literal
 
 from .core_arith import (
     _vp,
     factor,
     is_prime,
-    is_square,
     jacobi,
     quadratic_roots,
     signed_squarefree_divisors,
@@ -134,9 +141,9 @@ class TorsorQuartic:
 class SelmerSet:
     """A finite subgroup of square classes with its F_2-dimension.
 
-    The classes must hold 1 and be closed under multiplication mod squares;
-    a finite such set of square classes is an F_2-space, so its size is a
-    power of 2 and dim = log2(len(classes)).
+    The classes must hold 1 and be closed under multiplication mod squares,
+    checked in O(#classes) by growing their span one new class at a time; so
+    they form an F_2-space, of size a power of 2, and dim = log2(len(classes)).
     """
 
     side: Side
@@ -148,9 +155,11 @@ class SelmerSet:
         cl = self.classes
         if 1 not in cl:
             raise ValueError("identity class missing")
+        span = {1}
         for x in cl:
-            for y in cl:
-                if x * y // math.gcd(x, y) ** 2 not in cl:
+            if x not in span:
+                span |= {x * y // math.gcd(x, y) ** 2 for y in span}
+                if len(span) > len(cl):
                     raise ValueError("classes not closed under multiplication mod squares")
         object.__setattr__(self, "dim", len(cl).bit_length() - 1)
 
@@ -664,29 +673,48 @@ def _exhaustive_masks(A: int, B: int, places) -> dict:
     return {v: tuple(_local_image_tags(a, b, v) for a, b in sides) for v in places}
 
 
+@lru_cache(maxsize=None)
+def _syndrome_table(n: int, m: int) -> tuple[tuple[int, ...], int]:
+    """(t, w) for a subgroup mask m of n classes: t[i] packs the values at i of
+    a basis of the w functionals vanishing on m, so t is XOR-linear and 0 on m only."""
+    basis, span = [], {0}
+    for y in range(1, n):
+        if y not in span and not any(m >> x & 1 and (x & y).bit_count() & 1 for x in range(n)):
+            basis.append(y)
+            span |= {s ^ y for s in span}
+    return tuple(sum(((i & y).bit_count() & 1) << j for j, y in enumerate(basis)) for i in range(n)), len(basis)
+
+
 def _selmer(A: int, B: int, side: Side, masks: dict | None = None) -> SelmerSet:
-    """The side's group from `local_masks` output, or from its own images at
-    relevant_places(A, B), computed here, when not given.  The forced class
-    (the image of the kernel point) is the divisor d with kernel / d a
-    square, found among the divisors the loop visits anyway."""
+    """The side's group, the kernel of its syndrome map (module docstring),
+    from `local_masks` output, or from its own images at relevant_places(A, B)
+    when not given.  The forced class (the image of the kernel point) is the
+    sign times the primes of odd valuation."""
     a, kernel = _side_coefficients(A, B, side)  # b is the kernel: A^2-4B or B
     if masks is None:
         images = {v: _local_image_tags(a, kernel, v) for v in relevant_places(A, B)}
     else:
         images = {v: m[int(side == "phihat")] for v, m in masks.items()}
-    classes = set()
-    forced = None
-    for d in signed_squarefree_divisors(kernel):
-        if forced is None and is_square(kernel // d):
-            forced = d
-        if all(m >> _class_index(d, v) & 1 for v, m in images.items()):
-            classes.add(d)
+    gens = [-1, *(v for v in images if v != INF_PLACE and kernel % v == 0)]
+    syndromes = [0] * len(gens)
+    shift = 0
+    for v, m in images.items():
+        n = 2 if v == INF_PLACE else 8 if v == 2 else 4
+        if m != (1 << n) - 1:  # a full image imposes no condition
+            table, width = _syndrome_table(n, m)
+            for i, g in enumerate(gens):
+                syndromes[i] |= table[_class_index(g, v)] << shift
+            shift += width
+    cands = [(1, 0)]
+    for g, s in zip(gens, syndromes):
+        cands += [(d * g, t ^ s) for d, t in cands]
+    if {d for d, _ in cands} != signed_squarefree_divisors(kernel):
+        raise AssertionError(f"places {list(images)} miss a prime of the side {side} kernel {kernel}")
+    classes = frozenset(d for d, s in cands if not s)
+    forced = math.prod((q for q in gens[1:] if _vp(kernel, q) & 1), start=1 if kernel > 0 else -1)
     if forced not in classes:
         raise AssertionError(f"forced class {forced} missing from side {side} at ({A}, {B})")
-    n = len(classes)
-    if n & (n - 1):
-        raise AssertionError(f"class count {n} is not a power of two at ({A}, {B})")
-    return SelmerSet(side, frozenset(classes))
+    return SelmerSet(side, classes)
 
 
 def selmer_phi(A: int, B: int, masks: dict | None = None) -> SelmerSet:

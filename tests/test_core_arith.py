@@ -1,10 +1,14 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selmerlab import core_arith
 from selmerlab.core_arith import (
     FactoredInteger,
+    _SIEVE_LIMIT,
+    _odd_primes_below,
     _vp,
     factor,
     is_prime,
@@ -58,6 +62,58 @@ def test_factor_large_semiprime():
     p, q = 1_000_003, 999_983
     f = factor(p * q)
     assert f.factors == ((q, 1), (p, 1))
+
+
+def _factor_by_the_full_list(n):
+    """factor's trial division as it was when every call walked the odd
+    primes below the sieve bound, whatever the size of n; sympy factors a
+    cofactor with no prime below the bound."""
+    import sympy
+
+    out, m = {}, abs(n)
+    e = (m & -m).bit_length() - 1
+    if e:
+        out[2], m = e, m >> e
+    for p in _odd_primes_below(_SIEVE_LIMIT):
+        if p * p > m:
+            break
+        while m % p == 0:
+            out[p], m = out.get(p, 0) + 1, m // p
+    for p, e in sympy.factorint(m).items():
+        out[p] = out.get(p, 0) + e
+    return tuple(sorted(out.items()))
+
+
+def _near_the_bounds():
+    # primes around the sieve bound 10^5 and around the powers of 2 that
+    # bound the lazy prime lists (65521 < 2^16 < 65537, 1021 < 2^10 < 1031)
+    near = [99989, 99991, 100003, 100019, 65521, 65537, 1021, 1031, 2]
+    out = []
+    for i, p in enumerate(near):
+        for q in near[i:]:
+            out += [p * q, 3 * p * q, p * q * 99991, p * q * 1021 * 65537]
+    return out
+
+
+def test_lazy_prime_list_matches_the_full_list():
+    rng = random.Random(29)
+    cases = [rng.randrange(2, 10**20) for _ in range(300)] + [rng.randrange(2, 10**8) for _ in range(300)]
+    cases += _near_the_bounds()
+    for n in cases:
+        assert factor(n).factors == _factor_by_the_full_list(n), n
+
+
+def test_factor_sieves_only_to_the_power_of_two_above_the_root(monkeypatch):
+    bounds = []
+    sieve = core_arith.primes_below
+    monkeypatch.setattr(core_arith, "primes_below", lambda z: bounds.append(z) or sieve(z))
+    _odd_primes_below.cache_clear()
+    try:
+        factor(3 * 1009 * 1013)  # isqrt = 1751 < 2^11
+        factor(99991 * 100003)  # isqrt > 2^16, capped at the sieve bound
+    finally:
+        _odd_primes_below.cache_clear()
+    assert bounds == [2048, _SIEVE_LIMIT]
 
 
 def test_ord_p():

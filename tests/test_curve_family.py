@@ -1,8 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+from selmerlab import curve_family
 from selmerlab.core_arith import is_square, primes_below
 from selmerlab.curve_family import (
     CurvePair,
@@ -115,6 +117,35 @@ def test_column_exclusions_are_exercised():
     assert 10 in _column_members(16, 40, True) and 10 not in _column_members(16, 40, False)
     assert 0 in _column_members(-1, 5, True) and 0 not in _column_members(-1, 5, False)
     assert column_count(0, 10) == 0
+
+
+def test_square_discs_are_listed_only_for_callers_that_drop_them():
+    # with include_square_disc=True no caller reads the square-discriminant
+    # A's, so the rule skips the trial division that lists them.  The spy
+    # counts the calls of the rule's `kept` closure through its code object.
+    kept = next(c for c in curve_family._column_rule.__code__.co_consts if getattr(c, "co_name", "") == "kept")
+    B, X = 720, 1000  # 15 divisors up to isqrt(B), 2 A's each; not a square, so no singular A
+
+    def kept_calls(run):
+        seen = []
+
+        def spy(frame, event, arg):
+            if frame.f_code is kept:
+                seen.append(frame.f_locals["A"])
+
+        before = sys.gettrace()
+        sys.settrace(spy)
+        try:
+            run()
+        finally:
+            sys.settrace(before)
+        return len(seen)
+
+    for include, want in ((True, 0), (False, 30)):
+        assert kept_calls(lambda: column_count(B, X, include)) == want
+        assert kept_calls(lambda: column_unrank(B, X, include, [0, 7, 100])) == want
+        assert kept_calls(lambda: list(column_members(B, X, include))) == want
+    assert len(curve_family._column_rule(B, X)[2]) == 24  # 12 A > 0 not under the modulus 4, and their negatives
 
 
 def test_curvepair_derived_fields():

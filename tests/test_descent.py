@@ -2,12 +2,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from selmerlab import descent, local_analysis
 from selmerlab.cli import _column_records, curve_record, sample_keys
-from selmerlab.core_arith import _vp, is_prime, jacobi, primes_below, squarefree_part
-from selmerlab.curve_family import CurvePair, column_members, window_columns
+from selmerlab.core_arith import _vp, is_prime, jacobi, primes_below, signed_squarefree_divisors, squarefree_part
+from selmerlab.curve_family import CurvePair, column_members, enumerate_window, window_columns
 from selmerlab.descent import (
     INF_PLACE,
     SelmerSet,
@@ -24,6 +24,7 @@ from selmerlab.descent import (
     _poly_eval,
     _real_solvable,
     _roots_mod_p,
+    _selmer,
     _shift_scale,
     _side_coefficients,
     _torsor_solvable_at,
@@ -489,6 +490,8 @@ def test_selmerset_validation():
         SelmerSet("phi", frozenset({1, 2, 3}))  # not closed
     with pytest.raises(ValueError):
         SelmerSet("phi", frozenset({2, -2}))  # no identity
+    with pytest.raises(ValueError):
+        SelmerSet("phi", frozenset({1, 2, 3, 5}))  # a power of 2 in size, not closed
     assert SelmerSet("phi", frozenset({1, -1, 2, -2})).dim == 2
 
 
@@ -550,8 +553,6 @@ def _search_global_point(d, a, b, bound=18):
 def test_real_place_is_an_ordinary_mask(e60_sample):
     # a class's bit in the real image is its closed-form real solvability, so
     # the assembly reads inf off its mask like any other place
-    from selmerlab.core_arith import signed_squarefree_divisors
-
     for c in e60_sample:
         for side in ("phi", "phihat"):
             a, b = _side_coefficients(c.A, c.B, side)  # b is the side's kernel
@@ -566,6 +567,122 @@ def test_shared_masks_give_each_sides_own_group(e60_sample):
         masks = local_masks(c.A, c.B, relevant_places(c.A, c.B))
         assert selmer_phi(c.A, c.B, masks) == selmer_phi(c.A, c.B)
         assert selmer_phihat(c.A, c.B, masks) == selmer_phihat(c.A, c.B)
+
+
+def _per_divisor_selmer(A, B, side, masks=None):
+    """The assembly as a class test per divisor, the reference for the
+    syndrome map: every signed squarefree divisor of the side's kernel is
+    kept when its index lies in the image at every place."""
+    a, kernel = _side_coefficients(A, B, side)
+    if masks is None:
+        images = {v: _local_image_tags(a, kernel, v) for v in relevant_places(A, B)}
+    else:
+        images = {v: m[int(side == "phihat")] for v, m in masks.items()}
+    return frozenset(
+        d for d in signed_squarefree_divisors(kernel) if all(m >> _class_index(d, v) & 1 for v, m in images.items())
+    )
+
+
+def _assembly_mismatches(cases, masks_of):
+    """The (A, B, side) whose syndrome-map group differs from the per-divisor
+    reference, or whose assembly raised, with the same masks on both."""
+    bad = []
+    for A, B in cases:
+        masks = masks_of(A, B)
+        for side in ("phi", "phihat"):
+            try:
+                got = _selmer(A, B, side, masks).classes
+            except (AssertionError, ValueError) as exc:
+                got = exc
+            if got != _per_divisor_selmer(A, B, side, masks):
+                bad.append((A, B, side))
+    return bad
+
+
+def _ledger_masks(A, B):
+    return local_masks(A, B, relevant_places(A, B))
+
+
+def test_syndrome_assembly_matches_the_per_divisor_loop_on_e300():
+    cases = [(c.A, c.B) for c in enumerate_window(300)]
+    assert len(cases) > 20000
+    assert _assembly_mismatches(cases, _ledger_masks) == []
+
+
+def test_syndrome_assembly_matches_the_per_divisor_loop_on_e60(e60_sample):
+    cases = [(c.A, c.B) for c in e60_sample]
+    assert _assembly_mismatches(cases, _ledger_masks) == []
+    assert _assembly_mismatches(cases, lambda A, B: _exhaustive_masks(A, B, relevant_places(A, B))) == []
+    assert _assembly_mismatches(cases[:30], lambda A, B: None) == []  # each side's own images
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-(10**9), 10**9), st.integers(-(10**6), 10**6))
+def test_syndrome_assembly_matches_the_per_divisor_loop_on_large_a(A, B):
+    assume(B * (A * A - 4 * B) != 0)
+    assert _assembly_mismatches([(A, B)], _ledger_masks) == []
+
+
+def test_a_mask_dict_missing_a_kernel_prime_raises(e60_sample):
+    # the candidates are the span of -1 and the kernel's primes among the
+    # places; checked against the kernel's own divisors, a dropped prime raises
+    dropped = 0
+    for c in e60_sample[:40]:
+        masks = _ledger_masks(c.A, c.B)
+        for side in ("phi", "phihat"):
+            kernel = _side_coefficients(c.A, c.B, side)[1]
+            for v in [v for v in masks if v != INF_PLACE and kernel % v == 0]:
+                with pytest.raises(AssertionError, match="miss a prime"):
+                    _selmer(c.A, c.B, side, {w: m for w, m in masks.items() if w != v})
+                dropped += 1
+    assert dropped > 40
+
+
+def test_a_flipped_syndrome_bit_fails_the_differential_check(e60_sample, monkeypatch):
+    # one bit of each syndrome table flipped (bit 0 of the entry of index 1)
+    # must show in the comparison with the per-divisor loop
+    table = descent._syndrome_table
+
+    def flipped(n, m):
+        t, width = table(n, m)
+        return (t[0], t[1] ^ 1, *t[2:]), width
+
+    monkeypatch.setattr(descent, "_syndrome_table", flipped)
+    assert _assembly_mismatches([(c.A, c.B) for c in e60_sample], _ledger_masks)
+
+
+def test_syndrome_tables_are_linear_and_vanish_on_the_image():
+    # every subgroup mask of every place size: t[i] == 0 exactly on the mask,
+    # t[i ^ j] == t[i] ^ t[j], and the width is the codimension
+    for n in (2, 4, 8):
+        for m in range(1, 1 << n):
+            if descent._mul_sets(m, m) != m:
+                continue  # not a subgroup
+            t, width = descent._syndrome_table(n, m)
+            assert [t[i] == 0 for i in range(n)] == [bool(m >> i & 1) for i in range(n)], (n, m)
+            assert all(t[i ^ j] == t[i] ^ t[j] for i in range(n) for j in range(n)), (n, m)
+            assert 1 << width == n // m.bit_count() and max(t) < 1 << width, (n, m)
+
+
+def test_selmer_reads_each_generator_index_once_per_place(e60_sample, monkeypatch):
+    # at most (#generators x #places) _class_index calls per group, against
+    # (#divisors x #places) for a class test per divisor
+    calls = [0]
+    index = descent._class_index
+
+    def counted(d, v):
+        calls[0] += 1
+        return index(d, v)
+
+    cases = [(c.A, c.B, _ledger_masks(c.A, c.B)) for c in e60_sample]
+    monkeypatch.setattr(descent, "_class_index", counted)
+    for A, B, masks in cases:
+        for side in ("phi", "phihat"):
+            kernel = _side_coefficients(A, B, side)[1]
+            gens = 1 + sum(1 for v in masks if v != INF_PLACE and kernel % v == 0)
+            calls[0] = 0
+            _selmer(A, B, side, masks)
+            assert calls[0] <= gens * len(masks), (A, B, side)
 
 
 def test_odd_hilbert_table():
