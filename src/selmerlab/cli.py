@@ -51,7 +51,7 @@ from .curve_family import (
     enumerate_window,
     window_columns,
 )
-from .descent import INF_PLACE, local_masks, relevant_places, selmer_phi, selmer_phihat
+from .descent import local_masks, relevant_places, selmer_phi, selmer_phihat
 from .local_analysis import column_ledger, tamagawa_exponent
 
 __all__ = ["RunConfig", "main", "entrypoint", "run_verification", "curve_record"]
@@ -360,7 +360,7 @@ def run_verification(xmax: int, sample: int | None = None, seed: int = 0, report
     Returns True iff everything passed; prints one line per suite.
     """
     from .curve_family import density_rho
-    from .descent import _ORTH, _exhaustive_masks
+    from .descent import _ORTH, _class_count, _exhaustive_masks
     from .local_analysis import decompose_total, tamagawa_number
 
     if sample is None:
@@ -381,7 +381,6 @@ def run_verification(xmax: int, sample: int | None = None, seed: int = 0, report
     )
     fails = {name: [] for name in names}
     checked = dict.fromkeys(names, 0)
-    full = {INF_PLACE: 2, 2: 8}
     ncurves = 0
     skipped = []
     for c in curves:
@@ -398,16 +397,16 @@ def run_verification(xmax: int, sample: int | None = None, seed: int = 0, report
         # local duality: the two images multiply to the full local square-class group
         for v, (w, what) in images.items():
             checked["local_duality"] += 1
-            if w.bit_count() * what.bit_count() != full.get(v, 4):
+            if w.bit_count() * what.bit_count() != _class_count(v):
                 fails["local_duality"].append((A, B, v))
 
         # orientation anchor: at an odd prime exactly dividing A^2-4B the
-        # forward image must be everything (size 4)
+        # forward image must be everything
         for e in odd:
             p = e.place
             if c.dualB % p == 0 and c.dualB % (p * p) != 0 and B % p != 0:
                 checked["orientation_anchor"] += 1
-                if images[p][0].bit_count() != 4:
+                if images[p][0].bit_count() != _class_count(p):
                     fails["orientation_anchor"].append((A, B, p))
                 break
 
@@ -443,7 +442,7 @@ def run_verification(xmax: int, sample: int | None = None, seed: int = 0, report
         # and the ledger's size at 2 (factor_at_two) matches
         w, what = images[2]
         checked["place_two_duality"] += 1
-        if _ORTH[w] != what or 2 ** (ledger.exponent_at(2) + 1) != w.bit_count():
+        if _ORTH[w] != what or ledger.entries[1].size != w.bit_count():
             fails["place_two_duality"].append((A, B))
 
     if not ncurves:

@@ -49,21 +49,21 @@ and every A' = A (mod 2^N) of the same B column has the same two images
 (`_dual_images`); the column ledger fills place 2 class by class.
 
 Square classes have one encoding, used by every module.  Q_v*/(Q_v*)^2 is
-F_2^n and a class is an int index (`_class_index`): at the real place bit 0
-is the sign; at odd p bit 0 is a non-residue unit and bit 1 is p; at 2 the
-bits are the classes of -1, 5 and 2.  `_class_reps(v)[i]` represents index
-i, the product of two classes is the XOR of their indices, and a set of
-classes, such as a local image, is a mask with bit i for class i.  A
-curve's local conditions are one dict {v: (phi mask, phihat mask)} at inf, 2
-and the odd primes of B (A^2-4B) (`local_masks`), read by both sides; inf is
-an ordinary place, since real solvability of a class depends only on its sign.
+F_2^n, of size `_class_count(v)`; a class is an int index (`_class_index`): at
+the real place bit 0 is the sign; at odd p bit 0 is a non-residue unit and bit
+1 is p; at 2 the bits are the classes of -1, 5 and 2.  `_class_reps(v)[i]`
+represents index i, products of classes XOR their indices, and a set of
+classes, such as a local image, is a mask with bit i for class i.  A curve's
+local conditions are one dict {v: (phi mask, phihat mask)} at inf, 2 and the
+odd primes of B (A^2-4B) (`local_masks`), read by both sides; inf is an
+ordinary place, since real solvability of a class depends only on its sign.
 
 At a finite place the two masks are found together by one duality loop
 (`_dual_images`, over the Hilbert pairing tables `_ORTH` and `_ORTH_ODD`),
-which serves compute, the descent and both ledgers' place 2.  Testing every
-class on each side (`_local_image_tags`, `_exhaustive_masks`) is the
-reference that `local_image`, `_selmer` without masks and verify use, so
-duality is checked there, not assumed.
+which serves compute, the descent (`_selmer` given no masks) and both
+ledgers' place 2.  Testing every class on each side (`_local_image_tags`,
+`_exhaustive_masks`) is the reference that `local_image` reads and that
+verify and the tests pass explicitly, so duality is checked, not assumed.
 
 A Selmer group is the kernel of an F_2-linear map from the span of -1 and
 the kernel's primes to the product of Q_v*/(Q_v*)^2 modulo the images
@@ -496,6 +496,11 @@ def _class_index(d: int, v) -> int:
     return (jacobi((d // v**e) % v, v) == -1) | (e & 1) << 1
 
 
+def _class_count(v) -> int:
+    """|Q_v*/(Q_v*)^2|: 2 at inf, 8 at 2, 4 at an odd prime."""
+    return 2 if v == INF_PLACE else 8 if v == 2 else 4
+
+
 def _class_reps(v) -> list[int]:
     if v == INF_PLACE:
         return [1, -1]
@@ -586,7 +591,7 @@ def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
     if B * D == 0:
         raise ValueError("singular curve")
     two = v == 2
-    orth, full = (_ORTH, 8) if two else (_ORTH_ODD[v >> 1 & 1], 4)
+    orth, full = _ORTH if two else _ORTH_ODD[v >> 1 & 1], _class_count(v)
     sides = ((-2 * A, D), (A, B))
     got = [1 | 1 << _class_index(D, v), 1 | 1 << _class_index(B, v)]  # confirmed subgroups
     out = [0, 0]  # the cosets of got confirmed outside each image
@@ -687,19 +692,17 @@ def _syndrome_table(n: int, m: int) -> tuple[tuple[int, ...], int]:
 
 def _selmer(A: int, B: int, side: Side, masks: dict | None = None) -> SelmerSet:
     """The side's group, the kernel of its syndrome map (module docstring),
-    from `local_masks` output, or from its own images at relevant_places(A, B)
-    when not given.  The forced class (the image of the kernel point) is the
-    sign times the primes of odd valuation."""
-    a, kernel = _side_coefficients(A, B, side)  # b is the kernel: A^2-4B or B
-    if masks is None:
-        images = {v: _local_image_tags(a, kernel, v) for v in relevant_places(A, B)}
-    else:
-        images = {v: m[int(side == "phihat")] for v, m in masks.items()}
+    from a mask dict as `local_masks` gives, by default its own at
+    relevant_places(A, B).  The forced class (the image of the kernel point)
+    is the sign times the primes of odd valuation."""
+    kernel = _side_coefficients(A, B, side)[1]  # A^2-4B or B
+    masks = local_masks(A, B, relevant_places(A, B)) if masks is None else masks
+    images = {v: m[int(side == "phihat")] for v, m in masks.items()}
     gens = [-1, *(v for v in images if v != INF_PLACE and kernel % v == 0)]
     syndromes = [0] * len(gens)
     shift = 0
     for v, m in images.items():
-        n = 2 if v == INF_PLACE else 8 if v == 2 else 4
+        n = _class_count(v)
         if m != (1 << n) - 1:  # a full image imposes no condition
             table, width = _syndrome_table(n, m)
             for i, g in enumerate(gens):

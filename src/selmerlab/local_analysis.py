@@ -29,10 +29,10 @@ The loop also names N, the 2-adic digits of A that fixed every branch it
 took once B is fixed, so inside a B column one run settles the whole class
 A mod 2^N (see the descent module).
 
-Every local size is |H^1| of the local condition group at that place, a
-power of 2 between 1 and 8; the ledger stores each place's size, and reads
-its exponent log2(size) - 1, so that good places contribute 0 and the
-total, the sum of the exponents, is the Tamagawa-ratio exponent.
+Every local size is |H^1| of the local condition group at its place, a power
+of 2 at most its class count (descent._class_count); the ledger reads each
+size's exponent log2(size) - 1, so good places contribute 0 and the total,
+the sum of the exponents, is the Tamagawa-ratio exponent.
 
 `tamagawa_exponent` builds one curve's ledger from the factorization of
 B (A^2-4B).  `column_ledger` walks a whole B column (curve_family's
@@ -49,12 +49,12 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 from .core_arith import _odd_primes_below, _root_classes, _vp, is_prime, jacobi, quadratic_roots
 from .curve_family import CurvePair, column_members
-from .descent import INF_PLACE, _dual_images, relevant_places
+from .descent import INF_PLACE, _class_count, _dual_images, relevant_places
 
 __all__ = [
     "ReductionType",
@@ -240,9 +240,9 @@ def factor_at_infinity(A: int, B: int) -> int:
 
 
 def factor_at_two(A: int, B: int) -> int:
-    """2-adic local condition size in {1, 2, 4, 8}: the size of the phi
-    image, from one run of the duality loop (descent._dual_images).  The
-    exhaustive image is local_image(A, B, 2, "phi")."""
+    """2-adic local condition size: the size of the phi image, from one run
+    of the duality loop (descent._dual_images).  The exhaustive image is
+    local_image(A, B, 2, "phi")."""
     return _dual_images(A, B, 2)[0].bit_count()
 
 
@@ -262,36 +262,36 @@ class LedgerEntry:
 class LocalFactorLedger:
     """Per-place local condition sizes and their base-2 exponents.
 
-    Entries cover the places of descent.relevant_places in its order:
-    infinity, 2, then every odd prime of bad reduction (ascending); total is
-    the sum of their exponents.  Each size must be one the place allows.
+    Entries are the places of descent.relevant_places in its order, read by
+    position: inf, 2, then the odd bad primes ascending, each sized a power
+    of 2 at most its class count.  One pass checks both and sums total.
     """
 
     entries: tuple[LedgerEntry, ...]
+    total: int = field(init=False)
 
     def __post_init__(self):
+        if len(self.entries) < 2 or self.entries[1].place != 2:
+            raise ValueError("a ledger starts with the places inf and 2")
+        prev, total = 1, 0  # inf comes only before the int places, which ascend from 2
         for e in self.entries:
-            allowed = {1, 2} if e.place == INF_PLACE else ({1, 2, 4, 8} if e.place == 2 else {1, 2, 4})
-            if e.size not in allowed:
-                raise ValueError(f"size {e.size} not allowed at place {e.place}")
-
-    @property
-    def total(self) -> int:
-        return sum(e.exponent for e in self.entries)
-
-    def exponent_at(self, place) -> int:
-        for e in self.entries:
-            if e.place == place:
-                return e.exponent
-        return 0
+            v, size = e.place, e.size
+            if type(v) is int and v > prev:
+                prev = v
+            elif v != INF_PLACE or prev > 1:
+                raise ValueError(f"place {v!r} out of order: want inf, 2, then odd places ascending")
+            if size & (size - 1) or not 0 < size <= _class_count(v):
+                raise ValueError(f"size {size} not allowed at place {v}")
+            total += e.exponent
+        object.__setattr__(self, "total", total)
 
 
 def additive_factor(A: int, B: int, p: int) -> int:
     """Local condition size 2 c'_p / c_p at an odd prime p dividing A and B,
-    in closed form; the model must be nonsingular and reduced (not p^2 | A
-    with p^4 | B), or ValueError.  Both ledgers read it; Tate's algorithm
-    on both curves (`tamagawa_number`) gives the same size and is its
-    reference in the tests.
+    in closed form; at any other p, or on a singular or non-reduced model
+    (p^2 | A with p^4 | B), ValueError.  Both ledgers read it; Tate's
+    algorithm on both curves (`tamagawa_number`) gives the same size and is
+    its reference in the tests.
 
     Since x^3 + A x^2 + B x = x^3 (mod p), Tate's algorithm (Silverman,
     Advanced Topics, IV.9) starts with t = 0 and a6 = 0.  Write b = v_p(B),
@@ -316,6 +316,8 @@ def additive_factor(A: int, B: int, p: int) -> int:
       size = 4 / (its size): c = 4, and c' = 4 iff (B) = 1 for even b, or
       iff (-(A/p) B) = 1 for odd b (its 2 A'/p = -4 A/p and its D' = 16 B).
     """
+    if p == 2 or A % p or B % p or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime dividing A and B")
     vb = _vp(B, p)
     if vb == 1:
         return 2
@@ -466,17 +468,10 @@ def column_ledger(B: int, X: int, include_square_disc: bool = True) -> list:
 def decompose_total(ledger: LocalFactorLedger) -> dict:
     """Split the ledger total into multiplicative, additive, 2-adic and real
     parts, by the reduction kinds the ledger recorded."""
-    t_mult = t_add = 0
-    for e in ledger.entries:
-        if e.place in (2, INF_PLACE):
-            continue
-        if e.additive:
-            t_add += e.exponent
-        else:
-            t_mult += e.exponent
+    odd = ledger.entries[2:]  # after inf and 2
     return {
-        "t_mult": t_mult,
-        "t_add": t_add,
-        "e2": ledger.exponent_at(2),
-        "einf": ledger.exponent_at(INF_PLACE),
+        "t_mult": sum(e.exponent for e in odd if not e.additive),
+        "t_add": sum(e.exponent for e in odd if e.additive),
+        "e2": ledger.entries[1].exponent,
+        "einf": ledger.entries[0].exponent,
     }

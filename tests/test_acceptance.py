@@ -20,6 +20,7 @@ from selmerlab.core_arith import squarefree_part
 from selmerlab.curve_family import count_window, density_rho, enumerate_window
 from selmerlab.descent import (
     INF_PLACE,
+    _exhaustive_masks,
     descent_exponent,
     local_image,
     relevant_places,
@@ -108,9 +109,12 @@ def mid_sample():
 
 @pytest.fixture(scope="session")
 def mid_sample_descent(mid_sample):
+    # the exhaustive images (every class tested on each side), so that the
+    # product formula is checked against a route that does not assume duality
     out = []
     for c in mid_sample:
-        out.append((c, selmer_phi(c.A, c.B), selmer_phihat(c.A, c.B), tamagawa_exponent(c).total))
+        masks = _exhaustive_masks(c.A, c.B, relevant_places(c.A, c.B))
+        out.append((c, selmer_phi(c.A, c.B, masks), selmer_phihat(c.A, c.B, masks), tamagawa_exponent(c).total))
     return out
 
 

@@ -15,6 +15,7 @@ from selmerlab.descent import (
     TorsorQuartic,
     _chart_scan,
     _chart_solvable,
+    _class_count,
     _class_index,
     _class_reps,
     _disc_vp,
@@ -564,20 +565,32 @@ def test_real_place_is_an_ordinary_mask(e60_sample):
 
 def test_shared_masks_give_each_sides_own_group(e60_sample):
     for c in e60_sample[:40]:
-        masks = local_masks(c.A, c.B, relevant_places(c.A, c.B))
-        assert selmer_phi(c.A, c.B, masks) == selmer_phi(c.A, c.B)
-        assert selmer_phihat(c.A, c.B, masks) == selmer_phihat(c.A, c.B)
+        places = relevant_places(c.A, c.B)
+        masks, exhaustive = local_masks(c.A, c.B, places), _exhaustive_masks(c.A, c.B, places)
+        assert selmer_phi(c.A, c.B, masks) == selmer_phi(c.A, c.B, exhaustive)
+        assert selmer_phihat(c.A, c.B, masks) == selmer_phihat(c.A, c.B, exhaustive)
 
 
-def _per_divisor_selmer(A, B, side, masks=None):
+def test_groups_without_masks_equal_the_exhaustive_groups(e60_sample):
+    # given no masks, the public groups read local_masks at relevant_places;
+    # the reference tests every class on each side
+    for c in e60_sample:
+        exhaustive = _exhaustive_masks(c.A, c.B, relevant_places(c.A, c.B))
+        assert selmer_phi(c.A, c.B) == selmer_phi(c.A, c.B, exhaustive), (c.A, c.B)
+        assert selmer_phihat(c.A, c.B) == selmer_phihat(c.A, c.B, exhaustive), (c.A, c.B)
+
+
+def test_class_count_is_the_number_of_class_representatives():
+    for v in (INF_PLACE, 2, 3, 5, 13, 17, 101):
+        assert _class_count(v) == len(_class_reps(v)), v
+
+
+def _per_divisor_selmer(A, B, side, masks):
     """The assembly as a class test per divisor, the reference for the
     syndrome map: every signed squarefree divisor of the side's kernel is
     kept when its index lies in the image at every place."""
-    a, kernel = _side_coefficients(A, B, side)
-    if masks is None:
-        images = {v: _local_image_tags(a, kernel, v) for v in relevant_places(A, B)}
-    else:
-        images = {v: m[int(side == "phihat")] for v, m in masks.items()}
+    kernel = _side_coefficients(A, B, side)[1]
+    images = {v: m[int(side == "phihat")] for v, m in masks.items()}
     return frozenset(
         d for d in signed_squarefree_divisors(kernel) if all(m >> _class_index(d, v) & 1 for v, m in images.items())
     )
@@ -613,7 +626,6 @@ def test_syndrome_assembly_matches_the_per_divisor_loop_on_e60(e60_sample):
     cases = [(c.A, c.B) for c in e60_sample]
     assert _assembly_mismatches(cases, _ledger_masks) == []
     assert _assembly_mismatches(cases, lambda A, B: _exhaustive_masks(A, B, relevant_places(A, B))) == []
-    assert _assembly_mismatches(cases[:30], lambda A, B: None) == []  # each side's own images
 
 
 @settings(max_examples=60, deadline=None)

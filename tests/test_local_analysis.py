@@ -402,10 +402,30 @@ def test_ledger_structure():
     assert by_place[11].size == 4 and by_place[11].exponent == 1
     assert by_place[INF_PLACE].size == 2 and by_place[INF_PLACE].exponent == 0
     assert led.total == sum(e.exponent for e in led.entries)
-    with pytest.raises(ValueError):
-        LocalFactorLedger((LedgerEntry(3, 8),))
-    with pytest.raises(ValueError):
-        LocalFactorLedger((LedgerEntry(INF_PLACE, 4),))
+    # well-ordered ledgers, each failing on one size
+    with pytest.raises(ValueError, match="size 8 not allowed at place 3"):
+        LocalFactorLedger((LedgerEntry(INF_PLACE, 2), LedgerEntry(2, 1), LedgerEntry(3, 8)))
+    with pytest.raises(ValueError, match="size 4 not allowed at place inf"):
+        LocalFactorLedger((LedgerEntry(INF_PLACE, 4), LedgerEntry(2, 1)))
+    with pytest.raises(ValueError, match="size 3 not allowed at place 2"):
+        LocalFactorLedger((LedgerEntry(INF_PLACE, 2), LedgerEntry(2, 3)))
+
+
+@pytest.mark.parametrize(
+    "places",
+    [
+        (2, INF_PLACE, 3),  # inf is not first
+        (INF_PLACE, 3, 2),  # 2 is not second
+        (INF_PLACE, 3),  # 2 is missing
+        (INF_PLACE,),  # too short to hold inf and 2
+        (INF_PLACE, 2, 7, 5),  # odd places descend
+        (INF_PLACE, 2, 5, 5),  # an odd place repeats
+        (INF_PLACE, 2, 3, INF_PLACE),  # inf again after the odd places
+    ],
+)
+def test_ledger_rejects_a_misordered_place_list(places):
+    with pytest.raises(ValueError, match="out of order|starts with"):
+        LocalFactorLedger(tuple(LedgerEntry(v, 1) for v in places))
 
 
 def test_exponent_ranges(e60_sample):
@@ -743,6 +763,20 @@ def test_additive_factor_rejects_non_reduced_models():
         local_analysis.additive_factor(9, 81, 3)
     with pytest.raises(ValueError, match="non-reduced"):
         local_analysis.additive_factor(0, 5 * 625, 5)
+
+
+@pytest.mark.parametrize(
+    "A, B, p",
+    [
+        (1, 3, 3),  # split multiplicative at 3, of size 1 (mult_factor)
+        (3, 1, 3),  # good at 3
+        (2, 2, 2),  # p = 2
+        (9, 18, 9),  # not prime
+    ],
+)
+def test_additive_factor_rejects_places_that_are_not_additive(A, B, p):
+    with pytest.raises(ValueError, match="not an odd prime dividing A and B"):
+        local_analysis.additive_factor(A, B, p)
 
 
 def test_additive_factor_rejects_singular_models():
