@@ -13,8 +13,9 @@ list.
 `--with-descent` runs the descent per curve (`descent.local_masks`: one
 duality loop finds both sides' images at each finite place, 2 included),
 and `_record`, the one function that turns a ledger row into its record
-tuple, asserts that the descent's t equals the ledger total, so at 2 it
-checks the ledger's own route, the class sieve too.  `verify` visits each
+tuple, asserts that the descent's t equals the ledger total.  The ledgers
+read place 2 from Tate's algorithm at 2, the class sieve too, so there the
+check compares two independent computations.  `verify` visits each
 curve once and every per-curve suite reads its ledger and its exhaustive
 images (every class tested on each side), so its duality suites test
 duality instead of assuming it.
@@ -439,7 +440,8 @@ def run_verification(xmax: int, sample: int | None = None, seed: int = 0, report
 
         # the exhaustive images at 2 are each other's annihilators under the
         # Hilbert symbol (W is a subgroup, so W^perp = W^ gives W^^perp = W),
-        # and the ledger's size at 2 (factor_at_two) matches
+        # and the ledger's size at 2 (factor_at_two, from Tate's algorithm at
+        # 2 on both curves) matches the scanned image
         w, what = images[2]
         checked["place_two_duality"] += 1
         if _ORTH[w] != what or ledger.entries[1].size != w.bit_count():

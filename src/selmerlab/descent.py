@@ -42,11 +42,7 @@ n, then (c0, c2, c4) mod p^n, and every later chart whose g agrees mod p^n
 replays it, whoever asks: the duality loop's probes at 2 and at odd p <= 13,
 and the exhaustive images.  A hit returns exactly what a fresh scan would,
 so the memo is a cache that no caller can observe.  The structural decider
-above 13 is not memoized.  At 2 the count also certifies a whole curve: the
-chart coefficients are integer polynomials in A and B, so the duality loop
-names N, the digits of A that fixed every branch it took once B is fixed,
-and every A' = A (mod 2^N) of the same B column has the same two images
-(`_dual_images`); the column ledger fills place 2 class by class.
+above 13 is not memoized.
 
 Square classes have one encoding, used by every module.  Q_v*/(Q_v*)^2 is
 F_2^n, of size `_class_count(v)`; a class is an int index (`_class_index`): at
@@ -60,8 +56,10 @@ ordinary place, since real solvability of a class depends only on its sign.
 
 At a finite place the two masks are found together by one duality loop
 (`_dual_images`, over the Hilbert pairing tables `_ORTH` and `_ORTH_ODD`),
-which serves compute, the descent (`_selmer` given no masks) and both
-ledgers' place 2.  Testing every class on each side (`_local_image_tags`,
+which serves compute's `--with-descent` and the descent (`_selmer` given no
+masks).  The ledgers find their size at 2 from Tate's algorithm at 2
+instead (local_analysis), so at 2 the descent checks an independent
+computation.  Testing every class on each side (`_local_image_tags`,
 `_exhaustive_masks`) is the reference that `local_image` reads and that
 verify and the tests pass explicitly, so duality is checked, not assumed.
 
@@ -447,35 +445,27 @@ def _chart_scan(f, p: int) -> tuple[bool, int]:
     return found, max(e + 1, n + s)
 
 
-def _torsor_solvable_at(d: int, a: int, b: int, p: int) -> tuple[bool, int]:
-    """Q_p solvability of the torsor, and at p = 2 the number N of 2-adic
-    digits of its chart coefficients (b d, a d^2, d^3) it read (0 at odd p):
-    every (a', b') whose charts agree with these mod 2^N, such as (a, b)
-    (mod 2^N), runs the same search to the same verdict and names the same
-    N.  The second chart at 2 is scanned as f(2t) = (d^3, 0, 4 a d^2, 0, 16
-    b d) over Z_2; (b d, a d^2, d^3) mod 2^N fix its coefficients mod 2^N,
-    so its count serves for them unchanged."""
+def _torsor_solvable_at(d: int, a: int, b: int, p: int) -> bool:
+    """Q_p solvability of the torsor with class d and coefficients (a, b)."""
     if d == 1:
-        return True, 0  # (u, v, w) = (1, 0, 1)
+        return True  # (u, v, w) = (1, 0, 1)
     # chart v = 1 (v a unit, u = x), then chart u = 1 (v = x); y = d*w absorbs
     # the class.  A point with u and v both units is (u/v, 1) in the first
     # chart, so once that chart has failed the second needs only x in pZ_p.
     # At odd p, f = d^3 (mod p^2) there for a unit d and v_p(f) = 3 when p | d;
-    # at 2 it is searched as f(2t).
+    # at 2 it is searched as f(2t) = (d^3, 0, 4 a d^2, 0, 16 b d) over Z_2.
+    if _chart_solvable((b * d, 0, a * d * d, 0, d**3), p):
+        return True
     if p != 2:
-        return _chart_solvable((b * d, 0, a * d * d, 0, d**3), p) or jacobi(d % p, p) == 1, 0
-    found, n = _chart_scan((b * d, 0, a * d * d, 0, d**3), 2)
-    if found:
-        return True, n
-    found, m = _chart_scan((d**3, 0, 4 * a * d * d, 0, 16 * b * d), 2)
-    return found, max(n, m)
+        return jacobi(d % p, p) == 1
+    return _chart_solvable((d**3, 0, 4 * a * d * d, 0, 16 * b * d), 2)
 
 
 def solvable_padic(t: TorsorQuartic, p: int) -> bool:
     """Whether the torsor has a Q_p point."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _torsor_solvable_at(t.d, t.a, t.b, p)[0]
+    return _torsor_solvable_at(t.d, t.a, t.b, p)
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +491,17 @@ def _class_count(v) -> int:
     return 2 if v == INF_PLACE else 8 if v == 2 else 4
 
 
-def _class_reps(v) -> list[int]:
+@lru_cache(maxsize=1 << 16)
+def _class_reps(v) -> tuple[int, ...]:
+    """The representatives of the classes at v, by index, once per place."""
     if v == INF_PLACE:
-        return [1, -1]
+        return (1, -1)
     if v == 2:
-        return [1, -1, 5, -5, 2, -2, 10, -10]
+        return (1, -1, 5, -5, 2, -2, 10, -10)
     n = 2
     while jacobi(n, v) != -1:
         n += 1
-    return [1, n, v, n * v]
+    return (1, n, v, n * v)
 
 
 def _by_lowest_bit(n: int, empty: int, step) -> tuple:
@@ -566,11 +558,9 @@ _ORTH = _orth_table(_hilbert2, 8)
 _ORTH_ODD = tuple(_orth_table(lambda x, y, e=eps: _hilbert_odd(x, y, e), 4) for eps in (0, 1))
 
 
-def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
-    """(W, W^, N) at a finite place v: the phi image W (torsor coefficients
-    (-2A, A^2-4B)) and the dual image W^ (coefficients (A, B)) as masks, and
-    at v = 2 the number N of 2-adic digits of A that fix every branch taken
-    here once B is fixed (0 at odd v).
+def _dual_images(A: int, B: int, v: int) -> tuple[int, int]:
+    """(W, W^) at a finite place v: the phi image W (torsor coefficients
+    (-2A, A^2-4B)) and the dual image W^ (coefficients (A, B)) as masks.
 
     W and W^ are exact orthogonal complements under the Hilbert symbol
     (local Tate duality; Schaefer, Class groups and Selmer groups, J. Number
@@ -580,22 +570,14 @@ def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
     other side has confirmed.  A failed probe of t rules out the coset t W.
     Probing stops once the confirmed sizes multiply to the full size; if the
     candidates run out first, AssertionError is raised.
-
-    At 2 the free class of D = A^2-4B reads v2(D) + 3 digits of D, fixed by
-    A mod 2^(v2(D) + 2).  A probe of class d names the n digits of its chart
-    coefficients (b d, a d^2, d^3) it read: on the phi side, (a, b) = (-2A,
-    D), that is A mod 2^(n - 1 - v2(d)); on the dual side b = B is fixed,
-    and a d^2 = A d^2 needs A mod 2^(n - 2 v2(d)).  N is the largest.
     """
     D = A * A - 4 * B
     if B * D == 0:
         raise ValueError("singular curve")
-    two = v == 2
-    orth, full = _ORTH if two else _ORTH_ODD[v >> 1 & 1], _class_count(v)
+    orth, full = _ORTH if v == 2 else _ORTH_ODD[v >> 1 & 1], _class_count(v)
     sides = ((-2 * A, D), (A, B))
     got = [1 | 1 << _class_index(D, v), 1 | 1 << _class_index(B, v)]  # confirmed subgroups
     out = [0, 0]  # the cosets of got confirmed outside each image
-    n = _vp(D, 2) + 2 if two else 0  # at least 2, which covers a probe's D mod 2 (= A mod 2)
     if got[0] & ~orth[got[1]]:
         raise AssertionError(f"free classes at {v} are not orthogonal at ({A}, {B})")
     reps = _class_reps(v)
@@ -607,15 +589,12 @@ def _dual_images(A: int, B: int, v: int) -> tuple[int, int, int]:
         else:
             raise AssertionError(f"images at {v} for ({A}, {B}) ran out of candidates before |W| |W^| = {full}")
         t = (open_ & -open_).bit_length() - 1
-        found, read = _torsor_solvable_at(reps[t], *sides[i], v)
-        if two:  # the digits of A the probe read; v2(d) is bit 2 of t
-            n = max(n, read - ((t >> 1 & 2) if i else 1 + (t >> 2)))
-        if found:
+        if _torsor_solvable_at(reps[t], *sides[i], v):
             got[i] |= _TIMES[t][got[i]]
             out[i] = _mul_sets(out[i], got[i])
         else:
             out[i] |= _TIMES[t][got[i]]
-    return got[0], got[1], n
+    return got[0], got[1]
 
 
 def _local_image_tags(a: int, b: int, v) -> int:
@@ -626,7 +605,7 @@ def _local_image_tags(a: int, b: int, v) -> int:
     """
     if v == INF_PLACE:
         return 1 | _real_solvable(-1, a, b) << 1
-    m = sum(1 << i for i, r in enumerate(_class_reps(v)) if _torsor_solvable_at(r, a, b, v)[0])
+    m = sum(1 << i for i, r in enumerate(_class_reps(v)) if _torsor_solvable_at(r, a, b, v))
     if _mul_sets(m, m) != m:
         raise AssertionError(f"local image at v={v} for (a, b)=({a}, {b}) is not a subgroup")
     return m
@@ -667,7 +646,7 @@ def local_masks(A: int, B: int, places) -> dict:
         if v == INF_PLACE:
             out[v] = 1 | _real_solvable(-1, -2 * A, A * A - 4 * B) << 1, 1 | _real_solvable(-1, A, B) << 1
         else:
-            out[v] = _dual_images(A, B, v)[:2]
+            out[v] = _dual_images(A, B, v)
     return out
 
 

@@ -13,21 +13,24 @@ valuations and Legendre symbols.  Tate's algorithm itself (odd p only;
 the reference both closed forms are checked against, by `verify`'s
 factor-table suite and by the tests.  Since a6 = 0 at each of its root
 steps, every cubic it factors is T (T^2 + a T + b), whose multiple root is
-0 if p | b, else -a/2 if p | a^2 - 4b, else none.  The place 2 is handled
-by 2-adic local images from the descent machinery, never by Tate at 2, and
-the real place has a closed form.
+0 if p | b, else -a/2 if p | a^2 - 4b, else none.  The real place has a
+closed form.
 
-At 2 the two images are found together, by descent._dual_images, the one
-duality loop that also gives the descent its local images at every finite
-place.  By local Tate duality the phi image W and the dual image W^ in
-Q_2*/Q_2*^2 = F_2^3 are exact orthogonal complements under the Hilbert
-symbol (Schaefer, Class groups and Selmer groups, J. Number Theory 56,
-1996), so |W| |W^| = 8 and a class confirmed on one side bounds the other:
-only classes orthogonal to it remain candidates there.  Torsors are still
-probed by certified scans; duality only chooses which probes are needed.
-The loop also names N, the 2-adic digits of A that fixed every branch it
-took once B is fixed, so inside a B column one run settles the whole class
-A mod 2^N (see the descent module).
+Place 2 is read from Tate's algorithm at 2 (`tate_at_two`, every exit, on
+general integral models), run on both curves of the isogeny.  Schaefer
+(Class groups and Selmer groups, J. Number Theory 56, 1996, Lemma 3.8)
+gives the size of the phi image from Tamagawa numbers alone:
+|E'(Q_2)/phi E(Q_2)| = |E(Q_2)[phi]| c_2(E') / c_2(E) |alpha|_2^-1, where
+alpha is the leading coefficient of phi on the formal groups of minimal
+models.  On the family's models phi pulls the invariant differential of
+E' back to -1 times that of E, so with m and m' the rescalings to minimal
+models, size = 2 c_2(E') / c_2(E) 2^(m' - m) (`_size_at_two`).  The descent finds
+its images at 2 by certified torsor scans (descent._dual_images), so
+`--with-descent` and verify compare two independent computations there.
+Every branch of Tate's algorithm reads a few 2-adic digits of the current
+model, and in a B column the models' coefficients are linear in A, so a run
+also names N, the digits of A that fix every branch: one run settles the
+whole class A mod 2^N of its column.
 
 Every local size is |H^1| of the local condition group at its place, a power
 of 2 at most its class count (descent._class_count); the ledger reads each
@@ -39,10 +42,10 @@ B (A^2-4B).  `column_ledger` walks a whole B column (curve_family's
 `column_members`) and gives the same totals by sieving its odd places
 over the residue classes of A (Pomerance, The quadratic sieve factoring
 algorithm, 1984: values of a polynomial are sieved by its roots mod p)
-and place 2 over the 2-adic classes of A that the duality loop
+and place 2 over the 2-adic classes of A that Tate's algorithm at 2
 certifies.  Both read each rule from the one function that states it:
 `mult_factor` or `classify_reduction`, `additive_factor` (so neither runs
-Tate) and `factor_at_infinity`.
+Tate at odd p), `_size_at_two` and `factor_at_infinity`.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from math import isqrt
 
 from .core_arith import _odd_primes_below, _root_classes, _vp, is_prime, jacobi, quadratic_roots
 from .curve_family import CurvePair, column_members
-from .descent import INF_PLACE, _class_count, _dual_images, relevant_places
+from .descent import INF_PLACE, _class_count, relevant_places
 
 __all__ = [
     "ReductionType",
@@ -65,6 +68,7 @@ __all__ = [
     "additive_factor",
     "tamagawa_number",
     "tate_local_data",
+    "tate_at_two",
     "factor_at_infinity",
     "factor_at_two",
     "tamagawa_exponent",
@@ -162,7 +166,7 @@ def tate_local_data(A: int, B: int, p: int) -> tuple[str, int, int]:
     or 3: E_0(Q_p), an extension of the additive group F_p by the pro-p
     group E_1(Q_p), has no point of order 2, so the 2-torsion point (0, 0)
     lies outside it.  At p = 2 these fibres do occur, so this is odd p
-    only."""
+    only; `tate_at_two` has every exit."""
     _check_odd_prime(p)
     a2, a4, a6 = A, B, 0
     while True:
@@ -224,6 +228,142 @@ def tamagawa_number(A: int, B: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Tate's algorithm at 2 for y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6
+# ---------------------------------------------------------------------------
+
+
+def _rst(a: tuple, r: int, s: int, t: int) -> tuple:
+    """(a1, a2, a3, a4, a6) after x = x' + r, y = y' + s x' + t (Silverman,
+    The Arithmetic of Elliptic Curves, III.1, u = 1)."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1,
+    )
+
+
+def _slide(d2: int, d4: int, d6: int, r: int) -> tuple[int, int, int]:
+    """The slopes of (a2, a4, a6) after x = x' + r: d2 x^2 + d4 x + d6 at x + r."""
+    return d2, d4 + 2 * r * d2, d6 + r * (d4 + r * d2)
+
+
+def _digits(x: int, k: int) -> int:
+    """The 2-adic digits of x that fix min(v_2(x), k)."""
+    return k if x & ((1 << k) - 1) == 0 else (x & -x).bit_length()
+
+
+def tate_at_two(a: tuple, da: tuple) -> tuple[str, int, int, int]:
+    """(Kodaira symbol, c_2, m, N) for the integral model a = (a1, a2, a3,
+    a4, a6) at 2, whose a2, a4 and a6 are linear in A with slopes da = (da2,
+    da4, da6) while a1 and a3 do not depend on A: m is the number of
+    rescalings to a minimal model, and every A' = A (mod 2^N) runs the same
+    branches to the same symbol, c_2 and m.
+
+    Tate's algorithm (Silverman, Advanced Topics, IV.9.4) with every exit:
+    I0, I_n, II, III, IV, I0*, I_n*, IV*, III*, II*, and the rescale a_i ->
+    a_i / 2^i of a non-minimal model.  At 2 the cubic's roots mod 2 are
+    read off its coefficients, and a quadratic y^2 + y + q has a root iff q
+    is even.  Each move (_rst) is by integers r, s, t read off a few digits.
+    It is affine in the a_i with constant coefficients, and a1 and a3 move
+    only by constants, so the slopes of a1 and a3 stay 0 and those of a2,
+    a4, a6 change only with x = x' + r (_slide); after m rescalings they are
+    da_i / 2^(i m), kept as integers scaled by 2^(6m).  A test that reads j
+    digits of a_i, or of b6, b8 or the discriminant (polynomials in the
+    a_i), is fixed by A mod 2^K as soon as the slope of each a_i it involves
+    has valuation at least j - K; N is the largest such K.  v_2 of the
+    discriminant is read in full only at the I_n exit.
+    """
+    m = N = sh = 0  # sh = 6m: the slopes are da_i / 2^sh
+    d2, d4, d6 = da
+    while True:
+        a1, a2, a3, a4, a6 = a
+        b2, b4 = a1 * a1 + 4 * a2, a1 * a3 + 2 * a4
+        b6 = a3 * a3 + 4 * a6
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        delta = 9 * b2 * b4 * b6 - b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6
+        if delta == 0:
+            raise ValueError("singular curve")
+        # a read of j digits of a coefficient of slope d needs j + sh - v_2(d)
+        # digits of A; an OR of slopes has the least valuation among them, and
+        # _slide's integer combinations keep it
+        every = sh - _vp(d2 | d4 | d6, 2)
+        N = max(N, 1 + every)
+        if delta & 1:
+            return "I0", 1, m, N
+        # move the singular point of the reduction to (0, 0)
+        r, t = (a3 & 1, (a3 + a4) & 1) if a1 & 1 else (a4 & 1, (a4 & 1) * (1 + a2 + a4) + a6 & 1)
+        a1, a2, a3, a4, a6 = a = _rst(a, r, 0, t)
+        d2, d4, d6 = _slide(d2, d4, d6, r)
+        if a1 & 1:  # b2 is a unit: multiplicative, split iff y^2 + a1 xy - a2 x^2 factors
+            n = _vp(delta, 2)
+            N = max(N, n + 1 + every)
+            return f"I{n}", n if a2 & 1 == 0 else 2 - (n & 1), m, N
+        v6 = sh - _vp(d6, 2)
+        N = max(N, _digits(a6, 2) + v6)
+        if a6 & 3:
+            return "II", 1, m, N
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        N = max(N, _digits(b8, 3) + every)
+        if b8 & 7:
+            return "III", 2, m, N
+        b6 = a3 * a3 + 4 * a6
+        N = max(N, _digits(b6, 3) + v6, 3 + v6)
+        if b6 & 7:  # y^2 + (a3/2) y - a6/4 with a3/2 odd
+            return "IV", 1 if a6 >> 2 & 1 else 3, m, N
+        a1, a2, a3, a4, a6 = a = _rst(a, 0, a2 & 1, 2 * (a6 >> 2 & 1))
+        # the cubic T^3 + b T^2 + c T + d mod 2, with (b, c, d) = (a2/2, a4/4, a6/8)
+        N = max(N, 2 + sh - _vp(d2, 2), 3 + sh - _vp(d4, 2), 4 + v6)
+        b, c, d = a2 >> 1 & 1, a4 >> 2 & 1, a6 >> 3 & 1
+        if (d + b * c) & 1:  # its discriminant is (d + bc)^2 mod 2: three distinct roots
+            return "I0*", 1 + (d == 0) + ((1 + b + c + d) & 1 == 0), m, N
+        if (b + c) & 1:  # a double root, at c: I_k*
+            a = _rst(a, 2 * c, 0, 0)
+            d2, d4, d6 = _slide(d2, d4, d6, 2 * c)
+            k = 1
+            while True:
+                # at odd k the quadratic is y^2 + (a3/2^e) y - a6/2^(k+3), at even k
+                # (a2/2) x^2 + (a4/2^e) x + a6/2^(k+3); a2/2 is odd
+                q = a[4] >> k + 3 & 1
+                N = max(N, k + 4 + sh - _vp(d6, 2))
+                if k & 1:
+                    e = (k + 3) >> 1
+                    if a[2] >> e & 1:
+                        return f"I{k}*", 2 if q else 4, m, N
+                    a = _rst(a, 0, 0, q << e)
+                else:
+                    e = k // 2 + 2
+                    N = max(N, e + 1 + sh - _vp(d4, 2))
+                    if a[3] >> e & 1:
+                        return f"I{k}*", 2 if q else 4, m, N
+                    a = _rst(a, q << e - 1, 0, 0)
+                    d2, d4, d6 = _slide(d2, d4, d6, q << e - 1)
+                k += 1
+        # a triple root, at b
+        a = _rst(a, 2 * b, 0, 0)
+        d2, d4, d6 = _slide(d2, d4, d6, 2 * b)
+        v6 = sh - _vp(d6, 2)
+        q = a[4] >> 4 & 1
+        N = max(N, 5 + v6)
+        if a[2] >> 2 & 1:  # y^2 + (a3/4) y - a6/16 with a3/4 odd
+            return "IV*", 1 if q else 3, m, N
+        a1, a2, a3, a4, a6 = a = _rst(a, 0, 0, -4 * q)
+        N = max(N, _digits(a4, 4) + sh - _vp(d4, 2))
+        if a4 & 15:
+            return "III*", 2, m, N
+        N = max(N, _digits(a6, 6) + v6)
+        if a6 & 63:
+            return "II*", 1, m, N
+        # non-minimal at 2: rescale (x, y) -> (4x, 8y) and restart
+        a = (a1 >> 1, a2 >> 2, a3 >> 3, a4 >> 4, a6 >> 6)
+        d2, d4 = d2 << 4, d4 << 2
+        m += 1
+        sh += 6
+
+
+# ---------------------------------------------------------------------------
 # places 2 and infinity, and the ledger
 # ---------------------------------------------------------------------------
 
@@ -239,11 +379,28 @@ def factor_at_infinity(A: int, B: int) -> int:
     return 2 if (B > 0 and (A < 0 or A * A < 4 * B)) else 1
 
 
+def _size_at_two(A: int, B: int) -> tuple[int, int]:
+    """(size, N): the size of the phi image at 2, 2 c_2(E') / c_2(E)
+    2^(m' - m) from Tate's algorithm at 2 on E and E' (module docstring),
+    and the digits N of A that fix it in a B column.  E is (0, A, 0, B, 0)
+    and E' is taken as y^2 = (x + A)(x^2 - 4B), the translate x -> x + A of
+    y^2 = x^3 - 2A x^2 + (A^2-4B) x, whose coefficients are linear in A too.
+    A size that is not a power of 2 up to 8 raises AssertionError."""
+    _, c, m, n = tate_at_two((0, A, 0, B, 0), (1, 0, 0))
+    _, c2, m2, n2 = tate_at_two((0, A, 0, -4 * B, -4 * A * B), (1, 0, -4 * B))
+    num, den = 2 * c2 << m2, c << m
+    size = num // den
+    if size * den != num or size & (size - 1) or not 0 < size <= 8:
+        raise AssertionError(f"size 2 * {c2} 2^{m2} / ({c} 2^{m}) at 2 for ({A}, {B}) is not a power of 2 up to 8")
+    return size, max(n, n2)
+
+
 def factor_at_two(A: int, B: int) -> int:
-    """2-adic local condition size: the size of the phi image, from one run
-    of the duality loop (descent._dual_images).  The exhaustive image is
-    local_image(A, B, 2, "phi")."""
-    return _dual_images(A, B, 2)[0].bit_count()
+    """2-adic local condition size: the size of the phi image, from Tate's
+    algorithm at 2 on both curves (_size_at_two).  The descent's duality
+    loop (descent._dual_images) and the exhaustive image local_image(A, B,
+    2, "phi") find it by torsor scans instead."""
+    return _size_at_two(A, B)[0]
 
 
 @dataclass(frozen=True)
@@ -346,12 +503,13 @@ def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
     """Ledger of local factors whose exponents sum to the ratio exponent t(A, B).
 
     Its entries are the places of descent.relevant_places, in that order:
-    the real place with its closed form, place 2 from factor_at_two, then
-    the odd places ascending.  An odd place that divides both B and A^2-4B
-    is additive and reads 2 c'_p / c_p from `additive_factor`, as
-    `column_ledger` does; the others are multiplicative and use the
-    closed-form table.  The descent finds its own images at 2, so
-    `--with-descent` checks this ledger's.
+    the real place with its closed form, place 2 from factor_at_two (Tate's
+    algorithm at 2 on both curves), then the odd places ascending.  An odd
+    place that divides both B and A^2-4B is additive and reads 2 c'_p / c_p
+    from `additive_factor`, as `column_ledger` does; the others are
+    multiplicative and use the closed-form table.  The descent finds its
+    images at 2 by torsor scans, so `--with-descent` checks this ledger's
+    size there against an independent computation.
     """
     A, B, D = c.A, c.B, c.dualB
     entries = [LedgerEntry(INF_PLACE, factor_at_infinity(A, B)), LedgerEntry(2, factor_at_two(A, B))]
@@ -363,23 +521,24 @@ def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
 
 
 def _place_two_sieve(B: int, lo: int, width: int):
-    """The phi image at 2 of (A, B) for lo <= A < lo + width, as a function
+    """The size at 2 of (A, B) for lo <= A < lo + width, as a function
     called for ascending A's: the first A of a class that no run has settled
-    runs _dual_images(A, B, 2), whose N digits of A fix its every branch in
-    this column, and its image fills every later A' = A (mod 2^N) in one
-    slice assignment.  A run that raised settles nothing."""
-    images = [0] * width  # 0: not settled (an image always holds class 1)
+    runs _size_at_two(A, B), whose N digits of A fix every branch of Tate's
+    algorithm at 2 on both curves in this column, and its size fills every
+    later A' = A (mod 2^N) in one slice assignment.  A run that raised
+    settles nothing."""
+    sizes = [0] * width  # 0: not settled
 
-    def image_at_two(A: int) -> int:
+    def size_at_two(A: int) -> int:
         i = A - lo
-        w = images[i]
-        if not w:
-            w, _, n = _dual_images(A, B, 2)
+        size = sizes[i]
+        if not size:
+            size, n = _size_at_two(A, B)
             step = 1 << n
-            images[i::step] = [w] * len(range(i, width, step))
-        return w
+            sizes[i::step] = [size] * len(range(i, width, step))
+        return size
 
-    return image_at_two
+    return size_at_two
 
 
 def column_ledger(B: int, X: int, include_square_disc: bool = True) -> list:
@@ -403,7 +562,8 @@ def column_ledger(B: int, X: int, include_square_disc: bool = True) -> list:
     - the cofactor: what is left of |D| once its 2s are gone has no prime
       factor up to isqrt(max |D|), so it is 1 or one prime q with q || D
       (q does not divide B), which adds +1 to t and to g1.
-    - place 2 by 2-adic classes of A (_place_two_sieve); the real place from
+    - place 2 by one run of Tate's algorithm at 2 on both curves per 2-adic
+      class of A (_place_two_sieve); the real place from
       `factor_at_infinity`.
     """
     As = list(column_members(B, X, include_square_disc))
@@ -447,7 +607,7 @@ def column_ledger(B: int, X: int, include_square_disc: bool = True) -> list:
                 if v & 1 or split:
                     t[i] += 1
     g2 = len(bprimes)
-    image_at_two = _place_two_sieve(B, lo, width)
+    size_at_two = _place_two_sieve(B, lo, width)
     out = []
     for A in As:
         i = A - lo
@@ -456,7 +616,7 @@ def column_ledger(B: int, X: int, include_square_disc: bool = True) -> list:
         adds = additive.get(i, ())
         try:
             total = t[i] + cofactor + sum(additive_factor(A, B, p).bit_length() - 2 for p in adds)
-            total += image_at_two(A).bit_count().bit_length() - 2
+            total += size_at_two(A).bit_length() - 2
         except (ValueError, RuntimeError) as exc:
             out.append((A, exc))
             continue

@@ -270,18 +270,24 @@ def test_no_include_square_disc_shrinks_the_family(capsys):
 
 
 def _fail_place_two_at(monkeypatch, A0, B0):
-    """The duality loop at 2 raises for (A0, B0), wherever it runs: in the
-    column sieve (full windows) and in the per-curve accessor (sampled runs,
-    verify)."""
-    honest = descent._dual_images
+    """Place 2 raises for (A0, B0) wherever it runs: Tate's algorithm at 2
+    for the ledgers, in the column sieve (full windows) and in the per-curve
+    accessor (sampled runs, verify), and the duality loop at 2 for the
+    descent."""
+    tate, loop = local_analysis._size_at_two, descent._dual_images
 
-    def flaky(A, B, v):
+    def flaky_tate(A, B):
+        if (A, B) == (A0, B0):
+            raise SolverPrecisionError("injected precision exhaustion")
+        return tate(A, B)
+
+    def flaky_loop(A, B, v):
         if (A, B, v) == (A0, B0, 2):
             raise SolverPrecisionError("injected precision exhaustion")
-        return honest(A, B, v)
+        return loop(A, B, v)
 
-    monkeypatch.setattr(descent, "_dual_images", flaky)
-    monkeypatch.setattr(local_analysis, "_dual_images", flaky)
+    monkeypatch.setattr(local_analysis, "_size_at_two", flaky_tate)
+    monkeypatch.setattr(descent, "_dual_images", flaky_loop)
 
 
 @pytest.mark.parametrize("extra", [[], ["--sample", "34"]], ids=["full", "sample"])
@@ -319,25 +325,25 @@ def test_stats_exits_1_after_skipping_curves(capsys, monkeypatch):
 
 
 def test_a_failing_class_run_skips_only_its_curve(tmp_path, capsys, monkeypatch):
-    # E(100): the first A of column -3 is the first of its 2-adic class (A =
-    # -100 mod 16, 12 class-mates), so the sieve runs place 2 there; when that
-    # run raises, that curve alone is skipped, and each class-mate runs its
-    # own loop to the same record
+    # E(100): the first A of column -3 is the first of its 2-adic class, so
+    # the sieve runs Tate's algorithm at 2 there; when that run raises, that
+    # curve alone is skipped, and each class-mate runs its own to the same
+    # record
     B = -3
     As = list(column_members(B, 100))
-    A0, n = As[0], descent._dual_images(As[0], B, 2)[2]
+    A0, n = As[0], local_analysis._size_at_two(As[0], B)[1]
     mates = [A for A in As[1:] if (A - A0) % (1 << n) == 0]
     assert len(mates) >= 5, (A0, n, mates)
     clean = tmp_path / "clean.csv"
     assert main(["compute", "--xmax", "100", "--threads", "1", "--out", str(clean)]) == 0
     runs = []
-    honest = descent._dual_images
+    honest = local_analysis._size_at_two
 
-    def recording(A, B, v):
-        runs.append((A, B, v))
-        return honest(A, B, v)
+    def recording(A, B):
+        runs.append((A, B))
+        return honest(A, B)
 
-    monkeypatch.setattr(descent, "_dual_images", recording)
+    monkeypatch.setattr(local_analysis, "_size_at_two", recording)
     _fail_place_two_at(monkeypatch, A0, B)
     out = tmp_path / "records.csv"
     assert main(["compute", "--xmax", "100", "--threads", "1", "--out", str(out)]) == 1
@@ -345,7 +351,7 @@ def test_a_failing_class_run_skips_only_its_curve(tmp_path, capsys, monkeypatch)
     assert "skipped 1 curves:" in err and f"({A0}, {B}): injected precision exhaustion" in err
     lines = clean.read_text().splitlines()
     assert out.read_text().splitlines() == [line for line in lines if not line.startswith(f"{A0},{B},")]
-    assert any((A, B, 2) in runs for A in mates)  # a class-mate ran its own loop
+    assert any((A, B) in runs for A in mates)  # a class-mate ran its own
 
 
 def test_stats_without_t_values_exits_1(tmp_path, capsys):
@@ -513,16 +519,17 @@ def test_pipeline_enforces_the_product_formula(flags, tmp_path, capsys, monkeypa
 
 
 def test_pipeline_checks_the_column_sieve_at_two(tmp_path, capsys, monkeypatch):
-    # a sieve told that the loop read one 2-adic digit of A fewer than it did
-    # fills a class mod 2^(N-1) with one image; the descent finds its own
-    # images at 2, so a full-window run meets a curve whose ledger is wrong
-    loop = local_analysis._dual_images
+    # a sieve told that Tate's algorithm at 2 read one 2-adic digit of A
+    # fewer than it did fills a class mod 2^(N-1) with one size; the descent
+    # finds its own images at 2, so a full-window run meets a curve whose
+    # ledger is wrong
+    tate = local_analysis._size_at_two
 
-    def short(A, B, v):
-        w, what, n = loop(A, B, v)
-        return w, what, n - 1
+    def short(A, B):
+        size, n = tate(A, B)
+        return size, n - 1
 
-    monkeypatch.setattr(local_analysis, "_dual_images", short)
+    monkeypatch.setattr(local_analysis, "_size_at_two", short)
     out = tmp_path / "records.csv"
     assert main(["compute", "--xmax", "30", "--threads", "1", "--with-descent", "--out", str(out)]) == 1
     assert "verification failure: product formula violated" in capsys.readouterr().err

@@ -64,6 +64,26 @@ def test_factor_large_semiprime():
     assert f.factors == ((q, 1), (p, 1))
 
 
+def test_factor_defers_to_sympy_past_the_proven_bound(monkeypatch):
+    # 2^89 - 1 is a prime above 3.3 * 10^24, the bound to which the 12
+    # Miller-Rabin witnesses are proven, so is_prime asks sympy, once: the
+    # one line of the program that reads that dependency
+    import sympy
+
+    assert 2**89 - 1 > core_arith._MR_PROVEN_BOUND
+    calls = []
+    honest = sympy.isprime
+
+    def counted(n):
+        calls.append(n)
+        return honest(n)
+
+    monkeypatch.setattr(sympy, "isprime", counted)
+    is_prime.cache_clear()
+    assert factor(3 * (2**89 - 1)).factors == ((3, 1), (2**89 - 1, 1))
+    assert calls == [2**89 - 1]
+
+
 def _factor_by_the_full_list(n):
     """factor's trial division as it was when every call walked the odd
     primes below the sieve bound, whatever the size of n; sympy factors a

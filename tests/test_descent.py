@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from selmerlab import descent, local_analysis
+from selmerlab import descent
 from selmerlab.cli import _column_records, curve_record, sample_keys
 from selmerlab.core_arith import _vp, is_prime, jacobi, primes_below, signed_squarefree_divisors, squarefree_part
 from selmerlab.curve_family import CurvePair, column_members, enumerate_window, window_columns
@@ -308,7 +308,7 @@ def test_second_chart_needs_only_pzp_after_first_fails(scan_oracle):
                     want = first or _chart_solvable(fu, p)
                 except SolverPrecisionError:
                     continue  # the full search gave no answer to compare with
-                assert _torsor_solvable_at(*torsor, p)[0] == want, (torsor, p)
+                assert _torsor_solvable_at(*torsor, p) == want, (torsor, p)
                 if p != 2:
                     # the closed form _torsor_solvable_at uses at odd p: on pZ_p,
                     # f(x) = d^3 (mod p^2) for a unit d, and v(f) = 3 when p | d.
@@ -424,8 +424,8 @@ def test_root_exit_digit_count_is_a_certificate(p, scan_oracle):
 
 def _charts_met(monkeypatch):
     """Every (f, p, (found, count)) _chart_scan is called with and returns,
-    in order, from an empty chart memo: place 2 over E(10^3) through the
-    column sieve, then both sides' exhaustive local images
+    in order, from an empty chart memo: the duality loop at 2 on every
+    curve of E(300), then both sides' exhaustive local images
     (_local_image_tags on each side) at every place of a 400-curve sample at
     X = 10^3, whose odd p <= 13 are scanned."""
     monkeypatch.setattr(descent, "_CHART_MEMO", {})
@@ -438,8 +438,8 @@ def _charts_met(monkeypatch):
         return got
 
     monkeypatch.setattr(descent, "_chart_scan", recording)
-    for B in window_columns(1000):
-        local_analysis.column_ledger(B, 1000)
+    for c in enumerate_window(300):
+        descent._dual_images(c.A, c.B, 2)
     for B, As in sample_keys(1000, True, 400, 13).items():
         for A in As:
             _exhaustive_masks(A, B, relevant_places(A, B))
@@ -447,8 +447,8 @@ def _charts_met(monkeypatch):
 
 
 def test_chart_memo_replays_a_fresh_scan(monkeypatch):
-    # the memo's verdict and digit count on every chart the column sieve and
-    # the descent meet equal a fresh _zp_scan's of its normal chart; a memo
+    # the memo's verdict and digit count on every chart the duality loop at 2
+    # and the exhaustive images meet equal a fresh _zp_scan's of its normal chart; a memo
     # keyed on one digit fewer than the scan read answers some chart wrongly
     calls = _charts_met(monkeypatch)
     fresh = {}
@@ -765,13 +765,14 @@ def test_duality_masks_equal_exhaustive_masks(e60_sample):
 
 
 def test_descent_runs_its_own_place_two(monkeypatch, request):
-    # with the descent, a sampled curve runs the duality loop at 2 twice,
-    # once for the ledger (factor_at_two) and once for the descent, and a
-    # full-window column runs it once per 2-adic class for the ledger and
-    # once per member for the descent; the descent's masks are each side's
-    # exhaustive images.  A chart-memo hit names what a fresh scan names, so
-    # a column's class runs are the same from an empty memo, a warm one and
-    # one that never stores.
+    # with the descent, a sampled curve runs the duality loop at 2 once, for
+    # the descent (the ledger's factor_at_two runs Tate's algorithm at 2),
+    # and a full-window column runs it never for the ledger (its sieve runs
+    # Tate's algorithm once per 2-adic class) and once per member for the
+    # descent; the descent's masks are each side's exhaustive images.  A
+    # chart-memo hit returns what a fresh scan returns, so a column's
+    # records are the same from an empty memo, a warm one and one that
+    # never stores.
     runs = []
     loop = descent._dual_images
 
@@ -780,13 +781,12 @@ def test_descent_runs_its_own_place_two(monkeypatch, request):
         return loop(A, B, v)
 
     monkeypatch.setattr(descent, "_dual_images", recording)
-    monkeypatch.setattr(local_analysis, "_dual_images", recording)
     n = 0
     for B, As in sample_keys(1000, True, 400, 15).items():
         for A in As:
             runs.clear()
             curve_record(CurvePair(A, B), with_descent=True)
-            assert runs.count(2) == 2, (A, B)
+            assert runs.count(2) == 1, (A, B)
             places = relevant_places(A, B)
             assert local_masks(A, B, places) == _exhaustive_masks(A, B, places), (A, B)
             n += 1
@@ -798,19 +798,18 @@ def test_descent_runs_its_own_place_two(monkeypatch, request):
             _column_records(100, with_descent, True, (B, None))
             counts.append(runs.count(2))
         members = len(list(column_members(B, 100)))
-        assert counts[0] < members and counts[1] == counts[0] + members, (B, counts)
+        assert counts[0] == 0 and counts[1] == members, (B, counts)
+    runs.clear()
+    for B in window_columns(100):  # all of compute --xmax 100
+        _column_records(100, False, True, (B, None))
+    assert runs == []
     monkeypatch.setattr(descent, "_CHART_MEMO", {})
     passes = []
     for memo in ("empty", "warm", "never stores"):
         if memo == "never stores":
             request.getfixturevalue("scan_oracle")
-        counts = []
-        for B in (-7, 16, 24):
-            runs.clear()
-            _column_records(100, False, True, (B, None))
-            counts.append(runs.count(2))
-        passes.append(counts)
-    assert passes[0] == passes[1] == passes[2], passes
+        passes.append([_column_records(100, True, True, (B, None)) for B in (-7, 16, 24)])
+    assert passes[0] == passes[1] == passes[2]
 
 
 def test_duality_loop_probes_only_open_classes(e60_sample, monkeypatch):
@@ -840,11 +839,11 @@ def test_duality_loop_probes_only_open_classes(e60_sample, monkeypatch):
             lied = []
 
             def lying(d, a, b, v):
-                ok, n = honest(d, a, b, v)
+                ok = honest(d, a, b, v)
                 if ok and not lied:
                     lied.append(d)
-                    return False, n
-                return ok, n
+                    return False
+                return ok
 
             monkeypatch.setattr(descent, "_torsor_solvable_at", lying)
             try:
@@ -868,7 +867,7 @@ def test_rational_point_soundness(e60_sample):
                 hits += 1
                 assert solvable_real(TorsorQuartic(d, a, b))
                 for p in relevant_places(c.A, c.B)[1:]:  # the primes of d are among them
-                    assert _torsor_solvable_at(d, a, b, p)[0], (c.A, c.B, d, p)
+                    assert _torsor_solvable_at(d, a, b, p), (c.A, c.B, d, p)
         if hits > 25:
             break
     assert hits > 10
@@ -884,7 +883,7 @@ def test_good_primes_are_automatically_solvable(e60_sample):
             if p in bad:
                 continue
             for d in (1, -1):
-                assert _torsor_solvable_at(d, a, b, p)[0]
+                assert _torsor_solvable_at(d, a, b, p)
                 checked += 1
     assert checked > 50
 

@@ -1,6 +1,7 @@
 import functools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -181,11 +182,10 @@ def test_factor_at_infinity_matches_real_image(e60_sample):
         assert factor_at_infinity(c.A, c.B) == len(local_image(c.A, c.B, INF_PLACE, "phi"))
 
 
-def _scan_size(A, B):
-    """(size of the phi image at 2, the digits N of A it read) from the
-    duality loop, which reads no memo of its own."""
-    w, _, n = descent._dual_images(A, B, 2)
-    return w.bit_count(), n
+def _loop_size(A, B):
+    """The size of the phi image at 2 from the duality loop, which reads no
+    memo of its own."""
+    return descent._dual_images(A, B, 2)[0].bit_count()
 
 
 def _assert_factor_at_two_exact(pairs):
@@ -200,16 +200,17 @@ def _assert_factor_at_two_exact(pairs):
 
 
 def _assert_sieve_exact(B, As, image=False):
-    """The column ledger's sieve of phi images at 2 against a run of the
-    duality loop on each curve (factor_at_two's), and its size against the
-    exhaustively tested image if image is True; the number of curves."""
-    image_at_two = local_analysis._place_two_sieve(B, As[0], As[-1] - As[0] + 1)
+    """The column ledger's sieve of sizes at 2 (Tate's algorithm at 2, one
+    run per class) against a run of the duality loop on each curve, and
+    against the exhaustively tested image if image is True; the number of
+    curves."""
+    size_at_two = local_analysis._place_two_sieve(B, As[0], As[-1] - As[0] + 1)
     n = 0
     for A in As:
-        w = image_at_two(A)
-        assert w == descent._dual_images(A, B, 2)[0], (A, B)
+        size = size_at_two(A)
+        assert size == _loop_size(A, B), (A, B)
         if image:
-            assert w.bit_count() == len(local_image(A, B, 2, "phi")), (A, B)
+            assert size == len(local_image(A, B, 2, "phi")), (A, B)
         n += 1
     return n
 
@@ -244,15 +245,16 @@ def test_factor_at_two_exact_on_deep_columns(B, scan_oracle):
 
 
 def test_sieve_replays_the_scan_on_the_x1000_window(scan_oracle, monkeypatch):
-    # every curve of E(10^3); 6,986 runs of the loop at 2 settle all 123,052
+    # every curve of E(10^3); 936 runs of Tate's algorithm at 2 settle all
+    # 123,052, each size equal to the loop's
     runs = []
-    loop = descent._dual_images
+    tate = local_analysis._size_at_two
 
-    def counted(A, B, v):
-        runs.append(v)
-        return loop(A, B, v)
+    def counted(A, B):
+        runs.append(A)
+        return tate(A, B)
 
-    monkeypatch.setattr(local_analysis, "_dual_images", counted)
+    monkeypatch.setattr(local_analysis, "_size_at_two", counted)
     n = sum(_assert_sieve_exact(B, list(column_members(B, 1000))) for B in window_columns(1000))
     assert n == 123052 and len(runs) < n // 12
 
@@ -266,10 +268,158 @@ def test_sieve_matches_the_loop_on_hypothesis_runs(scan_oracle, b, kb, sign, lo,
     # a run of width consecutive A from lo in the column B = +-b 2^kb; the
     # fixture only keeps the chart memo empty, so it holds across examples
     B = sign * b << kb
-    image_at_two = local_analysis._place_two_sieve(B, lo, width)
+    size_at_two = local_analysis._place_two_sieve(B, lo, width)
     for A in range(lo, lo + width):
         if A * A != 4 * B:
-            assert image_at_two(A) == descent._dual_images(A, B, 2)[0], (A, B)
+            assert size_at_two(A) == _loop_size(A, B), (A, B)
+
+
+def _ledger_models(A, B):
+    """E and E' as _size_at_two runs them: (model, slopes in A of a2, a4, a6)."""
+    return ((0, A, 0, B, 0), (1, 0, 0)), ((0, A, 0, -4 * B, -4 * A * B), (1, 0, -4 * B))
+
+
+def _models_at_two(A, B):
+    """E and E' at 2 as tate_at_two takes them, with zero slopes: E' in its
+    textbook model y^2 = x^3 - 2A x^2 + (A^2-4B) x, not the translate the
+    ledger runs."""
+    zero = (0, 0, 0)
+    return ((0, A, 0, B, 0), zero), ((0, -2 * A, 0, A * A - 4 * B, 0), zero)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(0, 8).flatmap(lambda k: st.integers(-(10**12 >> k), 10**12 >> k).map(lambda u: (u | 1) << k)),
+    st.integers(0, 14).flatmap(lambda k: st.integers(1, 10**6).map(lambda u: (u | 1) << k)),
+    st.sampled_from((1, -1)),
+    st.integers(-(2**20), 2**20),
+)
+def test_tate_at_two_matches_the_loop_on_hypothesis_pairs(scan_oracle, A, b, sign, move):
+    # v_2(A) <= 8, v_2(B) <= 14 and |A| <= 10^12: Tate's size at 2 against
+    # the loop's, at (A, B) and at a move of A by a multiple of 2^N
+    B = sign * b
+    assume(A * A != 4 * B)
+    size, n = local_analysis._size_at_two(A, B)
+    assert size == factor_at_two(A, B) == _loop_size(A, B), (A, B)
+    A2 = A + (move << n)
+    if A2 * A2 != 4 * B:
+        assert local_analysis._size_at_two(A2, B)[0] == _loop_size(A2, B) == size, (A, B, A2, n)
+
+
+def test_tate_at_two_meets_every_kodaira_type():
+    # over E(300) the two curves of a pair leave Tate's algorithm at 2 by
+    # every exit, and both rescale a non-minimal model; each exit is that
+    # of the model the ledger runs, and the textbook model of E' agrees
+    seen = [set(), set()]
+    rescaled = [0, 0]
+    for c in enumerate_window(300):
+        A, B = c.A, c.B
+        for side, (model, ledger_model) in enumerate(zip(_models_at_two(A, B), _ledger_models(A, B))):
+            sym, cp, m, _ = local_analysis.tate_at_two(*model)
+            assert local_analysis.tate_at_two(*ledger_model)[:3] == (sym, cp, m), (A, B, side)
+            seen[side].add(re.sub(r"^I[1-9][0-9]*", "In", sym))
+            rescaled[side] += m > 0
+    every = {"I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}
+    assert seen[0] | seen[1] == every, seen
+    assert rescaled[0] and rescaled[1], rescaled
+
+
+def test_tate_digits_fix_every_branch():
+    # on either curve, every A' = A (mod 2^N) of the column runs Tate's
+    # algorithm at 2 to the same symbol, c_2 and m (0 of about 16,000 moves
+    # change them), and moves by an odd multiple of 2^(N-1) change them on
+    # some curves, so N is not a digit too generous everywhere; curves of
+    # E(300) and seeded pairs with v_2(A) <= 8 and v_2(B) <= 14
+    rng = random.Random(20261021)
+    pairs = rng.sample([(c.A, c.B) for c in enumerate_window(300)], 1000)
+    while len(pairs) < 2000:
+        k = rng.randint(0, 8)
+        A = (rng.randint(-(10**9 >> k), 10**9 >> k) | 1) << k
+        B = rng.choice((1, -1)) * (rng.randint(1, 10**5) | 1) << rng.randint(0, 14)
+        if A * A != 4 * B:
+            pairs.append((A, B))
+    changed = 0
+    for A, B in pairs:
+        for side, (model, slopes) in enumerate(_ledger_models(A, B)):
+            sym, cp, m, n = local_analysis.tate_at_two(model, slopes)
+            for _ in range(4):
+                A2 = A + (rng.randint(-8, 8) << n)
+                if A2 * A2 != 4 * B:
+                    got = local_analysis.tate_at_two(*_ledger_models(A2, B)[side])[:3]
+                    assert got == (sym, cp, m), (A, B, side, A2, n)
+            A2 = A + (rng.choice((-1, 1)) << n - 1)
+            if A2 * A2 != 4 * B:
+                changed += local_analysis.tate_at_two(*_ledger_models(A2, B)[side])[:3] != (sym, cp, m)
+    assert changed > 500, changed
+
+
+def _general_model(rng):
+    """A model linear in A with a1 and a3 fixed: a random one, or a family
+    model scaled by 2^i in each a_i (non-minimal), both then moved by a
+    random (r, s, t); as a function of A with the slopes of a2, a4, a6."""
+    if rng.random() < 0.5:
+        a1, a3 = rng.randint(0, 3), rng.randint(0, 7)
+        const = [rng.randint(-(2**12), 2**12) << rng.randint(0, 8) for _ in range(3)]
+        slope = [rng.choice((1, -1, 3)) << rng.randint(0, 6) for _ in range(3)]
+
+        def base(A):
+            return (a1, const[0] + slope[0] * A, a3, const[1] + slope[1] * A, const[2] + slope[2] * A)
+
+    else:
+        B = rng.choice((1, -1)) * (rng.randint(1, 10**4) | 1) << rng.randint(0, 10)
+        side = rng.randrange(2)
+
+        def base(A):
+            return tuple(x << i for x, i in zip(_ledger_models(A, B)[side][0], (1, 2, 3, 4, 6)))
+
+    r, s, t = (rng.randint(-20, 20) for _ in range(3))
+
+    def at(A):
+        a, b = local_analysis._rst(base(A), r, s, t), local_analysis._rst(base(A + 1), r, s, t)
+        assert (a[0], a[2]) == (b[0], b[2])
+        return a, (b[1] - a[1], b[3] - a[3], b[4] - a[4])
+
+    return at
+
+
+def test_tate_digits_fix_every_branch_on_general_models():
+    # the digit count on models with a1 and a3 set, non-minimal ones and
+    # multiplicative ones: every A' = A (mod 2^N) gives the same symbol,
+    # c_2 and m, and every exit is met
+    rng = random.Random(1996)
+    seen = set()
+    tested = 0
+    while tested < 3000:
+        at = _general_model(rng)
+        A = rng.randint(-(2**20), 2**20)
+        try:
+            sym, cp, m, n = local_analysis.tate_at_two(*at(A))
+        except ValueError:
+            continue  # singular at A
+        seen.add(re.sub(r"^I[1-9][0-9]*", "In", sym))
+        for _ in range(4):
+            A2 = A + (rng.randint(-8, 8) << n)
+            try:
+                got = local_analysis.tate_at_two(*at(A2))[:3]
+            except ValueError:
+                continue
+            assert got == (sym, cp, m), (A, A2, n)
+        tested += 1
+    assert seen == {"I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}, seen
+
+
+def test_tate_at_two_reads_the_curve_not_the_model():
+    # an integral change x = x' + r, y = y' + s x' + t keeps the symbol, c_2
+    # and m; scaling a_i by 2^i (x, y) -> (x/4, y/8) adds one rescaling
+    rng = random.Random(31)
+    for c in rng.sample(list(enumerate_window(300)), 400):
+        for model, zero in _models_at_two(c.A, c.B):
+            sym, cp, m, _ = local_analysis.tate_at_two(model, zero)
+            r, s, t = (rng.randint(-50, 50) for _ in range(3))
+            moved = local_analysis._rst(model, r, s, t)
+            assert local_analysis.tate_at_two(moved, zero)[:3] == (sym, cp, m), (c, model, r, s, t)
+            scaled = tuple(x << i for x, i in zip(moved, (1, 2, 3, 4, 6)))
+            assert local_analysis.tate_at_two(scaled, zero)[:3] == (sym, cp, m + 1), (c, model, r, s, t)
 
 
 def test_hilbert_symbol_table():
@@ -302,46 +452,45 @@ def test_lying_probe_raises_not_a_wrong_size(e60_sample, monkeypatch, scan_oracl
         lied = []
 
         def probe(d, a, b, p):
-            ok, n = honest(d, a, b, p)
+            ok = honest(d, a, b, p)
             if ok and d != 1 and not lied:
                 lied.append(d)
-                return False, n
-            return ok, n
+                return False
+            return ok
 
         monkeypatch.setattr(descent, "_torsor_solvable_at", probe)
         with pytest.raises(AssertionError):
-            factor_at_two(c.A, c.B)
+            descent._dual_images(c.A, c.B, 2)
         assert lied
-    monkeypatch.setattr(descent, "_torsor_solvable_at", lambda d, a, b, p: (d == 1, 0))
+    monkeypatch.setattr(descent, "_torsor_solvable_at", lambda d, a, b, p: d == 1)
     with pytest.raises(AssertionError):
-        factor_at_two(3, 2)
+        descent._dual_images(3, 2, 2)
 
 
 def test_certificate_digits_fix_the_size(scan_oracle):
-    # inside a column, moves of A by multiples of 2^N keep the image (0 of
-    # 9,000 change); moves by an odd multiple of 2^(N-1) change the size on
-    # some curves (107 of 3,000), so N is not a digit too generous
-    # everywhere, and a count one digit short fails here
+    # inside a column, moves of A by multiples of 2^N, the digits Tate's
+    # algorithm at 2 names, keep the size the loop finds (0 of 9,000
+    # change); moves by an odd multiple of 2^(N-1) change it on some curves
+    # (1,008 of 3,000), so N is not a digit too generous everywhere, and a
+    # count one digit short fails here
     rng = random.Random(20261018)
     curves = rng.sample([(c.A, c.B) for c in enumerate_window(300)], 3000)
     changed = 0
     for A, B in curves:
-        w, _, n = descent._dual_images(A, B, 2)
+        size, n = local_analysis._size_at_two(A, B)
         for _ in range(3):
             A2 = A + (rng.randint(-4, 4) << n)
             if A2 * A2 != 4 * B:
-                assert descent._dual_images(A2, B, 2)[0] == w, (A, B, A2, n)
+                assert _loop_size(A2, B) == size, (A, B, A2, n)
         A2 = A + (rng.choice((-1, 1)) << n - 1)
         if A2 * A2 != 4 * B:
-            changed += _scan_size(A2, B)[0] != w.bit_count()
+            changed += _loop_size(A2, B) != size
     assert changed > 50, changed
 
 
 def _scaled_sizes(A, B):
     # (A, B) -> (u^2 A, u^4 B) is the isomorphism (x, y) -> (u^2 x, u^3 y)
-    return {
-        f(u * u * A, u**4 * B) for u in (1, 2, 3) for f in (factor_at_two, lambda a, b: _scan_size(a, b)[0])
-    }
+    return {f(u * u * A, u**4 * B) for u in (1, 2, 3) for f in (factor_at_two, _loop_size)}
 
 
 def test_size_at_two_invariant_under_scaling():
@@ -540,23 +689,23 @@ def test_column_ledger_on_deep_columns(B):
 def test_column_ledger_errors_stay_with_their_curve(monkeypatch):
     # an exception in one curve's place 2 stands in for its row and leaves
     # every other curve of the column as it was
-    honest = descent._dual_images
+    honest = local_analysis._size_at_two
     ran = []
 
-    def spy(A, B, v):
+    def spy(A, B):
         ran.append(A)
-        return honest(A, B, v)
+        return honest(A, B)
 
-    monkeypatch.setattr(local_analysis, "_dual_images", spy)
+    monkeypatch.setattr(local_analysis, "_size_at_two", spy)
     rows = local_analysis.column_ledger(1, 16)
-    bad = ran[1]  # a later A whose 2-adic class no earlier run settled, so the sieve runs the loop there
+    bad = ran[1]  # a later A whose 2-adic class no earlier run settled, so the sieve runs Tate there
 
-    def flaky(A, B, v):
+    def flaky(A, B):
         if A == bad:
             raise descent.SolverPrecisionError("injected")
-        return honest(A, B, v)
+        return honest(A, B)
 
-    monkeypatch.setattr(local_analysis, "_dual_images", flaky)
+    monkeypatch.setattr(local_analysis, "_size_at_two", flaky)
     again = local_analysis.column_ledger(1, 16)
     assert [A for A, _ in again] == [A for A, _ in rows]
     assert [(A, str(r)) for A, r in again if isinstance(r, Exception)] == [(bad, "injected")]
