@@ -4,21 +4,24 @@ Work is partitioned by B columns and mapped over a process pool (under
 `--sample`, only the columns that hold a sampled curve), and results are
 merged back in (B, A) order before writing, so output files are byte
 identical for any thread count.  A full-window column (`compute` without
-`--sample`, and so the t-values of `stats`) is walked by
-`local_analysis.column_ledger`, which gives every member's ledger row from
-one sieve over the whole column; a sampled column builds each record with
-`curve_record` from the per-curve ledger, whose places, in
-`descent.relevant_places` order, also give g1, g2 and the descent's place
-list.
+`--sample`, and the t-values of `stats`) is walked by
+`local_analysis.column_ledger`, which returns the column's ledger as
+whole-column lists (t, g1 and n_additive per member, g2 once, the
+square-discriminant flags from the column rule) from one sieve over the
+whole column.  `compute` zips them into records; a full-window `stats`
+without `--with-descent` counts t straight from them and builds no record.
+A sampled column reads each curve's row off its per-curve ledger
+(`_curve_row`), whose places, in `descent.relevant_places` order, also
+give g1, g2 and the descent's place list, and zips the rows into records
+once.  `_records` is the one statement of the record layout.
 `--with-descent` runs the descent per curve (`descent.local_masks`: one
 duality loop finds both sides' images at each finite place, 2 included),
-and `_record`, the one function that turns a ledger row into its record
-tuple, asserts that the descent's t equals the ledger total.  The ledgers
-read place 2 from Tate's algorithm at 2, the class sieve too, so there the
-check compares two independent computations.  `verify` visits each
-curve once and every per-curve suite reads its ledger and its exhaustive
-images (every class tested on each side), so its duality suites test
-duality instead of assuming it.
+and `_descent_dims` asserts that the descent's t equals the ledger total.
+The ledgers read place 2 from Tate's algorithm at 2, the class sieve too,
+so there the check compares two independent computations.  `verify` visits
+each curve once and every per-curve suite reads its ledger and its
+exhaustive images (every class tested on each side), so its duality suites
+test duality instead of assuming it.
 
 Each command's parser declares only the flags that command honours
 (`COMMAND_FLAGS`, drawn from the one table `FLAGS`, whose dests are the
@@ -36,14 +39,15 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from . import statistics as stats
-from .core_arith import is_square
 from .curve_family import (
     CurvePair,
     column_count,
@@ -108,30 +112,47 @@ def _odd_place_counts(c: CurvePair, odd) -> tuple[int, int, int]:
     return g1, g2, repeated
 
 
+_NO_DESCENT = (None, None, None)
+
+
 def curve_record(c: CurvePair, with_descent: bool = False) -> tuple:
     """The record of one curve from its ledger, whose places the descent
     reads."""
+    return _records(c.B, *zip(_curve_row(c, with_descent)))[0]
+
+
+def _curve_row(c: CurvePair, with_descent: bool) -> tuple:
+    """(A, t_total, g1, g2, n_additive, square_disc_flag, (t_descent,
+    dim_sel_phi, dim_sel_phihat)) of one curve from its per-curve ledger,
+    whose places the descent reads; the descent cells are None without it."""
     ledger = tamagawa_exponent(c)
     odd = ledger.entries[2:]  # after inf and 2
     g1, g2, _ = _odd_place_counts(c, odd)
-    places = [e.place for e in ledger.entries] if with_descent else None
-    return _record(c.A, c.B, (ledger.total, g1, g2, sum(e.additive for e in odd)), places)
+    t = ledger.total
+    dims = _descent_dims(c.A, c.B, t, [e.place for e in ledger.entries]) if with_descent else _NO_DESCENT
+    return c.A, t, g1, g2, sum(e.additive for e in odd), c.twoTorsionFull, dims
 
 
-def _record(A: int, B: int, row: tuple, places: list | None = None) -> tuple:
-    """The record tuple (RECORD_FIELDS order) of a ledger row (t_total, g1,
-    g2, n_additive).  Given the curve's places, the descent runs over them
-    with its own local images, and its t must equal the ledger's (the
-    product formula)."""
-    t_total, g1, g2, n_add = row
-    t_descent = dim_phi = dim_phihat = None
-    if places is not None:
-        masks = local_masks(A, B, places)
-        dim_phi, dim_phihat = selmer_phi(A, B, masks).dim, selmer_phihat(A, B, masks).dim
-        t_descent = dim_phi - dim_phihat
-        if t_descent != t_total:
-            raise AssertionError(f"product formula violated at ({A}, {B}): ledger {t_total} != descent {t_descent}")
-    return (A, B, t_total, t_descent, dim_phi, dim_phihat, g1, g2, n_add, is_square(A * A - 4 * B))
+def _records(B: int, As, t, g1, g2, n_additive, square, dims=None) -> list[tuple]:
+    """The record tuples (RECORD_FIELDS order) of the curves (A, B), A in As,
+    from one iterable per field over the curves: t_total, g1, g2,
+    n_additive and the square-discriminant flags.  dims, given, holds each
+    curve's (t_descent, dim_sel_phi, dim_sel_phihat); else those cells are
+    None."""
+    none = repeat(None)
+    descent = zip(*dims) if dims else (none, none, none)
+    return list(zip(As, repeat(B), t, *descent, g1, g2, n_additive, square))
+
+
+def _descent_dims(A: int, B: int, t_total: int, places: list) -> tuple[int, int, int]:
+    """(t_descent, dim_sel_phi, dim_sel_phihat): the descent runs over the
+    curve's places with its own local images, and its t must equal the
+    ledger's t_total (the product formula)."""
+    masks = local_masks(A, B, places)
+    dim_phi, dim_phihat = selmer_phi(A, B, masks).dim, selmer_phihat(A, B, masks).dim
+    if dim_phi - dim_phihat != t_total:
+        raise AssertionError(f"product formula violated at ({A}, {B}): ledger {t_total} != descent {dim_phi - dim_phihat}")
+    return dim_phi - dim_phihat, dim_phi, dim_phihat
 
 
 # ---------------------------------------------------------------------------
@@ -143,23 +164,38 @@ def _column_records(X: int, with_descent: bool, include_square_disc: bool, task:
     """(B, records, skipped) of one column task (B, As): As are its sampled
     A's (window members, ascending), or None for the whole column."""
     B, As = task
-    if As is None:  # the whole column: one sieve for its odd places
-        rows = column_ledger(B, X, include_square_disc)
-    else:  # each sampled curve reads its own ledger
-        rows = [(A, None) for A in As]
-    out = []
-    skipped = []
-    for A, row in rows:
-        try:
-            if isinstance(row, Exception):
-                raise row
-            if row is None:
-                out.append(curve_record(CurvePair(A, B), with_descent))
-            else:
-                out.append(_record(A, B, row, relevant_places(A, B) if with_descent else None))
-        except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
-            skipped.append((A, B, str(exc)))
-    return B, out, skipped
+    if As is not None:  # each sampled curve reads its own ledger
+        rows, skipped = [], []
+        for A in As:
+            try:
+                rows.append(_curve_row(CurvePair(A, B), with_descent))
+            except (ValueError, RuntimeError) as exc:  # solver exhaustion / overflow
+                skipped.append((A, B, str(exc)))
+        return B, _records(B, *zip(*rows)) if rows else [], skipped
+    col = column_ledger(B, X, include_square_disc)  # the whole column: one sieve, whole-column lists
+    errors = dict(col.errors)
+    dims = None
+    if with_descent:  # per curve, over its places
+        dims = []
+        for A, t in zip(col.As, col.t):
+            try:
+                dims.append(_descent_dims(A, B, t, relevant_places(A, B)))
+            except (ValueError, RuntimeError) as exc:
+                errors[A] = exc
+                dims.append(_NO_DESCENT)
+    out = _records(B, col.As, col.t, col.g1, repeat(col.g2), col.n_additive, col.square, dims)
+    if len(errors) > len(col.errors):  # a descent raised: drop its curves
+        out = [r for r in out if r[0] not in errors]
+    return B, out, [(A, B, str(errors[A])) for A in sorted(errors)]
+
+
+def _column_t_counts(X: int, include_square_disc: bool, B: int) -> tuple[Counter, list]:
+    """({t: count} over the members of column B without a square
+    discriminant, skipped): straight from the column's ledger lists, with
+    no record built."""
+    col = column_ledger(B, X, include_square_disc)
+    counts = Counter(compress(col.t, map(operator.not_, col.square)))
+    return counts, [(A, B, str(exc)) for A, exc in col.errors.items()]
 
 
 def _resolve_threads(config: RunConfig) -> int:
@@ -194,15 +230,9 @@ def sample_keys(X: int, include_square_disc: bool, n: int, seed: int) -> dict[in
     return {B: column_unrank(B, X, include_square_disc, rs) for B, rs in ranks.items()}
 
 
-def stream_records(config: RunConfig):
-    """Yield (record tuples, skipped) per B column, in (B, A) order."""
-    X = config.xmax
-    keep = None
-    if config.sample is not None:
-        keep = sample_keys(X, config.includeSquareDisc, config.sample, config.seed)
-    tasks = [(B, None) for B in window_columns(X)] if keep is None else list(keep.items())
-    column = functools.partial(_column_records, X, config.with_descent, config.includeSquareDisc)
-    workers = min(_resolve_threads(config), len(tasks))  # no idle worker
+def _map_columns(column, tasks: list, threads: int):
+    """column(task) for each task, in order, on up to threads workers."""
+    workers = min(threads, len(tasks))  # no idle worker
     if workers <= 1:
         yield from map(column, tasks)
         return
@@ -210,6 +240,17 @@ def stream_records(config: RunConfig):
 
     with mp.get_context("fork").Pool(workers) as pool:
         yield from pool.imap(column, tasks)  # each column as soon as it is done
+
+
+def stream_records(config: RunConfig):
+    """Yield (B, record tuples, skipped) per B column, in (B, A) order."""
+    X = config.xmax
+    keep = None
+    if config.sample is not None:
+        keep = sample_keys(X, config.includeSquareDisc, config.sample, config.seed)
+    tasks = [(B, None) for B in window_columns(X)] if keep is None else list(keep.items())
+    column = functools.partial(_column_records, X, config.with_descent, config.includeSquareDisc)
+    yield from _map_columns(column, tasks, _resolve_threads(config))
 
 
 # the two CSV line templates: a ledger-only record leaves its three descent
@@ -299,10 +340,18 @@ def histogram_lines(values, X: int) -> list[str]:
 
 def _t_values(config: RunConfig) -> tuple[Counter, list]:
     """The multiset {t: count} of t_total over the curves without a square
-    discriminant, and the (A, B, reason) of the skipped curves."""
-    t, square = RECORD_FIELDS.index("t_total"), RECORD_FIELDS.index("square_disc_flag")
+    discriminant, and the (A, B, reason) of the skipped curves.  A full
+    window without the descent counts each column's ledger lists and builds
+    no record; a sample or --with-descent reads the records."""
     counts = Counter()
     skipped_all = []
+    if config.sample is None and not config.with_descent:
+        column = functools.partial(_column_t_counts, config.xmax, config.includeSquareDisc)
+        for col_counts, skipped in _map_columns(column, window_columns(config.xmax), _resolve_threads(config)):
+            skipped_all += skipped
+            counts.update(col_counts)
+        return counts, skipped_all
+    t, square = RECORD_FIELDS.index("t_total"), RECORD_FIELDS.index("square_disc_flag")
     for _, recs, skipped in stream_records(config):
         skipped_all += skipped
         counts.update(r[t] for r in recs if not r[square])

@@ -2,8 +2,10 @@
 square roots and quadratic roots modulo an odd prime.
 
 Everything here is pure and deterministic.  Factoring uses trial division
-to sqrt(n), by one cached prime list per power of 2 up to a fixed bound,
-then strong-pseudoprime testing with a proven witness set and Brent's
+to sqrt(n), by one cached prime list per power of 2 up to a fixed bound z.
+A cofactor left below z^2 has no prime factor below z, so it is prime with
+no test; that covers every n < 10^10.  A larger cofactor gets
+strong-pseudoprime testing with a proven witness set and Brent's
 cycle-finding variant of Pollard rho with an incrementing polynomial
 constant, so repeated runs (and concurrent callers) always see identical
 output.  The roots of a quadratic mod p (`quadratic_roots`, from one modular
@@ -117,7 +119,8 @@ def _factor_positive(m: int, out: dict[int, int]) -> None:
     if e:
         out[2] = out.get(2, 0) + e
         m >>= e
-    for p in _odd_primes_below(min(1 << math.isqrt(m).bit_length(), _SIEVE_LIMIT)):
+    z = min(1 << math.isqrt(m).bit_length(), _SIEVE_LIMIT)
+    for p in _odd_primes_below(z):
         if p * p > m:
             break
         if m % p == 0:
@@ -128,7 +131,7 @@ def _factor_positive(m: int, out: dict[int, int]) -> None:
             out[p] = out.get(p, 0) + e
     if m == 1:
         return
-    if is_prime(m):
+    if m < z * z or is_prime(m):  # no prime below z divides m, so m < z^2 is prime
         out[m] = out.get(m, 0) + 1
         return
     # Composite with no factor below the sieve bound: split with rho,

@@ -5,8 +5,9 @@ nonsingular (B and A^2-4B both nonzero), and the model is reduced: no prime
 p has p^2 | A and p^4 | B simultaneously (A = 0 counts as divisible by every
 p^2).  Enumeration is lexicographic in (B, A) and deterministic.
 
-The column filter is written once, in `_column_rule`; `column_members`
-iterates it (`local_analysis.column_ledger` walks that iterator),
+The column filter is written once, in `_column_rule`; `_column_mask` marks
+its members over [-X, X], which `column_members` iterates and
+`local_analysis.column_ledger` selects its whole-column lists with,
 `column_count` and `column_unrank` count it in closed form, and
 `statistics.family_scan` masks it.  `is_member` tests a single pair, and
 `enumerate_window(X)` walks the columns of `window_columns(X)` in order.
@@ -18,6 +19,7 @@ whether the two-torsion is all rational are worked out from them.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -127,17 +129,29 @@ def window_columns(X: int) -> list[int]:
 
 
 def column_members(B: int, X: int, include_square_disc: bool = True) -> Iterator[int]:
-    """Yield the A of the members (A, B) of column B, ascending.
+    """An iterator over the A of the members (A, B) of column B, ascending.
 
     The A in [-X, X] that no reduction modulus divides, less the non-members
     among them (see `_column_rule`).  The height bound B^2 <= X is the
     caller's, as in `column_count`.
     """
-    moduli, singular, square = _column_rule(B, X, not include_square_disc)
-    skip = set(singular if include_square_disc else singular + square)
-    for A in range(-X, X + 1):
-        if A not in skip and not (moduli and any(A % m == 0 for m in moduli)):
-            yield A
+    rule = _column_rule(B, X, not include_square_disc)
+    return itertools.compress(range(-X, X + 1), _column_mask(X, include_square_disc, rule))
+
+
+def _column_mask(X: int, include_square_disc: bool, rule: tuple) -> bytearray:
+    """1 at index A + X for each member A of the column whose `_column_rule`
+    is rule, 0 at every other A in [-X, X]: the multiples of its moduli by
+    slice, its singular A's (and its square-discriminant A's, unless
+    included) one by one.  `column_members` iterates it, and
+    `local_analysis.column_ledger` selects its whole-column lists with it."""
+    moduli, singular, square = rule
+    mask = bytearray(b"\x01") * (2 * X + 1)
+    for m in moduli:
+        mask[X % m :: m] = bytes(len(range(X % m, 2 * X + 1, m)))  # index i is A = i - X
+    for A in singular if include_square_disc else singular + square:
+        mask[A + X] = 0
+    return mask
 
 
 def column_count(B: int, X: int, include_square_disc: bool = True, upto: int | None = None) -> int:

@@ -384,7 +384,7 @@ def _chart_solvable(f, p: int) -> bool:
     """Z_p solvability of y^2 = f(x) for one (biquadratic) torsor chart: the
     scan up to _SCAN_MAX_P, the structural decider above it."""
     if p <= _SCAN_MAX_P:
-        return _chart_scan(f, p)[0]
+        return _chart_scan(f, p)
     _, f = _normal_chart(f, p)
     return _zp_solvable_structural(f, p, _disc_vp(f, p) + 10)
 
@@ -414,23 +414,20 @@ def _disc_vp(g, p: int) -> int:
 _CHART_MEMO: dict = {}
 
 
-def _chart_scan(f, p: int) -> tuple[bool, int]:
-    """The scan's verdict on a biquadratic chart and the p-adic digits of its
-    coefficients the verdict read (see _zp_scan): e + 1 digits fix e, and n
-    digits of f / p^s are n + s digits of f.  The budget kmax = v_p(disc) + 6
-    needs no more: a node expanded at depth K read at least K digits, and
-    those keep v_p(disc) >= K - 5.
+def _chart_scan(f, p: int) -> bool:
+    """The scan's verdict on a biquadratic chart (see _zp_scan).  The budget
+    kmax = v_p(disc) + 6 needs no more: a node expanded at depth K read at
+    least K digits, and those keep v_p(disc) >= K - 5.
 
-    The normal chart g = f / p^s is scanned once per process: every chart
-    whose g agrees with it mod p^n, for the n digits its scan read, runs the
-    same search and names the same n, so the verdict is looked up in
-    _CHART_MEMO and a hit returns what a fresh scan would.  The first node,
-    x0 = 0, reads more than v_p(c0) digits, so n > v_p(c0) and v_p(c0) picks
-    the bucket; a lookup tries the few n's stored there.  A scan that raised
-    stores nothing."""
-    e, g = _normal_chart(f, p)
+    The normal chart g = f / p^s (_normal_chart) is scanned once per
+    process: every chart whose g agrees with it mod p^n, for the n digits
+    its scan read, runs the same search and names the same n, so the verdict
+    is looked up in _CHART_MEMO and a hit returns what a fresh scan would.
+    The first node, x0 = 0, reads more than v_p(c0) digits, so n > v_p(c0)
+    and v_p(c0) picks the bucket; a lookup tries the few n's stored there.
+    A scan that raised stores nothing."""
+    _, g = _normal_chart(f, p)
     c0, _, c2, _, c4 = g
-    s = e // 2 * 2
     key = (p, _vp(c0, p))
     bucket = _CHART_MEMO.get(key)
     if bucket:
@@ -438,11 +435,11 @@ def _chart_scan(f, p: int) -> tuple[bool, int]:
             q = p**n
             found = table.get((c0 % q, c2 % q, c4 % q))
             if found is not None:
-                return found, max(e + 1, n + s)
+                return found
     found, n = _zp_scan(g, p, _disc_vp(g, p) + 6)
     q = p**n
     _CHART_MEMO.setdefault(key, {}).setdefault(n, {})[c0 % q, c2 % q, c4 % q] = found
-    return found, max(e + 1, n + s)
+    return found
 
 
 def _torsor_solvable_at(d: int, a: int, b: int, p: int) -> bool:

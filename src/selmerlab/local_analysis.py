@@ -38,12 +38,12 @@ size's exponent log2(size) - 1, so good places contribute 0 and the total,
 the sum of the exponents, is the Tamagawa-ratio exponent.
 
 `tamagawa_exponent` builds one curve's ledger from the factorization of
-B (A^2-4B).  `column_ledger` walks a whole B column (curve_family's
-`column_members`) and gives the same totals by sieving its odd places
-over the residue classes of A (Pomerance, The quadratic sieve factoring
-algorithm, 1984: values of a polynomial are sieved by its roots mod p)
-and place 2 over the 2-adic classes of A that Tate's algorithm at 2
-certifies.  Both read each rule from the one function that states it:
+B (A^2-4B).  `column_ledger` gives the same totals for a whole B column
+(the members of curve_family's `column_members`), as whole-column lists,
+by sieving its odd places over the residue classes of A (Pomerance, The
+quadratic sieve factoring algorithm, 1984: values of a polynomial are
+sieved by its roots mod p) and place 2 over the 2-adic classes of A that
+Tate's algorithm at 2 certifies.  Both read each rule from the one function that states it:
 `mult_factor` or `classify_reduction`, `additive_factor` (so neither runs
 Tate at odd p), `_size_at_two` and `factor_at_infinity`.
 """
@@ -51,12 +51,15 @@ Tate at odd p), `_size_at_two` and `factor_at_infinity`.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 from math import isqrt
+from operator import add
+from typing import NamedTuple
 
 from .core_arith import _odd_primes_below, _root_classes, _vp, is_prime, jacobi, quadratic_roots
-from .curve_family import CurvePair, column_members
+from .curve_family import CurvePair, _column_mask, _column_rule
 from .descent import INF_PLACE, _class_count, relevant_places
 
 __all__ = [
@@ -72,6 +75,7 @@ __all__ = [
     "factor_at_infinity",
     "factor_at_two",
     "tamagawa_exponent",
+    "ColumnLedger",
     "column_ledger",
     "decompose_total",
 ]
@@ -520,63 +524,90 @@ def tamagawa_exponent(c: CurvePair) -> LocalFactorLedger:
     return LocalFactorLedger(tuple(entries))
 
 
-def _place_two_sieve(B: int, lo: int, width: int):
-    """The size at 2 of (A, B) for lo <= A < lo + width, as a function
-    called for ascending A's: the first A of a class that no run has settled
-    runs _size_at_two(A, B), whose N digits of A fix every branch of Tate's
-    algorithm at 2 on both curves in this column, and its size fills every
-    later A' = A (mod 2^N) in one slice assignment.  A run that raised
-    settles nothing."""
-    sizes = [0] * width  # 0: not settled
-
-    def size_at_two(A: int) -> int:
-        i = A - lo
-        size = sizes[i]
-        if not size:
-            size, n = _size_at_two(A, B)
+def _place_two_sieve(B: int, lo: int, todo: bytearray) -> tuple[list[int], dict]:
+    """(exponents, errors): the exponent log2(size) - 1 of the size at 2 of
+    (A, B) at index A - lo of a list as long as todo, settled at every index
+    that todo marks 1, and the ValueError or RuntimeError of each A whose run
+    raised.  The first index left open runs _size_at_two(A, B), whose N
+    digits of A fix every branch of Tate's algorithm at 2 on both curves in
+    this column, and its exponent fills every later A' = A (mod 2^N) in one
+    slice assignment, which also closes them in todo; so the loop runs once
+    per 2-adic class, not per member.  A run that raised settles nothing.
+    todo is consumed."""
+    width = len(todo)
+    exps = [0] * width
+    errors = {}
+    i = todo.find(1)
+    while i >= 0:
+        try:
+            size, n = _size_at_two(lo + i, B)
+        except (ValueError, RuntimeError) as exc:
+            errors[lo + i] = exc
+            todo[i] = 0
+        else:
             step = 1 << n
-            sizes[i::step] = [size] * len(range(i, width, step))
-        return size
+            k = len(range(i, width, step))
+            exps[i::step] = [size.bit_length() - 2] * k
+            todo[i::step] = bytes(k)
+        i = todo.find(1, i + 1)
+    return exps, errors
 
-    return size_at_two
+
+class ColumnLedger(NamedTuple):
+    """The ledger rows of one B column as whole-column lists, one entry per
+    member in As (ascending A) whose ledger did not raise."""
+
+    As: list[int]
+    t: list[int]  # t_total
+    g1: list[int]  # odd primes of A^2 - 4B
+    g2: int  # odd primes of B, the same for the whole column
+    n_additive: list[int]  # odd primes of both
+    square: list[bool]  # A^2 - 4B is a square
+    errors: dict  # A -> the ValueError or RuntimeError its ledger raised
 
 
-def column_ledger(B: int, X: int, include_square_disc: bool = True) -> list:
-    """(A, (t_total, g1, g2, n_additive)) of each member (A, B) of column B
-    at height X, in the order of curve_family.column_members, with the odd
-    places found by one sieve instead of by factoring each curve, and place
-    2 by one run per 2-adic class of A.
+def column_ledger(B: int, X: int, include_square_disc: bool = True) -> ColumnLedger:
+    """The ledger of every member (A, B) of column B at height X, the members
+    of curve_family.column_members, as whole-column lists (ColumnLedger),
+    with the odd places found by one sieve instead of by factoring each
+    curve, and place 2 by one run per 2-adic class of A.
 
-    A curve whose ledger raised a ValueError or RuntimeError gets (A, that
-    exception) instead.  g1 and g2 count the odd primes of A^2-4B and of B,
+    Each list is filled over every A in [-X, X] by whole-column passes and
+    then cut to the members by the column's membership mask (one read of
+    curve_family._column_rule, whose square-discriminant A's give the square
+    flags), so no Python loop runs per member.  A curve whose ledger raised
+    a ValueError or RuntimeError is left out of the lists and kept in errors
+    with that exception.  g1 and g2 count the odd primes of A^2-4B and of B,
     n_additive those of both.  The sieve finds which A share a place, and
     each rule is read from the function that states it.  With D = A^2 - 4B,
     over the A's:
     - odd p | B (read off the sieve's prime list): p divides D exactly when
-      p | A.  Those A are additive at p and read `additive_factor`; every
-      other residue class a mod p reads `mult_factor(a, B, p)` once.
+      p | A.  Those A are additive at p and read `additive_factor`, as
+      sparse corrections at their indices; every other residue class a mod
+      p reads `mult_factor(a, B, p)` once.
     - odd p not dividing B, up to isqrt(max |D|): p divides D exactly on the
       root classes A = r with r^2 = 4B (mod p) (core_arith._root_classes).
       Each hit divides p out of its running |D|; it gets +1 if v_p(D) is odd
       or `classify_reduction` calls the class split.
     - the cofactor: what is left of |D| once its 2s are gone has no prime
       factor up to isqrt(max |D|), so it is 1 or one prime q with q || D
-      (q does not divide B), which adds +1 to t and to g1.
+      (q does not divide B), which adds +1 to t and to g1; one comprehension.
     - place 2 by one run of Tate's algorithm at 2 on both curves per 2-adic
-      class of A (_place_two_sieve); the real place from
-      `factor_at_infinity`.
+      class of A (_place_two_sieve).
+    - the real place: `factor_at_infinity` is 2 below one A and 1 from there
+      on (1 throughout when B < 0), so a bisection over the members finds
+      that A, and the column's exponents are 0 then -1.
     """
-    As = list(column_members(B, X, include_square_disc))
-    if not As:
-        return []
-    lo = As[0]
-    width = As[-1] - lo + 1
+    rule = _column_rule(B, X)
+    mask = _column_mask(X, include_square_disc, rule)
+    lo, width = -X, 2 * X + 1
     rem = [abs(A * A - 4 * B) or 1 for A in range(lo, lo + width)]  # 1 at a singular A
-    top = isqrt(max(rem))
+    top = isqrt(max(rem, default=1))
     ps = _odd_primes_below(1 << max(top, abs(B)).bit_length())  # one cached list per power of 2
     t = [0] * width  # exponents of the odd places found by the sieve
     g1 = [0] * width
-    additive = {}  # index -> the odd primes of gcd(A, B), ascending
+    n_add = [0] * width
+    errors = {}
     bprimes = [p for p in ps if B % p == 0]
     for p in bprimes:
         for a in range(1, p):  # a nonsingular representative, multiplicative at p
@@ -585,11 +616,16 @@ def column_ledger(B: int, X: int, include_square_disc: bool = True) -> list:
                     t[i] -= 1
         for i in range(-lo % p, width, p):
             g1[i] += 1
-            additive.setdefault(i, []).append(p)
+            n_add[i] += 1
             n = rem[i]
             while n % p == 0:
                 n //= p
             rem[i] = n
+            if mask[i]:
+                try:
+                    t[i] += additive_factor(lo + i, B, p).bit_length() - 2
+                except (ValueError, RuntimeError) as exc:
+                    errors.setdefault(lo + i, exc)
     for p in ps[: bisect_right(ps, top)]:
         b = B % p
         if b == 0:
@@ -606,23 +642,31 @@ def column_ledger(B: int, X: int, include_square_disc: bool = True) -> list:
                 g1[i] += 1
                 if v & 1 or split:
                     t[i] += 1
-    g2 = len(bprimes)
-    size_at_two = _place_two_sieve(B, lo, width)
-    out = []
-    for A in As:
-        i = A - lo
-        n = rem[i]
-        cofactor = (n >> (n & -n).bit_length() - 1) > 1  # odd part of the rest
-        adds = additive.get(i, ())
-        try:
-            total = t[i] + cofactor + sum(additive_factor(A, B, p).bit_length() - 2 for p in adds)
-            total += size_at_two(A).bit_length() - 2
-        except (ValueError, RuntimeError) as exc:
-            out.append((A, exc))
-            continue
-        total += factor_at_infinity(A, B).bit_length() - 2
-        out.append((A, (total, g1[i] + cofactor, g2, len(adds))))
-    return out
+    e2, failed = _place_two_sieve(B, lo, bytearray(mask))
+    for A, exc in failed.items():
+        errors.setdefault(A, exc)
+    for A in errors:
+        mask[A - lo] = 0
+    cof = [(n & n - 1) > 0 for n in rem]  # the rest is not a power of 2: its odd part is > 1
+    As = list(compress(range(lo, lo + width), mask))
+    # members As[:k] have real size 2, the rest size 1
+    k = bisect_left(As, -1, key=lambda A: -factor_at_infinity(A, B))
+    einf = [0] * (As[k] - lo if k < len(As) else width)
+    einf += [-1] * (width - len(einf))
+    square = [False] * len(As)
+    for A in rule[2] if include_square_disc else ():
+        j = bisect_left(As, A)
+        if j < len(As) and As[j] == A:  # not a member whose ledger raised
+            square[j] = True
+    return ColumnLedger(
+        As,
+        list(compress(map(add, map(add, t, cof), map(add, e2, einf)), mask)),
+        list(compress(map(add, g1, cof), mask)),
+        len(bprimes),
+        list(compress(n_add, mask)),
+        square,
+        {A: errors[A] for A in sorted(errors)},
+    )
 
 
 def decompose_total(ledger: LocalFactorLedger) -> dict:

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,25 @@ def test_compute_exits_1_after_skipping_curves(extra, tmp_path, capsys, monkeypa
     assert "skipped 1 curves:" in err and "(1, 2): injected precision exhaustion" in err
 
 
+def test_a_failing_descent_skips_only_its_curve_in_a_full_window(tmp_path, capsys, monkeypatch):
+    # the ledger of (1, 2) holds, its descent raises: the column's records
+    # come from the lists less that curve, which is listed as skipped
+    loop = descent._dual_images
+
+    def flaky_loop(A, B, v):
+        if (A, B, v) == (1, 2, 2):
+            raise SolverPrecisionError("injected precision exhaustion")
+        return loop(A, B, v)
+
+    monkeypatch.setattr(descent, "_dual_images", flaky_loop)
+    out = tmp_path / "records.csv"
+    assert main(["compute", "--xmax", "4", "--threads", "1", "--with-descent", "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 33 and not any(line.startswith("1,2,") for line in lines)
+    err = capsys.readouterr().err
+    assert "skipped 1 curves:" in err and "(1, 2): injected precision exhaustion" in err
+
+
 @pytest.mark.parametrize("extra", [[], ["--with-descent"]], ids=["ledger", "descent"])
 def test_compute_reports_a_curve_past_the_factoring_limit(extra, capsys, monkeypatch):
     # (2^64, 1) has |A^2 - 4B| > 2^127, past what `factor` takes: the curve
@@ -497,7 +517,7 @@ def test_verify_empty_window():
 def test_output_record_consistency_guard():
     t = descent_exponent(1, 3)
     with pytest.raises(AssertionError, match=rf"product formula violated at \(1, 3\): ledger {t + 1} != descent {t}"):
-        cli._record(1, 3, (t + 1, 0, 0, 0), relevant_places(1, 3))
+        cli._descent_dims(1, 3, t + 1, relevant_places(1, 3))
 
 
 @pytest.mark.parametrize(
@@ -729,6 +749,27 @@ def test_golden_stats_stdout(tmp_path, capsys):
     family = dict(kv.split("=") for kv in out.splitlines()[0].split()[1:])
     n = int(out.split("cdf_distance=", 1)[1].split()[1].removeprefix("n="))
     assert n == int(family["members"]) - int(family["square_disc_excluded"]) == 20_027
+
+
+def test_golden_stats_stdout_on_two_workers(tmp_path, capsys):
+    # the t-values of a full window come from the column lists, with no
+    # record built, on a pool as on one worker
+    hist = tmp_path / "hist.tsv"
+    assert main(["stats", "--xmax", "300", "--threads", "2", "--out", str(hist)]) == 0
+    assert _sha256(capsys.readouterr().out) == _GOLDEN["stats-300"]
+    assert hashlib.sha256(hist.read_bytes()).hexdigest() == _GOLDEN["stats-300-hist"]
+
+
+@pytest.mark.parametrize("include", [True, False])
+def test_t_values_from_lists_match_the_records(include):
+    # a full-window _t_values counts t from column_ledger's lists, leaving
+    # out the square-discriminant members by the column rule's flags; the
+    # records path reads the same multiset off every record of E(300)
+    config = RunConfig(xmax=300, threads=1, includeSquareDisc=include)
+    counts, skipped = cli._t_values(config)
+    t, square = RECORD_FIELDS.index("t_total"), RECORD_FIELDS.index("square_disc_flag")
+    want = Counter(r[t] for _, recs, _ in stream_records(config) for r in recs if not r[square])
+    assert skipped == [] and counts == want and counts.total() == 20_027
 
 
 def test_golden_stats_sample_descent_stdout(capsys):

@@ -136,6 +136,18 @@ def test_factor_sieves_only_to_the_power_of_two_above_the_root(monkeypatch):
     assert bounds == [2048, _SIEVE_LIMIT]
 
 
+def test_factor_tests_no_cofactor_below_the_square_of_the_trial_bound(monkeypatch):
+    # trial division to z = 2048 leaves 1013 < z^2, which no prime below z
+    # divides, so it is prime with no test; 100003 * 100019 > 10^10 has no
+    # prime factor below the capped bound 10^5 and is still tested
+    calls = []
+    monkeypatch.setattr(core_arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert factor(3 * 1009 * 1013).factors == ((3, 1), (1009, 1), (1013, 1))
+    assert calls == []
+    assert factor(100003 * 100019).factors == ((100003, 1), (100019, 1))
+    assert calls[0] == 100003 * 100019 > _SIEVE_LIMIT**2
+
+
 def test_ord_p():
     # the valuation _vp: p = 2 reads the low bits, and 0 gets a sentinel
     # deeper than any bound a caller tests

@@ -120,9 +120,11 @@ def test_column_exclusions_are_exercised():
 
 
 def test_square_discs_are_listed_only_for_callers_that_drop_them():
-    # with include_square_disc=True no caller reads the square-discriminant
-    # A's, so the rule skips the trial division that lists them.  The spy
-    # counts the calls of the rule's `kept` closure through its code object.
+    # with include_square_disc=True the counter, the unranker and the member
+    # iterator read no square-discriminant A's, so the rule skips the trial
+    # division that lists them (the column ledger lists them for its flags).
+    # The spy counts the calls of the rule's `kept` closure through its
+    # code object.
     kept = next(c for c in curve_family._column_rule.__code__.co_consts if getattr(c, "co_name", "") == "kept")
     B, X = 720, 1000  # 15 divisors up to isqrt(B), 2 A's each; not a square, so no singular A
 

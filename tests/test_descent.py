@@ -113,7 +113,7 @@ def test_structural_matches_scan_on_random_charts(scan_oracle):
                 continue
             n += 1
             _, g = _normal_chart(f, p)  # the normalization and budget of _chart_solvable
-            assert _zp_solvable_structural(g, p, _disc_vp(g, p) + 10) == _chart_scan(f, p)[0], (f, p)
+            assert _zp_solvable_structural(g, p, _disc_vp(g, p) + 10) == _chart_scan(f, p), (f, p)
     assert n > 300
 
 
@@ -350,11 +350,18 @@ def _moved(rng, f, shift, odd=False):
     return (c0 + (moves[0] << shift), 0, c2 + (moves[1] << shift), 0, c4 + (moves[2] << shift))
 
 
-def test_chart_digit_count_is_a_certificate(scan_oracle):
-    # every chart that agrees with f mod 2^n, for the n digits _chart_scan
-    # names at 2, gets f's verdict and names the same n; with one digit fewer
-    # some verdicts change.  f is a torsor chart or its scaling f(2t), the
-    # chart u = 1 searched on 2Z_2.
+def _normal_scan(f, p):
+    """(g, (found, n)): the normal chart g of f and _zp_scan's verdict and
+    digit count on it, at _chart_scan's budget."""
+    _, g = _normal_chart(f, p)
+    return g, _zp_scan(g, p, _disc_vp(g, p) + 6)
+
+
+def test_chart_digit_count_is_a_certificate():
+    # every normal chart that agrees with g mod 2^n, for the n digits
+    # _zp_scan names at 2, gets g's verdict and names the same n; with one
+    # digit fewer some verdicts change.  g is the normal chart of a torsor
+    # chart or of its scaling f(2t), the chart u = 1 searched on 2Z_2.
     rng = random.Random(1406)
     tested = changed = 0
     while tested < 1500:
@@ -363,15 +370,15 @@ def test_chart_digit_count_is_a_certificate(scan_oracle):
             continue
         if rng.random() < 0.5:
             f = _shift_scale(f, 0, 2)
-        found, n = _chart_scan(f, 2)
+        g, (found, n) = _normal_scan(f, 2)
         for _ in range(3):
-            g = _moved(rng, f, n)
-            if g[0] and g[4] and g[2] ** 2 != 4 * g[0] * g[4]:
-                assert _chart_scan(g, 2) == (found, n), (f, g, n)
-        g = _moved(rng, f, n - 1, odd=True)
-        if g[0] and g[4] and g[2] ** 2 != 4 * g[0] * g[4]:
+            h = _moved(rng, g, n)
+            if h[0] and h[4] and h[2] ** 2 != 4 * h[0] * h[4]:
+                assert _normal_scan(h, 2) == (h, (found, n)), (g, h, n)
+        h = _moved(rng, g, n - 1, odd=True)
+        if h[0] and h[4] and h[2] ** 2 != 4 * h[0] * h[4]:
             try:
-                changed += _chart_scan(g, 2)[0] != found
+                changed += _normal_scan(h, 2)[1][0] != found
             except SolverPrecisionError:
                 changed += 1
         tested += 1
@@ -392,14 +399,15 @@ def _rooted_chart(rng, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_root_exit_digit_count_is_a_certificate(p, scan_oracle):
+def test_root_exit_digit_count_is_a_certificate(p):
     # the scan's Hensel exit at a root x0 of f (exact or nearby) reads 2w + 1
     # digits of f(x0), w = v_p(f'(x0)); random torsor charts rarely reach
     # it.  Moving c0 moves f(x0) and nothing else: by multiples of p^n the
     # verdict and n stay, by multiples of p^(n-1) the verdict changes on
     # some charts.  With the exit cut to 2w, moves by p^n change the verdict
     # at odd p; with the square exit tested before Hensel, they change n.
-    # f is a chart or its scaling f(p t), as the chart u = 1 is searched.
+    # g is the normal chart of a chart or of its scaling f(p t), as the
+    # chart u = 1 is searched.
     rng = random.Random(p)
     tested = changed = 0
     while tested < 600:
@@ -408,24 +416,37 @@ def test_root_exit_digit_count_is_a_certificate(p, scan_oracle):
             continue
         if rng.random() < 0.5:
             f = _shift_scale(f, 0, p)
-        found, n = _chart_scan(f, p)
-        c0, _, c2, _, c4 = f
+        g, (found, n) = _normal_scan(f, p)
+        c0, _, c2, _, c4 = g
         for j in (1, -1, 2, 3):
             for shift in (n, n - 1):
-                g = (c0 + j * p**shift, 0, c2, 0, c4)
-                if g[0] and c2 * c2 != 4 * g[0] * c4:
+                h = (c0 + j * p**shift, 0, c2, 0, c4)
+                if h[0] and c2 * c2 != 4 * h[0] * c4:
                     if shift == n:
-                        assert _chart_scan(g, p) == (found, n), (f, g, n)
+                        assert _normal_scan(h, p) == (h, (found, n)), (g, h, n)
                     else:
-                        changed += _chart_scan(g, p)[0] != found
+                        changed += _normal_scan(h, p)[1][0] != found
         tested += 1
     assert changed > 300, changed  # 404 to 722 of about 2,400 moves by p^(n-1)
 
 
+def _memo_hit(g, p):
+    """(n, found) of the entry that _chart_scan's lookup finds for the
+    normal chart g in the chart memo as it stands, or None."""
+    c0, _, c2, _, c4 = g
+    for n, table in descent._CHART_MEMO.get((p, _vp(c0, p)), {}).items():
+        q = p**n
+        found = table.get((c0 % q, c2 % q, c4 % q))
+        if found is not None:
+            return n, found
+    return None
+
+
 def _charts_met(monkeypatch):
-    """Every (f, p, (found, count)) _chart_scan is called with and returns,
-    in order, from an empty chart memo: the duality loop at 2 on every
-    curve of E(300), then both sides' exhaustive local images
+    """Every (f, p, verdict, hit) of a _chart_scan call, in order, from an
+    empty chart memo, with hit the memo entry (n, found) that its lookup
+    finds (_memo_hit), or None for a fresh scan: the duality loop at 2 on
+    every curve of E(300), then both sides' exhaustive local images
     (_local_image_tags on each side) at every place of a 400-curve sample at
     X = 10^3, whose odd p <= 13 are scanned."""
     monkeypatch.setattr(descent, "_CHART_MEMO", {})
@@ -433,8 +454,9 @@ def _charts_met(monkeypatch):
     scan = descent._chart_scan
 
     def recording(f, p):
+        hit = _memo_hit(_normal_chart(f, p)[1], p)
         got = scan(f, p)
-        calls.append((f, p, got))
+        calls.append((f, p, got, hit))
         return got
 
     monkeypatch.setattr(descent, "_chart_scan", recording)
@@ -447,19 +469,20 @@ def _charts_met(monkeypatch):
 
 
 def test_chart_memo_replays_a_fresh_scan(monkeypatch):
-    # the memo's verdict and digit count on every chart the duality loop at 2
-    # and the exhaustive images meet equal a fresh _zp_scan's of its normal chart; a memo
-    # keyed on one digit fewer than the scan read answers some chart wrongly
+    # the memo's verdict, and the digit count of the entry a hit reads, on
+    # every chart the duality loop at 2 and the exhaustive images meet equal
+    # a fresh _zp_scan's of its normal chart; a memo keyed on one digit
+    # fewer than the scan read answers some chart wrongly
     calls = _charts_met(monkeypatch)
     fresh = {}
     short = {}  # (p, v_p(c0)) -> {n - 1: {(c0, c2, c4) mod p^(n-1): found}}
     wrong = 0
-    for f, p, got in calls:
-        e, g = _normal_chart(f, p)
+    for f, p, got, memo in calls:
+        _, g = _normal_chart(f, p)
         if (g, p) not in fresh:
             fresh[g, p] = _zp_scan(g, p, _disc_vp(g, p) + 6)
         want, n = fresh[g, p]
-        assert got == (want, max(e + 1, n + e // 2 * 2)), (f, p, got)
+        assert got == want and memo in (None, (n, want)), (f, p, got, memo)
         c0, _, c2, _, c4 = g  # the memo's lookup, with each count cut by one
         bucket = short.setdefault((p, _vp(c0, p)), {})
         for m, table in bucket.items():
@@ -472,7 +495,7 @@ def test_chart_memo_replays_a_fresh_scan(monkeypatch):
             q = p ** (n - 1)
             bucket.setdefault(n - 1, {})[c0 % q, c2 % q, c4 % q] = want
     scanned = sum(len(table) for bucket in descent._CHART_MEMO.values() for table in bucket.values())
-    odd = sum(p != 2 for _, p, _ in calls)
+    odd = sum(p != 2 for _, p, _, _ in calls)
     assert len(calls) > 5 * scanned and odd > 1000, (len(calls), scanned, odd)
     assert wrong, wrong
 

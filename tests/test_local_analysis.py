@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -204,10 +205,15 @@ def _assert_sieve_exact(B, As, image=False):
     run per class) against a run of the duality loop on each curve, and
     against the exhaustively tested image if image is True; the number of
     curves."""
-    size_at_two = local_analysis._place_two_sieve(B, As[0], As[-1] - As[0] + 1)
+    lo = As[0]
+    todo = bytearray(As[-1] - lo + 1)
+    for A in As:
+        todo[A - lo] = 1
+    exps, errors = local_analysis._place_two_sieve(B, lo, todo)
+    assert errors == {} and not any(todo)
     n = 0
     for A in As:
-        size = size_at_two(A)
+        size = 1 << exps[A - lo] + 1  # the exponent is log2(size) - 1
         assert size == _loop_size(A, B), (A, B)
         if image:
             assert size == len(local_image(A, B, 2, "phi")), (A, B)
@@ -268,10 +274,12 @@ def test_sieve_matches_the_loop_on_hypothesis_runs(scan_oracle, b, kb, sign, lo,
     # a run of width consecutive A from lo in the column B = +-b 2^kb; the
     # fixture only keeps the chart memo empty, so it holds across examples
     B = sign * b << kb
-    size_at_two = local_analysis._place_two_sieve(B, lo, width)
+    todo = bytearray(A * A != 4 * B for A in range(lo, lo + width))
+    exps, errors = local_analysis._place_two_sieve(B, lo, todo)
+    assert errors == {}
     for A in range(lo, lo + width):
         if A * A != 4 * B:
-            assert size_at_two(A) == _loop_size(A, B), (A, B)
+            assert 1 << exps[A - lo] + 1 == _loop_size(A, B), (A, B)
 
 
 def _ledger_models(A, B):
@@ -659,6 +667,16 @@ def _window_rows(X):
     return {(c.A, c.B): _ledger_rows(c.B, [c.A])[0] for c in enumerate_window(X)}
 
 
+def _column_rows(B, X, include=True):
+    # column_ledger's whole-column lists read back as (A, (t_total, g1, g2,
+    # n_additive)) per member; each list has one entry per member and no
+    # ledger raised
+    col = local_analysis.column_ledger(B, X, include)
+    assert col.errors == {}
+    assert len(col.As) == len(col.t) == len(col.g1) == len(col.n_additive) == len(col.square)
+    return [(A, (t, g1, col.g2, n)) for A, t, g1, n in zip(col.As, col.t, col.g1, col.n_additive)]
+
+
 @pytest.mark.parametrize("X", [1, 2, 3, 4, 5, 16, 100, 300])
 @pytest.mark.parametrize("include", [True, False])
 def test_column_ledger_matches_curve_record(X, include):
@@ -668,17 +686,52 @@ def test_column_ledger_matches_curve_record(X, include):
     n = 0
     for B in window_columns(X):
         As = list(column_members(B, X, include))
-        got = local_analysis.column_ledger(B, X, include)
-        assert got == [(A, want[A, B]) for A in As], B
+        assert _column_rows(B, X, include) == [(A, want[A, B]) for A in As], B
         n += len(As)
     assert n == sum(1 for A, B in want if include or not is_square(A * A - 4 * B))
+
+
+def _square_disc_members(B, X):
+    return [A for A in column_members(B, X) if is_square(A * A - 4 * B)]
+
+
+@pytest.mark.parametrize(
+    "B, X",
+    [(4, 300), (9, 300), (16, 300), (25, 625), (16, 6561), (-16, 6561), (81, 6561), (-6, 300), (30, 900), (-60, 3600)],
+)
+@pytest.mark.parametrize("include", [True, False])
+def test_column_lists_match_curve_record_member_by_member(B, X, include):
+    # the records cli zips from the lists against curve_record's, member by
+    # member: on perfect-square B (singular A = +-2 sqrt(B) cut from the
+    # lists), on B = +-16 and 81 with p^4 | B (the multiples of p^2 cut), and
+    # on columns with square-discriminant members, which carry the flag when
+    # included and are cut when not.  At X = 6561 a seeded 400 members are
+    # compared, a seeded 200 more with p | A for the p with p^4 | B, and
+    # every square-discriminant member; the lists' members are always all
+    # of them.
+    from selmerlab.cli import _records
+
+    col = local_analysis.column_ledger(B, X, include)
+    assert col.errors == {} and col.As == list(column_members(B, X, include))
+    recs = dict(zip(col.As, _records(B, col.As, col.t, col.g1, repeat(col.g2), col.n_additive, col.square)))
+    squares = _square_disc_members(B, X)
+    assert squares and all((A in recs) == include for A in squares), squares
+    assert sum(col.square) == (len(squares) if include else 0)
+    As = col.As
+    if len(As) > 2000:
+        rng = random.Random(B)
+        deep = [A for A in As if any(A % p == 0 for p in (2, 3) if B % p**4 == 0)]
+        deep = rng.sample(deep, min(200, len(deep)))
+        As = sorted(set(deep) | set(squares if include else ()) | set(rng.sample(As, 400)))
+    for A in As:
+        assert recs[A] == curve_record(CurvePair(A, B)), (A, B)
 
 
 @pytest.mark.parametrize("B", [16, -16, 48, -48, 64, -64, 81, -81, 96, -96])
 def test_column_ledger_on_deep_columns(B):
     # the whole column at X = 10^4, read at a seeded subset of it and at every
     # A with p^2 | A for a p | B (the deepest additive places the column has)
-    rows = dict(local_analysis.column_ledger(B, 10**4))
+    rows = dict(_column_rows(B, 10**4))
     members = list(rows)
     ps = [p for p in (2, 3) if B % p == 0]  # every B here is +-2^a 3^b
     deep = {A for A in members if any(A % (p * p) == 0 for p in ps)}
@@ -687,8 +740,9 @@ def test_column_ledger_on_deep_columns(B):
 
 
 def test_column_ledger_errors_stay_with_their_curve(monkeypatch):
-    # an exception in one curve's place 2 stands in for its row and leaves
-    # every other curve of the column as it was
+    # an exception in one curve's place 2 goes to the errors dict under its
+    # A, that curve leaves the lists, and every other curve of the column is
+    # as it was
     honest = local_analysis._size_at_two
     ran = []
 
@@ -697,7 +751,7 @@ def test_column_ledger_errors_stay_with_their_curve(monkeypatch):
         return honest(A, B)
 
     monkeypatch.setattr(local_analysis, "_size_at_two", spy)
-    rows = local_analysis.column_ledger(1, 16)
+    rows = _column_rows(1, 16)
     bad = ran[1]  # a later A whose 2-adic class no earlier run settled, so the sieve runs Tate there
 
     def flaky(A, B):
@@ -707,9 +761,11 @@ def test_column_ledger_errors_stay_with_their_curve(monkeypatch):
 
     monkeypatch.setattr(local_analysis, "_size_at_two", flaky)
     again = local_analysis.column_ledger(1, 16)
-    assert [A for A, _ in again] == [A for A, _ in rows]
-    assert [(A, str(r)) for A, r in again if isinstance(r, Exception)] == [(bad, "injected")]
-    assert [r for r in again if r[0] != bad] == [r for r in rows if r[0] != bad]
+    assert sorted(again.As + list(again.errors)) == [A for A, _ in rows]
+    assert [(A, str(r)) for A, r in again.errors.items()] == [(bad, "injected")]
+    lists = zip(again.As, zip(again.t, again.g1, repeat(again.g2), again.n_additive))
+    assert list(lists) == [r for r in rows if r[0] != bad]
+    assert len(again.square) == len(again.As)
 
 
 def test_column_ledger_walks_column_members():
@@ -719,7 +775,7 @@ def test_column_ledger_walks_column_members():
     X = 100
     for include in (True, False):
         for B, A in ((81, 9), (-81, 0), (16, 4), (1, 2), (1296, 4), (1296, 18), (1296, 72), (-1296, 54)):
-            rows = local_analysis.column_ledger(B, X, include)
+            rows = _column_rows(B, X, include)
             As = [a for a, _ in rows]
             assert As == list(column_members(B, X, include)) and A not in As, (A, B, include)
             assert [row for _, row in rows] == _ledger_rows(B, As), (B, include)
